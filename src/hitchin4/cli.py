@@ -3,7 +3,7 @@
 Every invocation prints a JSON envelope (or CSV for sweeps) on stdout that
 echoes the parsed parameters, so identical inputs give byte-identical
 output.  Exit codes: 0 success, 2 domain error (on-wall weights, singular
-configurations, search exhaustion), 1 usage error.
+configurations, search exhaustion, alcove walk step limit), 1 usage error.
 
 Rationals are written "p/q"; complex values as "a+bi" with rational or
 decimal parts; Gaussian rationals serialize as {"re": "p/q", "im": "p/q"}.
@@ -31,6 +31,7 @@ DOMAIN_ERRORS = (
     core.Singular,
     core.NonConvergence,
     coxeter.NotAVertex,
+    coxeter.WalkLimitExceeded,
     spectral.DegenerateP0,
     spectral.DegenerateConfiguration,
     spectral.BranchPointCollision,
@@ -49,15 +50,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"usage error: {message}\n{self.format_usage()}")
 
 
+def _parse_exact(parse, tok: str):
+    """``parse(tok)``, with a zero denominator reported as a usage error."""
+    try:
+        return parse(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {tok.strip()!r}") from None
+
+
 def _parse_fractions(s: str, n: int = 4) -> tuple[Fraction, ...]:
-    parts = [Fraction(tok) for tok in s.split(",")]
+    parts = [_parse_exact(Fraction, tok) for tok in s.split(",")]
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated rationals, got {len(parts)}")
     return tuple(parts)
 
 
 def _parse_gaussians(s: str, n: int = 4) -> tuple[GaussianRational, ...]:
-    parts = [GaussianRational.parse(tok) for tok in s.split(",")]
+    parts = [_parse_exact(GaussianRational.parse, tok) for tok in s.split(",")]
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated values, got {len(parts)}")
     return tuple(parts)
@@ -154,8 +163,8 @@ def _cmd_periods(args) -> int:
 
 
 def _pv_from_args(args) -> torelli.PeriodVector:
-    xs = [Fraction(tok) for tok in args.x.split(",")]
-    zs = [GaussianRational.parse(tok) for tok in args.z.split(",")]
+    xs = [_parse_exact(Fraction, tok) for tok in args.x.split(",")]
+    zs = [_parse_exact(GaussianRational.parse, tok) for tok in args.z.split(",")]
     if len(xs) == 4 and len(zs) == 4:
         return torelli.PeriodVector.from_outer(xs, zs, torelli.PARALLEL_BASIS)
     if len(xs) == 5 and len(zs) == 5:

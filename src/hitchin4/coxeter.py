@@ -18,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 from .core import ExactMatrix, GaussianRational, nullspace
 
@@ -30,6 +33,11 @@ COXETER_MATRIX = ((1, 3, 3, 3, 3),
 
 class NotAVertex(ValueError):
     """Argument is not one of the 16 vertices of the cube [0,1/2]^4."""
+
+
+class WalkLimitExceeded(RuntimeError):
+    """The alcove walk made ``max_steps`` reflections without reaching the
+    closed model alcove (the point lies too far from it)."""
 
 
 @dataclass(frozen=True)
@@ -49,10 +57,7 @@ class AffineIsometry:
 
     def after(self, other: "AffineIsometry") -> "AffineIsometry":
         """Composite applying ``other`` first: self o other."""
-        lin = self.linear * other.linear
-        tr = tuple(a + b for a, b in zip(self.linear.apply(other.translation),
-                                         self.translation))
-        return AffineIsometry(lin, tr, other.word + self.word)
+        return compose_word((0, 1), (other, self))
 
     def inverse(self) -> "AffineIsometry":
         lt = self.linear.transpose()  # orthogonal linear part
@@ -67,12 +72,56 @@ class AffineIsometry:
         return AffineIsometry(ExactMatrix.identity(4), (Fraction(0),) * 4, ())
 
 
+# An affine map x -> (L x + t) / d is held as its integer form (L, t, d):
+# L a 4x4 integer matrix, t an integer 4-vector and d > 0 with
+# gcd(d, entries of L and t) == 1.  Linear parts and translations of the
+# affine D4 group lie in (1/2)Z, so d is 1 or 2 on any word over r_0..r_4.
+
+def _integer_form(g: AffineIsometry):
+    entries = (*chain.from_iterable(g.linear.rows), *g.translation)
+    d = lcm(*(e.denominator for e in entries))
+    L = tuple(tuple(e.numerator * (d // e.denominator) for e in row)
+              for row in g.linear.rows)
+    t = tuple(e.numerator * (d // e.denominator) for e in g.translation)
+    return L, t, d
+
+
+def _fold(forms):
+    """Integer form of the composite of ``forms``, the first applied first."""
+    L = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    t = (0, 0, 0, 0)
+    d = 1
+    for Lg, tg, dg in forms:
+        cols = tuple(zip(*L))
+        L = [[sum(map(mul, row, col)) for col in cols] for row in Lg]
+        t = [sum(map(mul, row, t)) + d * s for row, s in zip(Lg, tg)]
+        d *= dg
+        k = gcd(d, *t, *chain.from_iterable(L))
+        if k > 1:
+            L = [[e // k for e in row] for row in L]
+            t = [e // k for e in t]
+            d //= k
+    return L, t, d
+
+
 def compose_word(word, gens) -> AffineIsometry:
-    """Isometry of a word, leftmost letter applied first."""
-    g = AffineIsometry.identity()
+    """Isometry of a word, leftmost letter applied first.
+
+    The word is folded on integer forms (integer linear part and translation
+    over one denominator, reduced by one gcd per letter) and converted to
+    ``Fraction`` once at the end.  Its word is the concatenation of the
+    letters' ``gens[i].word``.  Raises ``ValueError`` for a letter outside
+    ``0..len(gens)-1``.
+    """
+    word = tuple(word)
     for i in word:
-        g = gens[i].after(g)
-    return g
+        if not 0 <= i < len(gens):
+            raise ValueError(f"letter {i} outside 0..{len(gens) - 1}")
+    forms = {i: _integer_form(gens[i]) for i in set(word)}
+    L, t, d = _fold(forms[i] for i in word)
+    return AffineIsometry(ExactMatrix(tuple(tuple(Fraction(e, d) for e in row) for row in L)),
+                          tuple(Fraction(e, d) for e in t),
+                          tuple(chain.from_iterable(gens[i].word for i in word)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +214,33 @@ def mass_action(g: AffineIsometry) -> ExactMatrix:
 
 
 def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
+    """``mass_action(g).apply(masses)``: the rational linear part of g applied
+    to the real and the imaginary parts separately."""
     ms = tuple(m if isinstance(m, GaussianRational) else GaussianRational(Fraction(m))
                for m in masses)
-    return mass_action(g).apply(ms)
+    re = g.linear.apply(tuple(m.re for m in ms))
+    im = g.linear.apply(tuple(m.im for m in ms))
+    return tuple(GaussianRational(a, b) for a, b in zip(re, im))
 
 
 # ---------------------------------------------------------------------------
 # alcove walk
 # ---------------------------------------------------------------------------
+
+def _integer_faces():
+    """Faces of MODEL as (n, c, |n|^2): the inward functional of face i at the
+    point b/N, times N, is n.b + c*N with n and c integers."""
+    faces = []
+    for n, base in MODEL.normals:
+        c = -sum(a * b for a, b in zip(n, base))
+        if any(v.denominator != 1 for v in (*n, c)):
+            raise AssertionError("face normal or offset is not integral")
+        faces.append((tuple(int(v) for v in n), int(c), int(sum(v * v for v in n))))
+    return tuple(faces)
+
+
+_FACES = _integer_faces()
+
 
 def alcove_walk(alpha, max_steps: int = 100000):
     """Fold alpha into the closed model alcove.
@@ -184,19 +252,34 @@ def alcove_walk(alpha, max_steps: int = 100000):
     The chamber basis of the alcove ``g*model`` is the model basis times
     ``word_to_auto(g.inverse().word)`` (the walk word read backwards), and
     periods in that basis are its transpose applied to the parallel periods.
+
+    The walk steps on integer numerators b = N*alpha with N twice the lcm of
+    the denominators: each face functional is +-b1+-b2+-b3+-b4 (+ N), whose
+    parity is that of sum(b), and the reflections keep that parity even, so
+    every step divides exactly (checked; ``ArithmeticError`` otherwise).
+    Each step crosses one wall, so the cost is linear in the distance from
+    the model alcove (about 10 steps per unit of |alpha|); g is composed
+    once at the end by ``compose_word``.  Raises ``WalkLimitExceeded`` after
+    ``max_steps`` reflections.
     """
     x = tuple(Fraction(a) for a in alpha)
+    N = 2 * lcm(*(v.denominator for v in x))
+    b = [v.numerator * (N // v.denominator) for v in x]
     applied: list[int] = []
     for _ in range(max_steps):
-        viol = next((i for i in range(5) if MODEL.functional(i, x) < 0), None)
+        vals = [sum(map(mul, n, b)) + c * N for n, c, _ in _FACES]
+        viol = next((i for i, f in enumerate(vals) if f < 0), None)
         if viol is None:
             word = tuple(reversed(applied))
             g = compose_word(word, [generator(i) for i in range(5)])
-            on_wall = any(MODEL.functional(i, x) == 0 for i in range(5))
-            return g, x, on_wall
-        x = generator(viol)(x)
+            return g, tuple(Fraction(v, N) for v in b), 0 in vals
+        n, _, nn = _FACES[viol]
+        q, r = divmod(2 * vals[viol], nn)
+        if r:
+            raise ArithmeticError("alcove walk step is not integral")
+        b = [v - q * a for v, a in zip(b, n)]
         applied.append(viol)
-    raise RuntimeError("alcove walk failed to terminate")
+    raise WalkLimitExceeded(f"alcove walk did not reach the model alcove in {max_steps} steps")
 
 
 # ---------------------------------------------------------------------------

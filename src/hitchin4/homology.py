@@ -62,11 +62,21 @@ def word_to_auto(word) -> LatticeAuto:
     The word of ``g o h`` maps to ``A(h) A(g)``, and a homology basis moves
     contravariantly: the chamber basis of ``g*model`` is the model basis times
     ``word_to_auto(g.inverse().word)``, and periods in that basis are the
-    transpose of that matrix applied to the parallel periods."""
-    A = tuple(tuple(int(r == c) for c in range(5)) for r in range(5))
+    transpose of that matrix applied to the parallel periods.
+
+    Right multiplication by the twist along S_i changes one column only,
+    A[:, c] += A[:, i] * I0[i][c], so each letter is a column update."""
+    A = [[int(r == c) for c in range(5)] for r in range(5)]
     for i in word:
-        A = _mat_mul(A, dehn_twist_matrix(i))
-    return A
+        if not 0 <= i <= 4:
+            raise ValueError("index must be in 0..4")
+        twist = I0[i]
+        for row in A:
+            a = row[i]
+            if a:
+                for c in range(5):
+                    row[c] += a * twist[c]
+    return tuple(tuple(row) for row in A)
 
 
 def apply_auto(A, cls):

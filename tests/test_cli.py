@@ -151,3 +151,28 @@ def test_sweep_empty_grid(capsys):
                         "--stop", "2/5,1/10,1/10,1/10", "--samples", "0")
     assert code == 0
     assert out.strip() == "t,alpha,chamber"
+
+
+def test_coxeter_apply_rejects_letters_outside_generators(capsys):
+    for word in ("--word=9", "--word=-1", "--word=0,5"):
+        code = main(["coxeter", "apply", word, "--alpha", "3/10,1/5,1/5,1/5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "usage error" in err
+
+
+def test_zero_denominator_is_usage_error(capsys):
+    for argv in (["chamber", "--alpha", "1/0,1/5,1/5,1/5"],
+                 ["generic", "--alpha", "1/5,1/5,1/5,1/5", "--m", "1/0,0,0,0"],
+                 ["generic", "--alpha", "1/5,1/5,1/5,1/5", "--m", "0,2/0i,0,0"],
+                 ["invert", "--x", "1/10,1/0,1/10,1/10", "--z", "0,0,0,0"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "/0" in err
+
+
+def test_walk_step_limit_exit_2(capsys):
+    code, doc = run_json(capsys, "coxeter", "walk", "--alpha", "100000,1,1,1")
+    assert code == 2
+    assert doc["error"] == "WalkLimitExceeded"

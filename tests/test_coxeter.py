@@ -10,6 +10,7 @@ from hitchin4.coxeter import (
     MODEL,
     AffineIsometry,
     NotAVertex,
+    WalkLimitExceeded,
     alcove_walk,
     apply_to_masses,
     compose_word,
@@ -234,3 +235,114 @@ def test_alcove_walk_on_wall_flag():
     g, a0, on_wall = alcove_walk((Fraction(3, 10), Fraction(1, 5),
                                   Fraction(1, 5), Fraction(1, 5)))
     assert not on_wall
+
+
+def test_compose_word_rejects_letters_outside_generators():
+    for bad in (5, 9, -1):
+        with pytest.raises(ValueError):
+            compose_word([0, bad], GENS)
+    with pytest.raises(ValueError):
+        compose_word([2], GENS[:2])
+
+
+def test_alcove_walk_step_limit():
+    alpha = (Fraction(3), Fraction(0), Fraction(0), Fraction(0))
+    g, a0, _ = alcove_walk(alpha)
+    steps = len(g.word)
+    assert steps > 1
+    with pytest.raises(WalkLimitExceeded):
+        alcove_walk(alpha, max_steps=steps)
+    g2, b0, _ = alcove_walk(alpha, max_steps=steps + 1)
+    assert g2.word == g.word and b0 == a0
+
+
+def test_W_fin_linear_parts_are_half_integral():
+    # the integer walk and composition rest on this: the denominator of
+    # every group element is 1 or 2
+    for g in enumerate_W_fin():
+        for row in g.linear.rows:
+            assert all((2 * e).denominator == 1 for e in row)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def _fraction_after(a, b):
+    """Reference a o b: one Fraction matrix product per call."""
+    lin = a.linear * b.linear
+    tr = tuple(x + y for x, y in zip(a.linear.apply(b.translation), a.translation))
+    return AffineIsometry(lin, tr, b.word + a.word)
+
+
+def _fraction_compose_word(word, gens):
+    g = AffineIsometry.identity()
+    for i in word:
+        g = _fraction_after(gens[i], g)
+    return g
+
+
+def _fraction_walk(alpha):
+    """Reference walk: Fraction face functionals and reflections, step by step."""
+    x = tuple(Fraction(a) for a in alpha)
+    applied = []
+    while True:
+        viol = next((i for i in range(5) if MODEL.functional(i, x) < 0), None)
+        if viol is None:
+            break
+        x = GENS[viol](x)
+        applied.append(viol)
+    on_wall = any(MODEL.functional(i, x) == 0 for i in range(5))
+    return tuple(reversed(applied)), x, on_wall
+
+
+def _diff_rational(r, size):
+    den = r.randint(1, 10**9) if r.random() < 0.5 else r.randint(1, 60)
+    return Fraction(r.randint(-round(size * den), round(size * den)), den)
+
+
+def _same(g, h):
+    return (g.word == h.word and g.linear.rows == h.linear.rows
+            and g.translation == h.translation)
+
+
+def test_alcove_walk_matches_fraction_reference():
+    r = random.Random(2024)
+    for k in range(16):
+        # |alpha| log-uniform up to about 200; the last draw is the largest
+        size = 100 if k == 15 else 0.25 * 400 ** r.random()
+        alpha = tuple(_diff_rational(r, size) for _ in range(4))
+        g, a0, on_wall = alcove_walk(alpha)
+        word, x, wall = _fraction_walk(alpha)
+        assert (g.word, a0, on_wall) == (word, x, wall)
+        assert _same(g, _fraction_compose_word(word, GENS))
+    # points on walls: integer coordinates land on the model's faces
+    for alpha in [(0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 3, 1), (Fraction(1, 4),) * 4]:
+        g, a0, on_wall = alcove_walk(alpha)
+        assert (g.word, a0, on_wall) == _fraction_walk(alpha)
+
+
+def test_compose_word_matches_fraction_reference():
+    r = random.Random(4711)
+    for gens in (GENS, TGENS):
+        for _ in range(40):
+            w = [r.randrange(5) for _ in range(r.randint(0, 60))]
+            assert _same(compose_word(w, gens), _fraction_compose_word(w, gens))
+    W = enumerate_W_fin()
+    for _ in range(40):
+        a = compose_word([r.randrange(5) for _ in range(r.randint(0, 12))], GENS)
+        b = r.choice(W)
+        assert _same(a.after(b), _fraction_after(a, b))
+        assert _same(b.after(a), _fraction_after(b, a))
+
+
+def test_apply_to_masses_matches_mass_action():
+    r = random.Random(31)
+    for _ in range(40):
+        g = compose_word([r.randrange(5) for _ in range(r.randint(0, 30))], GENS)
+        masses = tuple(GaussianRational(_diff_rational(r, 3), _diff_rational(r, 3))
+                       for _ in range(4))
+        assert apply_to_masses(g, masses) == mass_action(g).apply(masses)
+    g = compose_word([0, 2, 1], GENS)
+    assert apply_to_masses(g, (1, Fraction(1, 3), 0, -2)) == mass_action(g).apply(
+        tuple(GaussianRational(m) for m in (1, Fraction(1, 3), 0, -2)))

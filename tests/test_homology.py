@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hitchin4.coxeter import COXETER_MATRIX
 from hitchin4.homology import (
     FIBER_CLASS,
@@ -135,3 +137,22 @@ def test_hat_reduction_composes_contravariantly():
         assert lhs == rhs
         z = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(4))
         assert hat_linear_apply(AB, z) == hat_linear_apply(B, hat_linear_apply(A, z))
+
+
+def test_word_to_auto_matches_twist_matrix_product():
+    # reference: one 5x5 product with dehn_twist_matrix per letter
+    r = random.Random(1234)
+    for _ in range(60):
+        w = [r.randrange(5) for _ in range(r.randint(0, 200))]
+        ref = word_to_auto([])
+        for i in w:
+            D = dehn_twist_matrix(i)
+            ref = tuple(tuple(sum(ref[a][k] * D[k][b] for k in range(5)) for b in range(5))
+                        for a in range(5))
+        assert word_to_auto(w) == ref
+
+
+def test_word_to_auto_rejects_letters_outside_0_4():
+    for bad in (5, -1):
+        with pytest.raises(ValueError):
+            word_to_auto([0, bad])
