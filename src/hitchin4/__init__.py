@@ -30,6 +30,7 @@ from .chambers import (
     adjacent,
     enumerate_chambers,
     fixed_point_data,
+    genericity_violations,
     in_R_tilde,
     is_generic,
     wall_K,

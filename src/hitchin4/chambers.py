@@ -132,10 +132,6 @@ def _classify_partition_set(subsets: tuple[int, ...]) -> tuple[str, int]:
     return ("A1", i) if has_empty else ("B2", i)
 
 
-def _partition_set_of_choices(choices: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(choices))
-
-
 def interior_label(subsets) -> ChamberLabel:
     subsets = tuple(sorted(subsets))
     if len(subsets) != 4 or any(subset_size(s) % 2 for s in subsets):
@@ -217,45 +213,54 @@ def adjacent(a: ChamberLabel, b: ChamberLabel) -> bool:
 # genericity
 # ---------------------------------------------------------------------------
 
-def _mass_combo(masses, e) -> GaussianRational:
+def mass_functional(mask_or_members, masses) -> GaussianRational:
+    """M_J = sum_{j in J} m_j - sum_{j not in J} m_j; M_{J^c} = -M_J."""
+    mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
     out = GaussianRational(Fraction(0))
-    for m, ei in zip(masses, e):
-        out = out - m if ei else out + m
+    for j in range(4):
+        out = out + masses[j] if mask >> j & 1 else out - masses[j]
+    return out
+
+
+def genericity_violations(data: ParabolicData) -> list[dict]:
+    """Nakajima planes through (alpha, m), alpha unrestricted, in
+    ``product((0, 1), repeat=4)`` order of e, as [{"d": d, "e": [e1..e4]}].
+
+    (alpha, m) lies on the plane (d, e) iff d + sum(e_i + (-1)^{e_i} a_i) = 0
+    and sum((-1)^{e_i} m_i) = M_J = 0 with J = {i : e_i = 0}.  The
+    alpha-equation fixes the integer d, so a sign vector costs one
+    integrality test, and a mass combination only when that passes.
+    """
+    out = []
+    for e in product((0, 1), repeat=4):
+        s = sum(e) + sum(-a if ei else a for ei, a in zip(e, data.alpha))
+        if s.denominator == 1:
+            zeros = sum(1 << i for i, ei in enumerate(e) if not ei)
+            if not mass_functional(zeros, data.masses):
+                out.append({"d": -s.numerator, "e": list(e)})
     return out
 
 
 def is_generic(data: ParabolicData) -> bool:
-    """Nakajima genericity of (alpha, m) with alpha in the open cube.
-
-    (alpha, m) is non-generic iff for some e in {0,1}^4 and integer d,
-    d + sum(e_i + (-1)^{e_i} a_i) = 0 and sum((-1)^{e_i} m_i) = 0.
-    The integer d is determined exactly by the alpha-equation, so the scan
-    reduces to an integrality test per sign vector.
-    """
+    """Nakajima genericity of (alpha, m) with alpha in the open cube: no
+    plane of ``genericity_violations`` passes through it."""
     alpha = data.alpha
     if any(not (0 < a < Fraction(1, 2)) for a in alpha):
         raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
-    for e in product((0, 1), repeat=4):
-        s = sum(Fraction(ei) + (-a if ei else a) for ei, a in zip(e, alpha))
-        if s.denominator == 1 and abs(s.numerator) <= 6:
-            if not _mass_combo(data.masses, e):
-                return False
-    return True
+    return not genericity_violations(data)
 
 
 def in_R_tilde(data: ParabolicData, full: bool) -> bool:
     """Membership in the extended parameter domain (alpha unrestricted).
 
-    full=True excludes the planes {d + sum(e_i + (-1)^{e_i} a_i) = 0,
-    sum (-1)^{e_i} m_i = 0} and {2 a_i = d, m_i = 0}; full=False further
-    removes the locus where some L-type combination and some 2*a_i are both
-    integers (weights whose orbit never meets the open cube).
+    full=True excludes the planes of ``genericity_violations`` and
+    {2 a_i = d, m_i = 0}; full=False further removes the locus where some
+    L-type combination and some 2*a_i are both integers (weights whose
+    orbit never meets the open cube).
     """
     alpha = data.alpha
-    for e in product((0, 1), repeat=4):
-        s = sum(Fraction(ei) + (-a if ei else a) for ei, a in zip(e, alpha))
-        if s.denominator == 1 and not _mass_combo(data.masses, e):
-            return False
+    if genericity_violations(data):
+        return False
     for i in range(4):
         if (2 * alpha[i]).denominator == 1 and not data.masses[i]:
             return False

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -87,6 +88,12 @@ def _parse_complexes(s: str, n: int = 4) -> tuple[complex, ...]:
     return tuple(parts)
 
 
+def _check_count(name: str, n: int, minimum: int) -> int:
+    if n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+    return n
+
+
 def _rstr(q: Fraction) -> str:
     return core.rational_to_str(q)
 
@@ -134,21 +141,10 @@ def _cmd_chamber(args) -> int:
 
 
 def _cmd_generic(args) -> int:
-    alpha = _parse_fractions(args.alpha)
-    masses = _parse_gaussians(args.m)
-    data = chambers.ParabolicData(alpha, masses)
-    violated = []
-    from itertools import product
-    for e in product((0, 1), repeat=4):
-        s = sum(Fraction(ei) + (-a if ei else a) for ei, a in zip(e, alpha))
-        if s.denominator == 1 and abs(s.numerator) <= 6:
-            combo = GaussianRational(Fraction(0))
-            for m, ei in zip(masses, e):
-                combo = combo - m if ei else combo + m
-            if not combo:
-                violated.append({"d": -s.numerator, "e": list(e)})
+    data = chambers.ParabolicData(_parse_fractions(args.alpha), _parse_gaussians(args.m))
     return _emit(_envelope("generic", {"alpha": args.alpha, "m": args.m},
-                           {"generic": chambers.is_generic(data), "violated": violated}))
+                           {"generic": chambers.is_generic(data),
+                            "violated": chambers.genericity_violations(data)}))
 
 
 def _cmd_periods(args) -> int:
@@ -240,19 +236,10 @@ def _cmd_spectral(args) -> int:
             k: [[r.real, r.imag] for r in pair] for k, pair in res.items()
         }))
     if args.sweep:
-        lo, hi, n = args.sweep.split(",")
-        betas = np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(n))
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["beta", "re_tau", "im_tau"])
-        for b in betas:
-            try:
-                _, _, tau = spectral.elliptic_periods(base, complex(b))
-                w.writerow([f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"])
-            except DOMAIN_ERRORS as exc:
-                w.writerow([f"{b:.12g}", "error", type(exc).__name__])
-        sys.stdout.write(buf.getvalue())
-        return 0
+        fields = args.sweep.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"--sweep needs bmin,bmax,n, got {args.sweep!r}")
+        return _tau_sweep(base, fields[0], fields[1], int(fields[2]))
     beta = _parse_complex(args.beta)
     A, B, tau = spectral.elliptic_periods(base, beta)
     return _emit(_envelope("spectral", {"action": "tau", "p0": args.p0,
@@ -268,8 +255,9 @@ def _cmd_monodromy(args) -> int:
         factors = json.loads(raw)
     except json.JSONDecodeError:
         factors = json.loads(f"[{raw}]")  # bare comma-joined matrices
-    f = monodromy.Factorization(tuple(tuple(tuple(int(x) for x in row) for row in M)
-                                      for M in factors))
+    if not (isinstance(factors, list) and all(_is_int_2x2(M) for M in factors)):
+        raise ValueError(f"--factors must be a list of 2x2 integer matrices, got {raw!r}")
+    f = monodromy.Factorization(tuple(tuple(tuple(row) for row in M) for M in factors))
     moves, normal = monodromy.normalize(f, max_depth=args.max_depth)
     return _emit(_envelope("monodromy", {"action": "normalize",
                                          "factors": args.factors}, {
@@ -278,7 +266,14 @@ def _cmd_monodromy(args) -> int:
     }))
 
 
+def _is_int_2x2(M) -> bool:
+    return (isinstance(M, list) and len(M) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in M)
+            and all(type(x) is int for row in M for x in row))
+
+
 def _cmd_hk(args) -> int:
+    _check_count("trial count", args.trials, 1)
     rng = np.random.default_rng(args.seed)
     p = hkmodel.HKParams(args.lambda1, args.lambda2, args.theta)
 
@@ -314,35 +309,47 @@ def _cmd_hk(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.kind == "beta":
+        base = spectral.build_base(_parse_complex(args.p0), _parse_complexes(args.m))
+        return _tau_sweep(base, args.bmin, args.bmax, args.samples)
+    a0 = _parse_fractions(args.start)
+    a1 = _parse_fractions(args.stop)
+    n = _check_count("sample count", args.samples, 0)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    if args.kind == "alpha":
-        a0 = _parse_fractions(args.start)
-        a1 = _parse_fractions(args.stop)
-        w.writerow(["t", "alpha", "chamber"])
-        n = args.samples
-        for k in range(n):
-            t = Fraction(k, n - 1) if n > 1 else Fraction(0)
-            a = tuple(x + t * (y - x) for x, y in zip(a0, a1))
-            astr = ";".join(_rstr(v) for v in a)
-            try:
-                label = chambers.classify_chamber(a)
-                w.writerow([_rstr(t), astr, label.short()])
-            except DOMAIN_ERRORS as exc:
-                w.writerow([_rstr(t), astr, f"error:{type(exc).__name__}"])
-    else:
-        p0 = _parse_complex(args.p0)
-        masses = _parse_complexes(args.m)
-        base = spectral.build_base(p0, masses)
-        betas = np.logspace(np.log10(float(args.bmin)), np.log10(float(args.bmax)),
-                            args.samples)
-        w.writerow(["beta", "re_tau", "im_tau"])
-        for b in betas:
-            try:
-                _, _, tau = spectral.elliptic_periods(base, complex(b))
-                w.writerow([f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"])
-            except DOMAIN_ERRORS as exc:
-                w.writerow([f"{b:.12g}", "error", type(exc).__name__])
+    w.writerow(["t", "alpha", "chamber"])
+    for k in range(n):
+        t = Fraction(k, n - 1) if n > 1 else Fraction(0)
+        a = tuple(x + t * (y - x) for x, y in zip(a0, a1))
+        astr = ";".join(_rstr(v) for v in a)
+        try:
+            label = chambers.classify_chamber(a)
+            w.writerow([_rstr(t), astr, label.short()])
+        except DOMAIN_ERRORS as exc:
+            w.writerow([_rstr(t), astr, f"error:{type(exc).__name__}"])
+    sys.stdout.write(buf.getvalue())
+    return 0
+
+
+def _tau_sweep(base: spectral.HitchinBase, bmin: str, bmax: str, samples: int) -> int:
+    """CSV of tau at ``samples`` real beta, log-spaced from bmin to bmax; a
+    beta whose periods fail gets an error row naming the domain error."""
+    bounds = []
+    for tok in (bmin, bmax):
+        b = float(tok)
+        if not (math.isfinite(b) and b > 0):
+            raise ValueError(f"beta bound must be finite and > 0, got {tok!r}")
+        bounds.append(b)
+    _check_count("sample count", samples, 0)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["beta", "re_tau", "im_tau"])
+    for b in np.logspace(np.log10(bounds[0]), np.log10(bounds[1]), samples):
+        try:
+            _, _, tau = spectral.elliptic_periods(base, complex(b))
+            w.writerow([f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"])
+        except DOMAIN_ERRORS as exc:
+            w.writerow([f"{b:.12g}", "error", type(exc).__name__])
     sys.stdout.write(buf.getvalue())
     return 0
 

@@ -238,30 +238,52 @@ class ExactMatrix:
         n, m = self.shape
         if n != m:
             raise Singular("not square")
-        cols = [exact_solve(self, tuple(Fraction(int(i == j)) for i in range(n)))
-                for j in range(n)]
-        return ExactMatrix(tuple(zip(*cols)))
+        eye = ExactMatrix.identity(n).rows
+        rows, pivots, _ = _row_reduce([r + e for r, e in zip(self.rows, eye)], n)
+        if len(pivots) < n:
+            raise Singular("rank-deficient matrix")
+        return ExactMatrix(r[n:] for r in rows)
 
     def det(self):
         n, m = self.shape
         if n != m:
             raise ValueError("not square")
-        rows = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col]), None)
-            if piv is None:
-                return 0 * det
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det = det * rows[col][col]
-            inv = 1 / rows[col][col]
-            for r in range(col + 1, n):
-                f = rows[r][col] * inv
-                if f:
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        return det
+        _, pivots, det = _row_reduce(self.rows, n)
+        return det if len(pivots) == n else 0 * det
+
+
+def _row_reduce(rows, ncols: int):
+    """Gauss-Jordan elimination of ``rows`` over their first ``ncols`` columns.
+
+    Returns the reduced row echelon form (further columns are carried along,
+    so ``[A | b]`` yields the solution in its last column), the pivot columns
+    in ascending order, and the product of the pivots signed by the row
+    swaps: the determinant, for a square matrix of full rank.  Entries may
+    be Fraction or GaussianRational."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    pivots = []
+    det = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        det = det * rows[r][c]
+        inv = 1 / rows[r][c]
+        pivot_row = [a * inv for a in rows[r][c:]]  # columns left of c are zero
+        rows[r][c:] = pivot_row
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], pivot_row)]
+        pivots.append(c)
+    return rows, pivots, det
 
 
 def exact_solve(A: ExactMatrix, b: Sequence) -> tuple:
@@ -269,45 +291,18 @@ def exact_solve(A: ExactMatrix, b: Sequence) -> tuple:
     n, m = A.shape
     if n != m or len(b) != n:
         raise Singular("need a square system")
-    rows = [list(r) + [bv] for r, bv in zip(A.rows, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            raise Singular("rank-deficient matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [a * inv for a in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * c for a, c in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
+    rows, pivots, _ = _row_reduce([r + (bv,) for r, bv in zip(A.rows, b)], n)
+    if len(pivots) < n:
+        raise Singular("rank-deficient matrix")
+    return tuple(r[n] for r in rows)
 
 
 def nullspace(A: ExactMatrix) -> list[tuple]:
     """Exact right nullspace basis of a (possibly rectangular) matrix."""
     n, m = A.shape
-    rows = [list(r) for r in A.rows]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
+    rows, pivots, _ = _row_reduce(A.rows, m)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -425,38 +420,12 @@ def poly_roots(p: ComplexPoly) -> list[complex]:
     return polished
 
 
-def _sylvester_det_exact(p: Sequence, q: Sequence):
-    """Exact determinant of the Sylvester matrix of p, q (ascending coeffs)."""
+def _sylvester(p: Sequence, q: Sequence) -> ExactMatrix:
+    """Sylvester matrix of p, q (ascending coefficients)."""
     n, m = len(p) - 1, len(q) - 1
-    size = n + m
     zero = 0 * p[0]
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(p)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(q)):
-            row[i + k] = c
-        rows.append(row)
-    det = Fraction(1)
-    sign = 1
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col]), None)
-        if piv is None:
-            return zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        det = det * rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return sign * det
+    return ExactMatrix([zero] * i + list(reversed(c)) + [zero] * (n + m - len(c) - i)
+                       for c, k in ((p, m), (q, n)) for i in range(k))
 
 
 def discriminant_z(p) -> complex:
@@ -484,6 +453,6 @@ def discriminant_z(p) -> complex:
     if d < 2:
         raise ValueError("degree must be >= 2")
     dp = [k * c for k, c in enumerate(coeffs)][1:]
-    res = _sylvester_det_exact(coeffs, dp)
+    res = _sylvester(coeffs, dp).det()
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * res / coeffs[-1]

@@ -10,7 +10,6 @@ tuples of Python ints, so entries never overflow.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .core import ExactMatrix
 
@@ -115,16 +114,6 @@ def classes_of_square_minus2(k_max: int) -> list[tuple[int, ...]]:
         if intersection(c, c) != -2:
             raise AssertionError(f"family member {c} has square {intersection(c, c)}")
     return classes
-
-
-def brute_force_minus2(box: int) -> list[tuple[int, ...]]:
-    """Oracle: all classes with square -2 in the coefficient box [-box, box]^5."""
-    out = []
-    rng = range(-box, box + 1)
-    for c in product(rng, repeat=5):
-        if intersection(c, c) == -2:
-            out.append(c)
-    return sorted(out)
 
 
 def hat_reduction(A) -> tuple[ExactMatrix, tuple[Fraction, ...]]:

@@ -24,7 +24,7 @@ from .chambers import (
     ParabolicData,
     classify_chamber,
     is_generic,
-    subset_mask,
+    mass_functional,
     subset_size,
     wall_K,
     FULL,
@@ -46,15 +46,6 @@ class NonGeneric(ValueError):
 
 class InconsistentFiberRelation(ValueError):
     """Period data violates the exact fiber-class relations."""
-
-
-def mass_functional(mask_or_members, masses) -> GaussianRational:
-    """M_J = sum_{j in J} m_j - sum_{j not in J} m_j; M_{J^c} = -M_J."""
-    mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
-    out = GaussianRational(Fraction(0))
-    for j in range(4):
-        out = out + masses[j] if mask >> j & 1 else out - masses[j]
-    return out
 
 
 @dataclass(frozen=True)

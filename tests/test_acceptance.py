@@ -38,7 +38,6 @@ from hitchin4.coxeter import (
 from hitchin4 import hkmodel, monodromy, spectral
 from hitchin4.homology import (
     FIBER_CLASS,
-    brute_force_minus2,
     classes_of_square_minus2,
     dehn_twist_matrix,
     hat_affine_apply,
@@ -60,6 +59,8 @@ from hitchin4.torelli import (
     torelli_chamber,
     torelli_parallel,
 )
+
+from lattice_oracle import brute_force_minus2
 
 rng = random.Random(0xD4)
 nrng = np.random.default_rng(0xD4)

@@ -15,6 +15,7 @@ from hitchin4.chambers import (
     enumerate_chambers,
     exterior_label,
     fixed_point_data,
+    genericity_violations,
     in_R_tilde,
     is_generic,
     subset_mask,
@@ -152,8 +153,10 @@ def test_is_generic_examples():
 
 
 def test_is_generic_exhaustive_scan_oracle():
-    # brute-force oracle over e in {0,1}^4 and |d| <= 6
+    # brute-force oracle over e in {0,1}^4 and |d| <= 6: the violated planes
+    # in scan order, which the CLI prints
     def oracle(alpha, masses):
+        out = []
         for e in product((0, 1), repeat=4):
             msum = GaussianRational(0)
             for mm, ei in zip(masses, e):
@@ -161,15 +164,23 @@ def test_is_generic_exhaustive_scan_oracle():
             for d in range(-6, 7):
                 s = d + sum(Fraction(ei) + (-a if ei else a) for ei, a in zip(e, alpha))
                 if s == 0 and not msum:
-                    return False
-        return True
+                    out.append({"d": d, "e": list(e)})
+        return out
 
     for _ in range(100):
         a = rand_alpha()
         m = zero_masses() if rng.random() < 0.5 else tuple(
             GaussianRational(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
             for _ in range(4))
-        assert is_generic(ParabolicData(a, m)) == oracle(a, m)
+        want = oracle(a, m)
+        assert genericity_violations(ParabolicData(a, m)) == want
+        assert is_generic(ParabolicData(a, m)) == (not want)
+    # on the K walls and on the wall L_1 = 1, where e = 0111 and e = 1000 are
+    # both violated and the scan order is not the order of |e|
+    for a in (CENTER, (Fraction(1, 10), Fraction(2, 5), Fraction(3, 10), Fraction(2, 5))):
+        want = oracle(a, zero_masses())
+        assert len(want) >= 2
+        assert genericity_violations(ParabolicData(a, zero_masses())) == want
 
 
 def test_generic_at_zero_mass_is_wall_complement():
@@ -205,6 +216,29 @@ def test_in_R_tilde_examples():
     d = ParabolicData((Fraction(1, 2), Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)),
                       (GaussianRational(0),) * 4)
     assert not in_R_tilde(d, full=True)  # 2 a_1 = 1 and m_1 = 0
+
+
+def test_in_R_tilde_outside_cube():
+    # alpha outside the cube: the same scan; d = -4 lies beyond the values
+    # -3..-1 that the cube allows.  The alpha-sums are integers exactly for
+    # e = 0000 (3), 0011 (4), 1100 (0) and 1111 (1), and m1 = -m2, m3 = -m4
+    # makes all four mass combinations vanish.
+    a = (Fraction(7, 4), Fraction(3, 4), Fraction(1, 3), Fraction(1, 6))
+    m = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+         GaussianRational(0, -1))
+    d = ParabolicData(a, m)
+    assert genericity_violations(d) == [{"d": -3, "e": [0, 0, 0, 0]},
+                                        {"d": -4, "e": [0, 0, 1, 1]},
+                                        {"d": 0, "e": [1, 1, 0, 0]},
+                                        {"d": -1, "e": [1, 1, 1, 1]}]
+    assert not in_R_tilde(d, full=True) and not in_R_tilde(d, full=False)
+    with pytest.raises(OutOfCube):
+        is_generic(d)
+
+    d = ParabolicData(a, (GaussianRational(1), GaussianRational(2), GaussianRational(4),
+                          GaussianRational(8)))
+    assert genericity_violations(d) == []
+    assert in_R_tilde(d, full=True) and in_R_tilde(d, full=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +110,13 @@ def test_spectral_tau_sweep_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "beta,re_tau,im_tau"
     assert len(lines) == 4
+    # the beta sweep command writes the same CSV
+    code, sweep = run_cli(capsys, "sweep", "--kind", "beta", "--p0", "0.37",
+                          "--m", "0.5,0.25,0.125,1", "--bmin", "50", "--bmax", "200",
+                          "--samples", "3")
+    assert code == 0 and sweep == out
+    code, out = run_cli(capsys, "sweep", "--kind", "beta", "--samples", "0")
+    assert code == 0 and out == "beta,re_tau,im_tau\n"
 
 
 def test_monodromy_normalize_cli(capsys):
@@ -176,3 +185,76 @@ def test_walk_step_limit_exit_2(capsys):
     code, doc = run_json(capsys, "coxeter", "walk", "--alpha", "100000,1,1,1")
     assert code == 2
     assert doc["error"] == "WalkLimitExceeded"
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _golden_exact_entries():
+    """Entries of perfbench/golden/cli.json that perfbench/clicold.py compares
+    byte for byte; INPUTS[k] there holds (group, comparison, argv) of entry k."""
+    golden = json.loads((PERFBENCH / "golden" / "cli.json").read_text())
+    tree = ast.parse((PERFBENCH / "clicold.py").read_text())
+    inputs = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "INPUTS" for t in node.targets))
+    how = [item.elts[1].value for item in inputs.elts]
+    assert len(how) == len(golden)
+    return [g for g, h in zip(golden, how) if h == "exact"]
+
+
+GOLDEN_EXACT = _golden_exact_entries()
+
+
+@pytest.mark.parametrize("entry", GOLDEN_EXACT, ids=[" ".join(g["argv"][:2])
+                                                     for g in GOLDEN_EXACT])
+def test_golden_cli_output(capsys, entry):
+    try:
+        code = main(list(entry["argv"]))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
+
+
+def test_golden_cli_covers_every_exact_command():
+    assert len(GOLDEN_EXACT) >= 13
+    assert {g["argv"][0] for g in GOLDEN_EXACT} >= {"chamber", "generic", "periods", "invert",
+                                                     "domain", "coxeter", "homology",
+                                                     "monodromy", "sweep"}
+
+
+def _usage_error(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "", argv
+    assert err.startswith("usage error: "), argv
+    assert "Traceback" not in err
+    return err
+
+
+def test_monodromy_factors_of_wrong_shape(capsys):
+    for factors in ("[[1]]", "[1,2]", '"x"', "[[[1,0],[0]]]", "[[[1,0],[0,1.5]]]"):
+        err = _usage_error(capsys, ["monodromy", "normalize", "--factors", factors])
+        assert "2x2 integer matrices" in err and repr(factors) in err
+    _usage_error(capsys, ["monodromy", "normalize", "--factors", "x"])  # not JSON
+
+
+def test_degenerate_counts_are_usage_errors(capsys):
+    assert "-1" in _usage_error(capsys, ["hk", "check", "--trials", "-1"])
+    _usage_error(capsys, ["hk", "check", "--trials", "0"])
+    for kind in (["--kind", "alpha", "--start", "3/10,1/5,1/5,1/5",
+                  "--stop", "2/5,1/10,1/10,1/10"], ["--kind", "beta"]):
+        assert "-3" in _usage_error(capsys, ["sweep", *kind, "--samples", "-3"])
+
+
+def test_beta_sweep_bounds_are_usage_errors(capsys):
+    curve = ["--p0", "0.37", "--m", "0.5,0.25,0.125,1"]
+    for lo, hi in (("0", "10"), ("10", "-1"), ("nan", "10"), ("1", "inf")):
+        bad = lo if lo in ("0", "nan") else hi
+        err = _usage_error(capsys, ["spectral", "tau", *curve, "--sweep", f"{lo},{hi},3"])
+        assert repr(bad) in err
+        err = _usage_error(capsys, ["sweep", "--kind", "beta", *curve,
+                                    "--bmin", lo, "--bmax", hi, "--samples", "3"])
+        assert repr(bad) in err
+    for sweep in ("1,10", "1,10,3,4"):
+        assert sweep in _usage_error(capsys, ["spectral", "tau", *curve, "--sweep", sweep])
+    assert "-2" in _usage_error(capsys, ["spectral", "tau", *curve, "--sweep", "1,10,-2"])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -213,3 +214,111 @@ def test_discriminant_exact_double_root_vanishes():
 
 def test_nonconvergence_guard_exists():
     assert issubclass(NonConvergence, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# the row reduction behind det, inverse, exact_solve, nullspace and the exact
+# discriminant, against slow references
+# ---------------------------------------------------------------------------
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(((-1) ** j * a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j, a in enumerate(rows[0]) if a), Fraction(0))
+
+
+def minor_rank(rows):
+    """Largest k with a nonzero k x k minor."""
+    n, m = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(n, m), 0, -1):
+        for ri in combinations(range(n), k):
+            for ci in combinations(range(m), k):
+                if cofactor_det([[rows[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
+
+
+def rand_exact_matrix(r, n, m, gaussian):
+    """n x m matrix; with probability 1/3 it is a product of n x k and k x m
+    factors with k < min(n, m), so rank-deficient matrices occur often."""
+    def entry():
+        if gaussian:
+            return GaussianRational(Fraction(r.randint(-4, 4), r.randint(1, 3)),
+                                    Fraction(r.randint(-4, 4), r.randint(1, 3)))
+        return Fraction(r.randint(-5, 5), r.randint(1, 4))
+
+    if min(n, m) > 1 and r.random() < 1 / 3:
+        k = r.randint(1, min(n, m) - 1)
+        L = ExactMatrix([[entry() for _ in range(k)] for _ in range(n)])
+        R = ExactMatrix([[entry() for _ in range(m)] for _ in range(k)])
+        return L * R
+    return ExactMatrix([[entry() for _ in range(m)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_square_row_reduction_matches_references(gaussian):
+    r = random.Random(7001 + gaussian)
+    seen = {"singular": 0, "regular": 0}
+    for _ in range(60):
+        n = r.randint(1, 4)
+        A = rand_exact_matrix(r, n, n, gaussian)
+        rows = [list(row) for row in A.rows]
+        det = cofactor_det(rows)
+        assert A.det() == det
+        b = tuple(rand_exact_matrix(r, 1, n, gaussian).rows[0])
+        if det:
+            seen["regular"] += 1
+            assert A * A.inverse() == ExactMatrix.identity(n)
+            assert A.apply(exact_solve(A, b)) == b
+        else:
+            seen["singular"] += 1
+            with pytest.raises(Singular):
+                A.inverse()
+            with pytest.raises(Singular):
+                exact_solve(A, b)
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_nullspace_matches_minor_rank(gaussian):
+    r = random.Random(7101 + gaussian)
+    deficient = 0
+    for _ in range(40):
+        n, m = r.randint(1, 4), r.randint(1, 5)
+        A = rand_exact_matrix(r, n, m, gaussian)
+        rank = minor_rank([list(row) for row in A.rows])
+        deficient += rank < min(n, m)
+        ns = nullspace(A)
+        assert len(ns) == m - rank
+        for v in ns:
+            assert all(not x for x in A.apply(v))
+        if ns:
+            assert minor_rank([list(v) for v in ns]) == len(ns)  # independent
+    assert deficient >= 5
+
+
+def test_exact_discriminant_matches_root_product():
+    r = random.Random(7201)
+    one = GaussianRational(Fraction(1))
+    for _ in range(30):
+        d = r.randint(2, 5)
+        roots = [GaussianRational(Fraction(r.randint(-4, 4), r.randint(1, 3)),
+                                  Fraction(r.randint(-4, 4), r.randint(1, 3)))
+                 for _ in range(d)]
+        if r.random() < 0.25:
+            roots[-1] = roots[0]  # a double root
+        lead = GaussianRational(Fraction(r.randint(1, 5), r.randint(1, 3)),
+                                Fraction(r.randint(-3, 3), r.randint(1, 3)))
+        coeffs = [lead]  # ascending coefficients of lead * prod (z - r_i)
+        for root in roots:
+            coeffs = [-root * coeffs[0]] + [coeffs[k - 1] - root * coeffs[k]
+                                            for k in range(1, len(coeffs))] + [coeffs[-1]]
+        want = one
+        for i in range(d):
+            for j in range(i + 1, d):
+                want = want * (roots[i] - roots[j]) * (roots[i] - roots[j])
+        for _ in range(2 * d - 2):
+            want = want * lead
+        assert discriminant_z(coeffs) == want

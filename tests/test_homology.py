@@ -7,7 +7,6 @@ from hitchin4.coxeter import COXETER_MATRIX
 from hitchin4.homology import (
     FIBER_CLASS,
     apply_auto,
-    brute_force_minus2,
     classes_of_square_minus2,
     dehn_twist_matrix,
     hat_affine_apply,
@@ -17,6 +16,8 @@ from hitchin4.homology import (
     is_lattice_auto,
     word_to_auto,
 )
+
+from lattice_oracle import brute_force_minus2
 
 rng = random.Random(99)
 
