@@ -5,20 +5,20 @@ map and its inverse, period-domain membership, spectral-curve diagnostics,
 and SL(2,Z) monodromy normalization.
 
 Wall/chamber/period arithmetic is exact (``fractions.Fraction`` and Gaussian
-rationals); spectral-curve computations are complex double precision with
-stated tolerances.  Periods are stored unitless: x-periods in units of
-4*pi^2, z-periods in units of 2*pi.
+rationals) and loads no numpy; ``spectral`` and ``hkmodel`` (complex double
+precision with stated tolerances) load with numpy on first use of one of
+their names.  Every domain error derives from ``DomainError``.  Periods are
+stored unitless: x-periods in units of 4*pi^2, z-periods in units of 2*pi.
 """
 
+from importlib import import_module
+
 from .core import (
-    ComplexPoly,
+    DomainError,
     ExactMatrix,
     GaussianRational,
     NonConvergence,
     Singular,
-    discriminant_z,
-    exact_solve,
-    poly_roots,
 )
 from .chambers import (
     ChamberLabel,
@@ -65,18 +65,6 @@ from .torelli import (
     torelli_chamber,
     torelli_parallel,
 )
-from .spectral import (
-    HitchinBase,
-    SpectralFiberPoint,
-    build_base,
-    elliptic_periods,
-    flags,
-    higgs_representative,
-    in_B0,
-    singular_fibers,
-    tau_asymptotics,
-    tautological_residues,
-)
 from .monodromy import (
     Factorization,
     canonical_factorization,
@@ -85,12 +73,25 @@ from .monodromy import (
     normalize,
     vanishing_cycle_match,
 )
-from .hkmodel import (
-    HKParams,
-    PointTangent,
-    apply_structure,
-    moment_residues,
-    pairings,
-)
 
 __version__ = "0.1.0"
+
+# name -> the numeric module that holds it (the two modules name themselves)
+_LAZY = {
+    **dict.fromkeys(("spectral", "ComplexPoly", "HitchinBase", "SpectralFiberPoint",
+                     "build_base", "elliptic_periods", "flags", "higgs_representative",
+                     "in_B0", "poly_roots", "singular_fibers", "tau_asymptotics",
+                     "tautological_residues"), "spectral"),
+    **dict.fromkeys(("hkmodel", "HKParams", "PointTangent", "apply_structure",
+                     "moment_residues", "pairings"), "hkmodel"),
+}
+
+
+def __getattr__(name: str):
+    """Import the numeric module named in ``_LAZY`` on first use of a name."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import GaussianRational
+from .core import DomainError, GaussianRational
 
 FULL = 0b1111
 E_REPS = (0b0000, 0b0011, 0b0101, 0b1001)  # {}, {1,2}, {1,3}, {1,4}
 
 
-class OnWall(ValueError):
+class OnWall(DomainError, ValueError):
     """Weight vector lies exactly on a chamber wall."""
 
 
-class OutOfCube(ValueError):
+class OutOfCube(DomainError, ValueError):
     """Weight vector is outside the open cube (0,1/2)^4."""
 
 
@@ -166,6 +166,12 @@ def enumerate_chambers() -> list[ChamberLabel]:
     return labels
 
 
+def check_cube(alpha: tuple[Fraction, ...]) -> None:
+    """Raise OutOfCube unless alpha lies in the open cube (0,1/2)^4."""
+    if any(not (0 < a < Fraction(1, 2)) for a in alpha):
+        raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
+
+
 def classify_chamber(alpha) -> ChamberLabel:
     """Exact chamber of a weight vector in the open cube (0,1/2)^4.
 
@@ -173,8 +179,7 @@ def classify_chamber(alpha) -> ChamberLabel:
     vanishes (equivalently, (alpha, 0) is non-generic).
     """
     alpha = tuple(Fraction(a) for a in alpha)
-    if any(not (0 < a < Fraction(1, 2)) for a in alpha):
-        raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
+    check_cube(alpha)
     for i in range(1, 5):
         li = wall_L(i, alpha)
         if li == 0 or li == 1:
@@ -244,9 +249,7 @@ def genericity_violations(data: ParabolicData) -> list[dict]:
 def is_generic(data: ParabolicData) -> bool:
     """Nakajima genericity of (alpha, m) with alpha in the open cube: no
     plane of ``genericity_violations`` passes through it."""
-    alpha = data.alpha
-    if any(not (0 < a < Fraction(1, 2)) for a in alpha):
-        raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
+    check_cube(data.alpha)
     return not genericity_violations(data)
 
 
@@ -294,8 +297,7 @@ def fixed_point_data(mask_or_members, alpha) -> FixedPointData:
     """
     mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
     alpha = tuple(Fraction(a) for a in alpha)
-    if any(not (0 < a < Fraction(1, 2)) for a in alpha):
-        raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
+    check_cube(alpha)
     k = subset_size(mask)
     value = wall_K(mask, alpha)
     return FixedPointData(

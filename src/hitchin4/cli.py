@@ -2,8 +2,8 @@
 
 Every invocation prints a JSON envelope (or CSV for sweeps) on stdout that
 echoes the parsed parameters, so identical inputs give byte-identical
-output.  Exit codes: 0 success, 2 domain error (on-wall weights, singular
-configurations, search exhaustion, alcove walk step limit), 1 usage error.
+output.  Exit codes: 0 success, 2 domain error (any ``hitchin4.DomainError``),
+1 usage error.  Only the spectral, hk and beta-sweep commands load numpy.
 
 Rationals are written "p/q"; complex values as "a+bi" with rational or
 decimal parts; Gaussian rationals serialize as {"re": "p/q", "im": "p/q"}.
@@ -19,31 +19,8 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import chambers, core, coxeter, hkmodel, homology, monodromy, spectral, torelli
-from .core import GaussianRational
-
-DOMAIN_ERRORS = (
-    chambers.OnWall,
-    chambers.OutOfCube,
-    torelli.NonGeneric,
-    torelli.InconsistentFiberRelation,
-    core.Singular,
-    core.NonConvergence,
-    coxeter.NotAVertex,
-    coxeter.WalkLimitExceeded,
-    spectral.DegenerateP0,
-    spectral.DegenerateConfiguration,
-    spectral.BranchPointCollision,
-    spectral.SingularFiber,
-    spectral.BranchPointCoincidence,
-    spectral.RootTrackingLost,
-    spectral.OffCurve,
-    spectral.UndefinedFlag,
-    monodromy.NotParabolic,
-    monodromy.Exhausted,
-)
+from . import chambers, core, coxeter, homology, monodromy, torelli
+from .core import DomainError, GaussianRational
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,9 +119,10 @@ def _cmd_chamber(args) -> int:
 
 def _cmd_generic(args) -> int:
     data = chambers.ParabolicData(_parse_fractions(args.alpha), _parse_gaussians(args.m))
+    chambers.check_cube(data.alpha)
+    violated = chambers.genericity_violations(data)
     return _emit(_envelope("generic", {"alpha": args.alpha, "m": args.m},
-                           {"generic": chambers.is_generic(data),
-                            "violated": chambers.genericity_violations(data)}))
+                           {"generic": not violated, "violated": violated}))
 
 
 def _cmd_periods(args) -> int:
@@ -218,6 +196,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    from . import spectral
+
     p0 = _parse_complex(args.p0)
     masses = _parse_complexes(args.m)
     base = spectral.build_base(p0, masses)
@@ -254,7 +234,10 @@ def _cmd_monodromy(args) -> int:
     try:
         factors = json.loads(raw)
     except json.JSONDecodeError:
-        factors = json.loads(f"[{raw}]")  # bare comma-joined matrices
+        try:
+            factors = json.loads(f"[{raw}]")  # bare comma-joined matrices
+        except json.JSONDecodeError:
+            factors = None
     if not (isinstance(factors, list) and all(_is_int_2x2(M) for M in factors)):
         raise ValueError(f"--factors must be a list of 2x2 integer matrices, got {raw!r}")
     f = monodromy.Factorization(tuple(tuple(tuple(row) for row in M) for M in factors))
@@ -273,34 +256,11 @@ def _is_int_2x2(M) -> bool:
 
 
 def _cmd_hk(args) -> int:
+    from . import hkmodel
+
     _check_count("trial count", args.trials, 1)
-    rng = np.random.default_rng(args.seed)
     p = hkmodel.HKParams(args.lambda1, args.lambda2, args.theta)
-
-    def rand_tangent():
-        def tf():
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            m[1, 1] = -m[0, 0]
-            return m
-        return hkmodel.PointTangent(tf(), tf())
-
-    worst = {"quaternionic": 0.0, "compatibility": 0.0, "omega_vs_closed_form": 0.0}
-    for _ in range(args.trials):
-        v, w = rand_tangent(), rand_tangent()
-        scale = max(1.0, abs(hkmodel.metric(v, v, p)), abs(hkmodel.metric(w, w, p)))
-        for S in ("I", "J", "K"):
-            s2 = hkmodel.apply_structure(S, hkmodel.apply_structure(S, v, p), p)
-            worst["quaternionic"] = max(worst["quaternionic"],
-                                        float(np.abs(s2.a + v.a).max()),
-                                        float(np.abs(s2.phi + v.phi).max()))
-            gv = hkmodel.metric(hkmodel.apply_structure(S, v, p),
-                                hkmodel.apply_structure(S, w, p), p)
-            worst["compatibility"] = max(worst["compatibility"],
-                                         abs(gv - hkmodel.metric(v, w, p)) / scale)
-        om = hkmodel.pairings(v, w, p)["OmegaItheta"]
-        cf = hkmodel.holomorphic_pairing_closed_form(v, w, p)
-        worst["omega_vs_closed_form"] = max(worst["omega_vs_closed_form"],
-                                            abs(om - cf) / scale)
+    worst = hkmodel.identity_deviations(p, args.trials, args.seed)
     passed = all(x < 1e-10 for x in worst.values())
     return _emit(_envelope("hk", {"lambda1": args.lambda1, "lambda2": args.lambda2,
                                   "theta": args.theta, "trials": args.trials,
@@ -310,6 +270,8 @@ def _cmd_hk(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.kind == "beta":
+        from . import spectral
+
         base = spectral.build_base(_parse_complex(args.p0), _parse_complexes(args.m))
         return _tau_sweep(base, args.bmin, args.bmax, args.samples)
     a0 = _parse_fractions(args.start)
@@ -325,15 +287,20 @@ def _cmd_sweep(args) -> int:
         try:
             label = chambers.classify_chamber(a)
             w.writerow([_rstr(t), astr, label.short()])
-        except DOMAIN_ERRORS as exc:
+        except DomainError as exc:
             w.writerow([_rstr(t), astr, f"error:{type(exc).__name__}"])
     sys.stdout.write(buf.getvalue())
     return 0
 
 
-def _tau_sweep(base: spectral.HitchinBase, bmin: str, bmax: str, samples: int) -> int:
-    """CSV of tau at ``samples`` real beta, log-spaced from bmin to bmax; a
-    beta whose periods fail gets an error row naming the domain error."""
+def _tau_sweep(base, bmin: str, bmax: str, samples: int) -> int:
+    """CSV of tau at ``samples`` real beta, log-spaced from bmin to bmax, on
+    a ``spectral.HitchinBase``; a beta whose periods fail gets an error row
+    naming the domain error."""
+    import numpy as np
+
+    from . import spectral
+
     bounds = []
     for tok in (bmin, bmax):
         b = float(tok)
@@ -348,7 +315,7 @@ def _tau_sweep(base: spectral.HitchinBase, bmin: str, bmax: str, samples: int) -
         try:
             _, _, tau = spectral.elliptic_periods(base, complex(b))
             w.writerow([f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"])
-        except DOMAIN_ERRORS as exc:
+        except DomainError as exc:
             w.writerow([f"{b:.12g}", "error", type(exc).__name__])
     sys.stdout.write(buf.getvalue())
     return 0
@@ -440,7 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         return 2

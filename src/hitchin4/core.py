@@ -1,10 +1,9 @@
-"""Shared arithmetic kernels: exact rationals, Gaussian rationals, small
-exact matrices, complex polynomials, resultants and root finding.
+"""Shared exact arithmetic: rationals, Gaussian rationals and small exact
+matrices, plus the ``DomainError`` base class of every layer's domain errors.
 
 Exact types are immutable and hashable; all operations are pure functions,
-safe to share across threads.  Numeric polynomial work is complex double
-with a relative root tolerance of 1e-8 and a trailing-coefficient trim
-tolerance of 1e-12.
+safe to share across threads.  This module imports no numpy; the numeric
+polynomial kernel lives in ``spectral``.
 """
 
 from __future__ import annotations
@@ -14,19 +13,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 Rational = Fraction
 
-ROOT_TOL = 1e-8
-TRIM_TOL = 1e-12
+
+class DomainError(Exception):
+    """Base of every error that means "this input has no answer here"
+    (on a wall, non-generic, singular, unconverged, ...); the command line
+    reports one as exit code 2."""
 
 
-class Singular(ValueError):
+class Singular(DomainError, ValueError):
     """Raised by exact linear solves on rank-deficient systems."""
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(DomainError, RuntimeError):
     """Raised when iterative root refinement fails after bounded restarts."""
 
 
@@ -234,16 +234,6 @@ class ExactMatrix:
             raise ValueError("length mismatch")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
 
-    def inverse(self) -> "ExactMatrix":
-        n, m = self.shape
-        if n != m:
-            raise Singular("not square")
-        eye = ExactMatrix.identity(n).rows
-        rows, pivots, _ = _row_reduce([r + e for r, e in zip(self.rows, eye)], n)
-        if len(pivots) < n:
-            raise Singular("rank-deficient matrix")
-        return ExactMatrix(r[n:] for r in rows)
-
     def det(self):
         n, m = self.shape
         if n != m:
@@ -255,11 +245,10 @@ class ExactMatrix:
 def _row_reduce(rows, ncols: int):
     """Gauss-Jordan elimination of ``rows`` over their first ``ncols`` columns.
 
-    Returns the reduced row echelon form (further columns are carried along,
-    so ``[A | b]`` yields the solution in its last column), the pivot columns
-    in ascending order, and the product of the pivots signed by the row
-    swaps: the determinant, for a square matrix of full rank.  Entries may
-    be Fraction or GaussianRational."""
+    Returns the reduced row echelon form, the pivot columns in ascending
+    order, and the product of the pivots signed by the row swaps: the
+    determinant, for a square matrix of full rank.  Entries may be Fraction
+    or GaussianRational."""
     rows = [list(r) for r in rows]
     n = len(rows)
     pivots = []
@@ -286,17 +275,6 @@ def _row_reduce(rows, ncols: int):
     return rows, pivots, det
 
 
-def exact_solve(A: ExactMatrix, b: Sequence) -> tuple:
-    """Solve A x = b exactly by Gaussian elimination; raises Singular."""
-    n, m = A.shape
-    if n != m or len(b) != n:
-        raise Singular("need a square system")
-    rows, pivots, _ = _row_reduce([r + (bv,) for r, bv in zip(A.rows, b)], n)
-    if len(pivots) < n:
-        raise Singular("rank-deficient matrix")
-    return tuple(r[n] for r in rows)
-
-
 def nullspace(A: ExactMatrix) -> list[tuple]:
     """Exact right nullspace basis of a (possibly rectangular) matrix."""
     n, m = A.shape
@@ -309,150 +287,3 @@ def nullspace(A: ExactMatrix) -> list[tuple]:
             v[pc] = -rows[i][fc]
         basis.append(tuple(v))
     return basis
-
-
-# ---------------------------------------------------------------------------
-# complex polynomials
-# ---------------------------------------------------------------------------
-
-class ComplexPoly:
-    """Complex polynomial, coefficients ascending in degree.
-
-    Trailing coefficients below 1e-12 of the largest magnitude are trimmed
-    on construction, so the leading coefficient is honestly nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[complex]):
-        c = [complex(x) for x in coeffs]
-        scale = max((abs(x) for x in c), default=0.0)
-        while len(c) > 1 and abs(c[-1]) <= TRIM_TOL * scale:
-            c.pop()
-        if not c:
-            c = [0j]
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return np.polyval(self.coeffs[::-1], z)
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"ComplexPoly({list(self.coeffs)})"
-
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return ComplexPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexPoly):
-            return ComplexPoly(np.convolve(self.coeffs, other.coeffs))
-        return ComplexPoly([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def derivative(self) -> "ComplexPoly":
-        if self.degree == 0:
-            return ComplexPoly([0j])
-        return ComplexPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def deflate(self, root: complex) -> "ComplexPoly":
-        """Exact-degree synthetic division by (z - root)."""
-        d = self.degree
-        out = [0j] * d
-        acc = self.coeffs[d]
-        for k in range(d - 1, -1, -1):
-            out[k] = acc
-            acc = self.coeffs[k] + acc * root
-        return ComplexPoly(out)
-
-    @staticmethod
-    def from_roots(roots: Sequence[complex], lead: complex = 1.0) -> "ComplexPoly":
-        c = np.array([lead], dtype=complex)
-        for r in roots:
-            c = np.convolve(c, [-r, 1.0])
-        return ComplexPoly(c)
-
-
-def poly_roots(p: ComplexPoly) -> list[complex]:
-    """All roots (with multiplicity) via companion matrix plus Newton polish.
-
-    Residual guarantee: |p(root)| < 1e-8 * (1+|root|)^deg * max|coeff|;
-    raises NonConvergence if the polish cannot reach it.
-    """
-    if p.degree < 1:
-        raise ValueError("degree must be >= 1")
-    roots = np.roots(p.coeffs[::-1])
-    dp = p.derivative()
-    scale = max(abs(c) for c in p.coeffs)
-    polished = []
-    for r in roots:
-        r = complex(r)
-        for _ in range(60):
-            fr = complex(p(r))
-            if abs(fr) <= 0.1 * ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
-                break
-            dfr = complex(dp(r))
-            if dfr == 0:
-                break
-            step = fr / dfr
-            if abs(step) > 1 + abs(r):
-                break
-            r = r - step
-        polished.append(r)
-    for r in polished:
-        if abs(complex(p(r))) >= ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
-            raise NonConvergence(f"root residual too large at {r}")
-    return polished
-
-
-def _sylvester(p: Sequence, q: Sequence) -> ExactMatrix:
-    """Sylvester matrix of p, q (ascending coefficients)."""
-    n, m = len(p) - 1, len(q) - 1
-    zero = 0 * p[0]
-    return ExactMatrix([zero] * i + list(reversed(c)) + [zero] * (n + m - len(c) - i)
-                       for c, k in ((p, m), (q, n)) for i in range(k))
-
-
-def discriminant_z(p) -> complex:
-    """Discriminant (-1)^{d(d-1)/2} Res(p, p') / lead.
-
-    Accepts a ComplexPoly (numeric path, roots-product formula) or a sequence
-    of exact coefficients (Fraction / GaussianRational entries, ascending),
-    in which case the value is computed exactly via the Sylvester resultant.
-    """
-    if isinstance(p, ComplexPoly):
-        d = p.degree
-        if d < 2:
-            raise ValueError("degree must be >= 2")
-        roots = poly_roots(p)
-        lead = p.coeffs[-1]
-        prod = 1.0 + 0j
-        for i in range(d):
-            for j in range(i + 1, d):
-                prod *= (roots[i] - roots[j]) ** 2
-        return lead ** (2 * d - 2) * prod
-    coeffs = list(p)
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    d = len(coeffs) - 1
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    dp = [k * c for k, c in enumerate(coeffs)][1:]
-    res = _sylvester(coeffs, dp).det()
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res / coeffs[-1]

@@ -22,7 +22,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .core import ExactMatrix, GaussianRational, nullspace
+from .core import DomainError, ExactMatrix, GaussianRational, nullspace
 
 COXETER_MATRIX = ((1, 3, 3, 3, 3),
                   (3, 1, 2, 2, 2),
@@ -31,11 +31,11 @@ COXETER_MATRIX = ((1, 3, 3, 3, 3),
                   (3, 2, 2, 2, 1))
 
 
-class NotAVertex(ValueError):
+class NotAVertex(DomainError, ValueError):
     """Argument is not one of the 16 vertices of the cube [0,1/2]^4."""
 
 
-class WalkLimitExceeded(RuntimeError):
+class WalkLimitExceeded(DomainError, RuntimeError):
     """The alcove walk made ``max_steps`` reflections without reaching the
     closed model alcove (the point lies too far from it)."""
 

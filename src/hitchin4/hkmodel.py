@@ -111,3 +111,35 @@ def moment_residues(alpha_p, m_p, n_p, p: HKParams) -> tuple[np.ndarray, np.ndar
         np.array([[-m, n], [0.0, m]])
     mulev = -p.lambda1 * p.lambda2 * np.array([[a - 0.5, 0.0], [0.0, 0.5 - a]])
     return Mlev, mulev
+
+
+def identity_deviations(p: HKParams, trials: int, seed: int) -> dict:
+    """Largest deviations from S^2 = -1, g(Sv, Sw) = g(v, w) and the closed
+    form of Omega_{I,theta} (the last two relative to max(1, g(v,v), g(w,w)))
+    over ``trials`` random tangent pairs drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+
+    def rand_tangent():
+        def tf():
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m[1, 1] = -m[0, 0]
+            return m
+        return PointTangent(tf(), tf())
+
+    worst = {"quaternionic": 0.0, "compatibility": 0.0, "omega_vs_closed_form": 0.0}
+    for _ in range(trials):
+        v, w = rand_tangent(), rand_tangent()
+        scale = max(1.0, abs(metric(v, v, p)), abs(metric(w, w, p)))
+        for S in ("I", "J", "K"):
+            s2 = apply_structure(S, apply_structure(S, v, p), p)
+            worst["quaternionic"] = max(worst["quaternionic"],
+                                        float(np.abs(s2.a + v.a).max()),
+                                        float(np.abs(s2.phi + v.phi).max()))
+            gv = metric(apply_structure(S, v, p), apply_structure(S, w, p), p)
+            worst["compatibility"] = max(worst["compatibility"],
+                                         abs(gv - metric(v, w, p)) / scale)
+        om = pairings(v, w, p)["OmegaItheta"]
+        cf = holomorphic_pairing_closed_form(v, w, p)
+        worst["omega_vs_closed_form"] = max(worst["omega_vs_closed_form"],
+                                            abs(om - cf) / scale)
+    return worst

@@ -18,7 +18,10 @@ small (a few dozen states), so the search is exact and fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
+
+from .core import DomainError, ExactMatrix, nullspace
 
 SL2Z = tuple  # ((a, b), (c, d)) of ints
 
@@ -28,11 +31,11 @@ MAT_A: SL2Z = ((1, 1), (0, 1))
 MAT_B: SL2Z = ((1, 0), (-1, 1))
 
 
-class NotParabolic(ValueError):
+class NotParabolic(DomainError, ValueError):
     """Factor is not an I1 twist (trace 2, single Dehn twist)."""
 
 
-class Exhausted(RuntimeError):
+class Exhausted(DomainError, RuntimeError):
     """Hurwitz search hit its depth bound (a search limit, not a disproof)."""
 
 
@@ -204,10 +207,6 @@ def _conjugator_to(src: Factorization, pattern: tuple[SL2Z, ...]):
     C A_i = T_i C is linear in the entries of C; the joint solution space of
     an irreducible tuple is one-dimensional, so solve exactly over Q via the
     first two independent constraints and check integrality and det 1."""
-    from fractions import Fraction
-
-    from .core import ExactMatrix, nullspace
-
     rows = []
     for M, T in zip(src.factors, pattern):
         (a, b), (c, d) = M

@@ -5,7 +5,8 @@ F(z) = f_m(z) + beta z(z-1)(z-p0); the spectral curve is the double cover
 w^2 = F(z), and the tautological form tau = w dz / (z(z-1)(z-p0)) has
 residues +-m_p over the punctures (0, 1, p0, infinity).
 
-Everything here is complex double precision.  Contour and cycle integrals
+Everything here is complex double precision, including the polynomial
+kernel ``ComplexPoly``/``poly_roots``.  Contour and cycle integrals
 use trapezoid/elliptic-annulus quadrature with adaptive node doubling; the
 square-root sheet is fixed by analytic continuation from the base point
 z = 3 * max|branch point| with the principal square root, so repeated runs
@@ -15,42 +16,157 @@ are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import DomainError, NonConvergence
+
 PUNCTURE_KEYS = ("0", "1", "p0", "inf")
 
+ROOT_TOL = 1e-8
+TRIM_TOL = 1e-12
 
-class DegenerateP0(ValueError):
+
+class DegenerateP0(DomainError, ValueError):
     """p0 collides with 0 or 1."""
 
 
-class DegenerateConfiguration(RuntimeError):
+class DegenerateConfiguration(DomainError, RuntimeError):
     """Discriminant polynomial in beta degenerates below degree six."""
 
 
-class BranchPointCollision(RuntimeError):
+class BranchPointCollision(DomainError, RuntimeError):
     """A branch point lies inside a residue integration loop."""
 
 
-class SingularFiber(RuntimeError):
+class SingularFiber(DomainError, RuntimeError):
     """beta is (numerically) a singular fiber; the curve degenerates."""
 
 
-class BranchPointCoincidence(RuntimeError):
+class BranchPointCoincidence(DomainError, RuntimeError):
     """Branch points coincide to tolerance; no cycle basis exists."""
 
 
-class RootTrackingLost(RuntimeError):
+class RootTrackingLost(DomainError, RuntimeError):
     """Root continuation lost its target during the large-beta sweep."""
 
 
-class OffCurve(ValueError):
+class OffCurve(DomainError, ValueError):
     """(beta, u, w) does not satisfy the affine cubic to tolerance."""
 
 
-class UndefinedFlag(RuntimeError):
+class UndefinedFlag(DomainError, RuntimeError):
     """Residue matrix vanishes at the puncture; the flag is not defined."""
+
+
+# ---------------------------------------------------------------------------
+# complex polynomials
+# ---------------------------------------------------------------------------
+
+class ComplexPoly:
+    """Complex polynomial, coefficients ascending in degree.
+
+    Trailing coefficients below 1e-12 of the largest magnitude are trimmed
+    on construction, so the leading coefficient is honestly nonzero.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[complex]):
+        c = [complex(x) for x in coeffs]
+        scale = max((abs(x) for x in c), default=0.0)
+        while len(c) > 1 and abs(c[-1]) <= TRIM_TOL * scale:
+            c.pop()
+        if not c:
+            c = [0j]
+        self.coeffs = tuple(c)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, z):
+        return np.polyval(self.coeffs[::-1], z)
+
+    def __eq__(self, other):
+        return isinstance(other, ComplexPoly) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"ComplexPoly({list(self.coeffs)})"
+
+    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return ComplexPoly(out)
+
+    def __mul__(self, other):
+        if isinstance(other, ComplexPoly):
+            return ComplexPoly(np.convolve(self.coeffs, other.coeffs))
+        return ComplexPoly([c * other for c in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def derivative(self) -> "ComplexPoly":
+        if self.degree == 0:
+            return ComplexPoly([0j])
+        return ComplexPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def deflate(self, root: complex) -> "ComplexPoly":
+        """Exact-degree synthetic division by (z - root)."""
+        d = self.degree
+        out = [0j] * d
+        acc = self.coeffs[d]
+        for k in range(d - 1, -1, -1):
+            out[k] = acc
+            acc = self.coeffs[k] + acc * root
+        return ComplexPoly(out)
+
+    @staticmethod
+    def from_roots(roots: Sequence[complex], lead: complex = 1.0) -> "ComplexPoly":
+        c = np.array([lead], dtype=complex)
+        for r in roots:
+            c = np.convolve(c, [-r, 1.0])
+        return ComplexPoly(c)
+
+
+def poly_roots(p: ComplexPoly) -> list[complex]:
+    """All roots (with multiplicity) via companion matrix plus Newton polish.
+
+    Residual guarantee: |p(root)| < 1e-8 * (1+|root|)^deg * max|coeff|;
+    raises NonConvergence if the polish cannot reach it.
+    """
+    if p.degree < 1:
+        raise ValueError("degree must be >= 1")
+    roots = np.roots(p.coeffs[::-1])
+    dp = p.derivative()
+    scale = max(abs(c) for c in p.coeffs)
+    polished = []
+    for r in roots:
+        r = complex(r)
+        for _ in range(60):
+            fr = complex(p(r))
+            if abs(fr) <= 0.1 * ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
+                break
+            dfr = complex(dp(r))
+            if dfr == 0:
+                break
+            step = fr / dfr
+            if abs(step) > 1 + abs(r):
+                break
+            r = r - step
+        polished.append(r)
+    for r in polished:
+        if abs(complex(p(r))) >= ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
+            raise NonConvergence(f"root residual too large at {r}")
+    return polished
 
 
 def f_m_coefficients(p0: complex, masses) -> np.ndarray:
@@ -257,8 +373,6 @@ def on_curve_point(base: HitchinBase, beta: complex, u: complex,
 def higgs_representative(pt: SpectralFiberPoint):
     """Trace-free Higgs matrix phi = N(z) / (z(z-1)(z-p0)) dz as a 2x2 of
     ascending coefficient arrays N plus the common denominator."""
-    from .core import ComplexPoly
-
     base, beta = pt.base, pt.beta
     F = base.curve_coeffs(beta)
     minf = base.masses[3]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ExactMatrix, GaussianRational
+from .core import DomainError, ExactMatrix, GaussianRational
 from .chambers import (
     ChamberLabel,
     ParabolicData,
@@ -40,11 +40,11 @@ M_ROWS = ((-1, -1, -1, -1),
           (1, -1, -1, 1))
 
 
-class NonGeneric(ValueError):
+class NonGeneric(DomainError, ValueError):
     """Parameters sit on a Nakajima wall (moduli space singular)."""
 
 
-class InconsistentFiberRelation(ValueError):
+class InconsistentFiberRelation(DomainError, ValueError):
     """Period data violates the exact fiber-class relations."""
 
 

@@ -190,19 +190,21 @@ def test_walk_step_limit_exit_2(capsys):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _golden_exact_entries():
-    """Entries of perfbench/golden/cli.json that perfbench/clicold.py compares
-    byte for byte; INPUTS[k] there holds (group, comparison, argv) of entry k."""
+def _golden_entries(comparison):
+    """Entries of perfbench/golden/cli.json that perfbench/clicold.py checks
+    by ``comparison``; INPUTS[k] there holds (group, comparison, argv) of
+    entry k."""
     golden = json.loads((PERFBENCH / "golden" / "cli.json").read_text())
     tree = ast.parse((PERFBENCH / "clicold.py").read_text())
     inputs = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "INPUTS" for t in node.targets))
     how = [item.elts[1].value for item in inputs.elts]
     assert len(how) == len(golden)
-    return [g for g, h in zip(golden, how) if h == "exact"]
+    return [g for g, h in zip(golden, how) if h == comparison]
 
 
-GOLDEN_EXACT = _golden_exact_entries()
+GOLDEN_EXACT = _golden_entries("exact")
+GOLDEN_ERRORS = _golden_entries("error_name")
 
 
 @pytest.mark.parametrize("entry", GOLDEN_EXACT, ids=[" ".join(g["argv"][:2])
@@ -215,8 +217,17 @@ def test_golden_cli_output(capsys, entry):
     assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
 
 
+@pytest.mark.parametrize("entry", GOLDEN_ERRORS, ids=[" ".join(g["argv"][:2])
+                                                      for g in GOLDEN_ERRORS])
+def test_golden_cli_domain_errors(capsys, entry):
+    code = main(list(entry["argv"]))
+    out = capsys.readouterr().out
+    assert code == entry["exit"] == 2
+    assert json.loads(out)["error"] == json.loads(entry["stdout"])["error"]
+
+
 def test_golden_cli_covers_every_exact_command():
-    assert len(GOLDEN_EXACT) >= 13
+    assert len(GOLDEN_EXACT) >= 13 and len(GOLDEN_ERRORS) == 6
     assert {g["argv"][0] for g in GOLDEN_EXACT} >= {"chamber", "generic", "periods", "invert",
                                                      "domain", "coxeter", "homology",
                                                      "monodromy", "sweep"}
@@ -235,7 +246,8 @@ def test_monodromy_factors_of_wrong_shape(capsys):
     for factors in ("[[1]]", "[1,2]", '"x"', "[[[1,0],[0]]]", "[[[1,0],[0,1.5]]]"):
         err = _usage_error(capsys, ["monodromy", "normalize", "--factors", factors])
         assert "2x2 integer matrices" in err and repr(factors) in err
-    _usage_error(capsys, ["monodromy", "normalize", "--factors", "x"])  # not JSON
+    err = _usage_error(capsys, ["monodromy", "normalize", "--factors", "x"])  # not JSON
+    assert "2x2 integer matrices" in err and repr("x") in err
 
 
 def test_degenerate_counts_are_usage_errors(capsys):

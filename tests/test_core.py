@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from hitchin4.core import (
-    ComplexPoly,
     ExactMatrix,
     GaussianRational,
     NonConvergence,
-    Singular,
-    discriminant_z,
-    exact_solve,
     nullspace,
-    poly_roots,
     rational_from_str,
     rational_to_str,
 )
+from hitchin4.spectral import ComplexPoly, poly_roots
 
 rng = random.Random(20260810)
 
@@ -79,33 +75,7 @@ def test_matrix_multiplication_associative():
         assert (A * B) * C == A * (B * C)
 
 
-def test_exact_solve_identity():
-    b = tuple(rand_fraction() for _ in range(4))
-    assert exact_solve(ExactMatrix.identity(4), b) == b
-
-
-def test_exact_solve_parallel_matrix():
-    # M M^T = 4 Id, so the solve acts as M^T / 4
-    M = ExactMatrix([(-1, -1, -1, -1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)])
-    b = (Fraction(-9, 10), Fraction(1, 10), Fraction(1, 10), Fraction(1, 10))
-    x = exact_solve(M, b)
-    assert x == (Fraction(3, 10), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
-    oracle = tuple(v / 4 for v in M.transpose().apply(b))
-    assert x == oracle
-
-
-def test_exact_solve_singular():
-    A = ExactMatrix([(1, 2), (2, 4)])
-    with pytest.raises(Singular):
-        exact_solve(A, (Fraction(1), Fraction(1)))
-
-
 def test_matrix_inverse_and_det():
-    for _ in range(10):
-        A = rand_matrix(4)
-        if A.det() == 0:
-            continue
-        assert A * A.inverse() == ExactMatrix.identity(4)
     M = ExactMatrix([(-1, -1, -1, -1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)])
     assert M.det() == 16
 
@@ -169,56 +139,12 @@ def test_poly_roots_degree_zero_rejected():
         poly_roots(ComplexPoly([1.0]))
 
 
-def test_discriminant_examples():
-    assert abs(discriminant_z(ComplexPoly([-1, 0, 1])) - 4) < 1e-12
-    dbl = ComplexPoly([1, -2, 1])  # (z-1)^2
-    assert abs(discriminant_z(dbl)) < 1e-9
-
-
-def test_discriminant_matches_resultant_oracle():
-    # independent oracle: Sylvester resultant over complex doubles
-    def sylvester_disc(c):
-        c = np.asarray(c, dtype=complex)
-        d = len(c) - 1
-        dc = np.array([k * c[k] for k in range(1, d + 1)])
-        n = 2 * d - 1
-        S = np.zeros((n, n), dtype=complex)
-        for i in range(d - 1):
-            S[i, i:i + d + 1] = c[::-1]
-        for i in range(d):
-            S[d - 1 + i, i:i + d] = dc[::-1]
-        sign = -1 if (d * (d - 1) // 2) % 2 else 1
-        return sign * np.linalg.det(S) / c[-1]
-
-    for _ in range(20):
-        c = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)] + [1.0]
-        got = discriminant_z(ComplexPoly(c))
-        want = sylvester_disc(c)
-        assert abs(got - want) < 1e-6 * (1 + abs(want))
-
-
-def test_discriminant_exact_double_root_vanishes():
-    # ((z-a)^2 (z-b)) over Q(i): discriminant is exactly zero
-    a = GaussianRational(Fraction(2, 3), Fraction(1, 5))
-    b = GaussianRational(Fraction(-1, 2), Fraction(0))
-    one = GaussianRational(Fraction(1))
-    # expand (z-a)^2 (z-b)
-    c0 = -(a * a * b)
-    c1 = a * a + 2 * a * b
-    c2 = -(2 * a + b)
-    coeffs = [c0, c1, c2, one]
-    assert discriminant_z(coeffs) == GaussianRational(Fraction(0))
-    # and an exact nonzero case: z^2 - 1 -> 4
-    assert discriminant_z([Fraction(-1), Fraction(0), Fraction(1)]) == Fraction(4)
-
-
 def test_nonconvergence_guard_exists():
     assert issubclass(NonConvergence, RuntimeError)
 
 
 # ---------------------------------------------------------------------------
-# the row reduction behind det, inverse, exact_solve, nullspace and the exact
-# discriminant, against slow references
+# the row reduction behind det and nullspace, against slow references
 # ---------------------------------------------------------------------------
 
 def cofactor_det(rows):
@@ -267,17 +193,7 @@ def test_square_row_reduction_matches_references(gaussian):
         rows = [list(row) for row in A.rows]
         det = cofactor_det(rows)
         assert A.det() == det
-        b = tuple(rand_exact_matrix(r, 1, n, gaussian).rows[0])
-        if det:
-            seen["regular"] += 1
-            assert A * A.inverse() == ExactMatrix.identity(n)
-            assert A.apply(exact_solve(A, b)) == b
-        else:
-            seen["singular"] += 1
-            with pytest.raises(Singular):
-                A.inverse()
-            with pytest.raises(Singular):
-                exact_solve(A, b)
+        seen["regular" if det else "singular"] += 1
     assert min(seen.values()) >= 10, seen
 
 
@@ -297,28 +213,3 @@ def test_nullspace_matches_minor_rank(gaussian):
         if ns:
             assert minor_rank([list(v) for v in ns]) == len(ns)  # independent
     assert deficient >= 5
-
-
-def test_exact_discriminant_matches_root_product():
-    r = random.Random(7201)
-    one = GaussianRational(Fraction(1))
-    for _ in range(30):
-        d = r.randint(2, 5)
-        roots = [GaussianRational(Fraction(r.randint(-4, 4), r.randint(1, 3)),
-                                  Fraction(r.randint(-4, 4), r.randint(1, 3)))
-                 for _ in range(d)]
-        if r.random() < 0.25:
-            roots[-1] = roots[0]  # a double root
-        lead = GaussianRational(Fraction(r.randint(1, 5), r.randint(1, 3)),
-                                Fraction(r.randint(-3, 3), r.randint(1, 3)))
-        coeffs = [lead]  # ascending coefficients of lead * prod (z - r_i)
-        for root in roots:
-            coeffs = [-root * coeffs[0]] + [coeffs[k - 1] - root * coeffs[k]
-                                            for k in range(1, len(coeffs))] + [coeffs[-1]]
-        want = one
-        for i in range(d):
-            for j in range(i + 1, d):
-                want = want * (roots[i] - roots[j]) * (roots[i] - roots[j])
-        for _ in range(2 * d - 2):
-            want = want * lead
-        assert discriminant_z(coeffs) == want

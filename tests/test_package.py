@@ -1,0 +1,77 @@
+"""Package-level contracts: the exact layers load no numpy, the numeric
+names load on first use, and one base class marks every domain error."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hitchin4
+from hitchin4 import hkmodel, spectral
+from hitchin4.core import DomainError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+EXACT_ONLY = """
+import sys
+import hitchin4, hitchin4.cli
+from hitchin4 import chambers, torelli, coxeter, homology, monodromy
+from hitchin4.cli import main
+assert main(["chamber", "--alpha", "3/10,1/5,1/5,1/5"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded"
+"""
+
+
+def test_exact_layers_and_cli_load_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", EXACT_ONLY], capture_output=True,
+                          text=True, cwd=SRC, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert '"type": "B1"' in proc.stdout
+
+
+LAZY = {
+    spectral: ("ComplexPoly", "HitchinBase", "SpectralFiberPoint", "build_base",
+               "elliptic_periods", "flags", "higgs_representative", "in_B0", "poly_roots",
+               "singular_fibers", "tau_asymptotics", "tautological_residues"),
+    hkmodel: ("HKParams", "PointTangent", "apply_structure", "moment_residues", "pairings"),
+}
+
+
+@pytest.mark.parametrize("module", LAZY, ids=lambda m: m.__name__)
+def test_lazy_exports_are_the_module_objects(module):
+    for name in LAZY[module]:
+        assert getattr(hitchin4, name) is getattr(module, name), name
+    assert getattr(hitchin4, module.__name__.rsplit(".", 1)[1]) is module
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hitchin4.no_such_name
+    for name in ("discriminant_z", "exact_solve"):
+        assert not hasattr(hitchin4, name)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_domain_errors_are_exactly_the_eighteen():
+    classes = list(_subclasses(DomainError))
+    names = {f"{c.__module__}.{c.__name__}" for c in classes}
+    assert names == {
+        "hitchin4.chambers.OnWall", "hitchin4.chambers.OutOfCube",
+        "hitchin4.torelli.NonGeneric", "hitchin4.torelli.InconsistentFiberRelation",
+        "hitchin4.core.Singular", "hitchin4.core.NonConvergence",
+        "hitchin4.coxeter.NotAVertex", "hitchin4.coxeter.WalkLimitExceeded",
+        "hitchin4.spectral.DegenerateP0", "hitchin4.spectral.DegenerateConfiguration",
+        "hitchin4.spectral.BranchPointCollision", "hitchin4.spectral.SingularFiber",
+        "hitchin4.spectral.BranchPointCoincidence", "hitchin4.spectral.RootTrackingLost",
+        "hitchin4.spectral.OffCurve", "hitchin4.spectral.UndefinedFlag",
+        "hitchin4.monodromy.NotParabolic", "hitchin4.monodromy.Exhausted",
+    }
+    # DomainError comes first and the old base stays, so old handlers still match
+    assert all(c.__bases__[0] is DomainError and len(c.__bases__) == 2 for c in classes)
+    assert hitchin4.DomainError is DomainError
