@@ -18,7 +18,6 @@ from .core import (
     ExactMatrix,
     GaussianRational,
     NonConvergence,
-    Singular,
 )
 from .chambers import (
     ChamberLabel,

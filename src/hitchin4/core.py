@@ -22,10 +22,6 @@ class DomainError(Exception):
     reports one as exit code 2."""
 
 
-class Singular(DomainError, ValueError):
-    """Raised by exact linear solves on rank-deficient systems."""
-
-
 class NonConvergence(DomainError, RuntimeError):
     """Raised when iterative root refinement fails after bounded restarts."""
 

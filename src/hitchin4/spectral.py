@@ -6,11 +6,12 @@ w^2 = F(z), and the tautological form tau = w dz / (z(z-1)(z-p0)) has
 residues +-m_p over the punctures (0, 1, p0, infinity).
 
 Everything here is complex double precision, including the polynomial
-kernel ``ComplexPoly``/``poly_roots``.  Contour and cycle integrals
-use trapezoid/elliptic-annulus quadrature with adaptive node doubling; the
-square-root sheet is fixed by analytic continuation from the base point
-z = 3 * max|branch point| with the principal square root, so repeated runs
-are deterministic.
+kernel: every root is found by the residual-checked ``poly_roots`` of a
+``ComplexPoly``, whose construction is the one degree trim (``TRIM_TOL``).
+Contour and cycle integrals use trapezoid/elliptic-annulus quadrature with
+adaptive node doubling; the square-root sheet is fixed by analytic
+continuation from the base point z = 3 * max|branch point| with the
+principal square root, so repeated runs are deterministic.
 """
 
 from __future__ import annotations
@@ -255,29 +256,34 @@ def beta_discriminant_poly(base: HitchinBase, nodes: int = 9) -> np.ndarray:
 
 def singular_fibers(base: HitchinBase) -> list[complex]:
     """The six beta values (with multiplicity) of singular Hitchin fibers;
-    their sum vanishes by the center-of-mass normalization of f_m."""
+    their sum vanishes by the center-of-mass normalization of f_m.
+
+    When f_m vanishes (every mass 0), disc_z(beta z(z-1)(z-p0)) is a
+    constant times beta^6, so beta = 0 is returned six times exactly."""
+    if not any(base.f_coeffs):
+        return [0j] * 6
     coef = beta_discriminant_poly(base)
     scale = float(np.max(np.abs(coef)))
     if scale == 0 or abs(coef[6]) < 1e-10 * scale:
         raise DegenerateConfiguration("beta-discriminant is not degree six")
-    roots = np.roots(coef[::-1])
-    return [complex(r) for r in sorted(roots, key=lambda r: (r.real, r.imag))]
+    roots = poly_roots(ComplexPoly(coef))
+    return sorted(roots, key=lambda r: (r.real, r.imag))
 
 
 # ---------------------------------------------------------------------------
 # B^0 membership
 # ---------------------------------------------------------------------------
 
-def _roots_with_multiplicity(coeffs) -> list[tuple[complex, int]]:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    deg = len(coeffs) - 1
-    while deg > 0 and abs(coeffs[deg]) <= 1e-13 * np.max(np.abs(coeffs)):
-        deg -= 1
-    if deg == 0:
-        return []
-    roots = np.roots(coeffs[deg::-1])
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    tol = 1e-6 * scale
+def is_square_polynomial(coeffs) -> bool:
+    """Floating-point perfect-square test: even degree and every clustered
+    root of even multiplicity."""
+    p = ComplexPoly(coeffs)
+    if p.degree == 0:
+        return True
+    if p.degree % 2 == 1:
+        return False
+    roots = poly_roots(p)
+    tol = 1e-6 * (1.0 + float(np.max(np.abs(roots))))
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda r: (r.real, r.imag)):
         for cl in clusters:
@@ -286,26 +292,7 @@ def _roots_with_multiplicity(coeffs) -> list[tuple[complex, int]]:
                 break
         else:
             clusters.append([r])
-    return [(complex(np.mean(cl)), len(cl)) for cl in clusters]
-
-
-def is_square_polynomial(coeffs) -> bool:
-    """Floating-point perfect-square test: even degree and every clustered
-    root of even multiplicity (equivalently, deg gcd(F, F') = deg F / 2)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    deg = len(coeffs) - 1
-    while deg > 0 and abs(coeffs[deg]) <= 1e-12 * scale:
-        deg -= 1
-    if deg == 0:
-        return True
-    if deg % 2 == 1:
-        return False
-    clusters = _roots_with_multiplicity(coeffs)
-    if any(m % 2 for _, m in clusters):
-        return False
-    # gcd-degree certificate: sum (m_i - 1) must reach deg / 2
-    return sum(m - 1 for _, m in clusters) >= deg // 2
+    return not any(len(cl) % 2 for cl in clusters)
 
 
 def in_B0(base: HitchinBase, beta: complex) -> bool:
@@ -313,14 +300,11 @@ def in_B0(base: HitchinBase, beta: complex) -> bool:
     no non-simple zero at a puncture (including infinity, where the order
     of vanishing is 4 - deg F)."""
     F = base.curve_coeffs(beta)
-    scale = max(1.0, float(np.max(np.abs(F))))
-    deg = 4
-    while deg > 0 and abs(F[deg]) <= 1e-12 * scale:
-        deg -= 1
-    if deg <= 2:  # zero at infinity of order >= 2
+    if ComplexPoly(F).degree <= 2:  # zero at infinity of order >= 2
         return False
     if is_square_polynomial(F):
         return False
+    scale = max(1.0, float(np.max(np.abs(F))))
     dF = np.polynomial.polynomial.polyder(F)
     for p in (0.0, 1.0, base.p0):
         if abs(np.polyval(F[::-1], p)) < 1e-10 * scale and \
@@ -475,12 +459,27 @@ def _anchor_value(F: np.ndarray, anchor: complex, z0: complex, n: int = 4096) ->
     return complex(w[-1])
 
 
-def _branch_points(F: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.abs(F)))
-    deg = 4
-    while deg > 0 and abs(F[deg]) <= 1e-13 * scale:
-        deg -= 1
-    return np.roots(F[deg::-1])
+def _closed_sheet(F: np.ndarray, z: np.ndarray, start: complex,
+                  error: type[DomainError], message: str) -> np.ndarray:
+    """Sheet of sqrt(F) along the closed contour z, continued from the
+    anchored value ``start`` at z[0]; raises ``error(message)`` unless the
+    sheet returns to its starting value."""
+    w = _continue_sqrt(np.polyval(F[::-1], z), start=start)
+    if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
+        raise error(message)
+    return w
+
+
+def _loop_mean(F: np.ndarray, anchor: complex, p0: complex, center: complex,
+               radius: float, n: int, message: str) -> complex:
+    """Trapezoid mean, over n nodes of the circle |z - center| = radius, of
+    tau / dtheta on the anchored sheet: the loop integral of tau over 2 pi."""
+    th = 2 * np.pi * np.arange(n) / n
+    z = center + radius * np.exp(1j * th)
+    w = _closed_sheet(F, z, _anchor_value(F, anchor, complex(z[0])),
+                      BranchPointCollision, message)
+    dz = 1j * radius * np.exp(1j * th)
+    return np.mean(w / (z * (z - 1) * (z - p0)) * dz)
 
 
 def tautological_residues(base: HitchinBase, beta: complex) -> dict:
@@ -491,46 +490,32 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
     Residues at a finite puncture come from loops of radius 0.1 x the
     distance to the nearest branch point or other puncture; the value at
     infinity integrates the anchored sheet over a circle enclosing all
-    branch points (only present when m_inf != 0).
+    branch points (only present when m_inf != 0).  A puncture of mass 0
+    is a ramification point for every beta, since F(p) = m_p^2 c'(p)^2
+    with c = z(z-1)(z-p0): tau is regular there and both residues are 0.
     """
+    if not any(base.masses):
+        return {key: (0j, 0j) for key in PUNCTURE_KEYS}
     F = base.curve_coeffs(beta)
-    branch = _branch_points(F)
+    branch = poly_roots(ComplexPoly(F))
     anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
     punctures = [0.0, 1.0, base.p0]
     out = {}
-    scale = max(1.0, float(np.max(np.abs(F))))
-    for key, p in zip(PUNCTURE_KEYS[:3], punctures):
-        if abs(np.polyval(F[::-1], p)) < 1e-12 * scale:
-            # ramification point over the puncture: tau is regular there
-            # (w vanishes like sqrt(z - p)), so both residues are zero
+    for key, p, m in zip(PUNCTURE_KEYS[:3], punctures, base.masses):
+        if m == 0:
             out[key] = (0j, 0j)
             continue
         dists = [abs(p - b) for b in branch] + [abs(p - q) for q in punctures if q != p]
         radius = 0.1 * min(dists)
         if radius < 1e-12:
             raise BranchPointCollision(f"branch point at puncture z = {p}")
-        n = 512
-        th = 2 * np.pi * np.arange(n) / n
-        z = p + radius * np.exp(1j * th)
-        w = _continue_sqrt(np.polyval(F[::-1], z),
-                           start=_anchor_value(F, anchor, complex(z[0])))
-        if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
-            raise BranchPointCollision("sheet failed to close around loop")
-        dz = 1j * radius * np.exp(1j * th)
-        integrand = w / (z * (z - 1) * (z - base.p0)) * dz
-        res = complex(np.mean(integrand) / 1j)
+        res = complex(_loop_mean(F, anchor, base.p0, p, radius, 512,
+                                 "sheet failed to close around loop") / 1j)
         out[key] = (res, -res)
-    if abs(base.masses[3]) > 0:
-        R = anchor / 3.0 * 2.5
-        n = 2048
-        th = 2 * np.pi * np.arange(n) / n
-        z = R * np.exp(1j * th)
-        w = _continue_sqrt(np.polyval(F[::-1], z),
-                           start=_anchor_value(F, anchor, complex(z[0])))
-        if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
-            raise BranchPointCollision("odd branching at infinity")
-        dz = 1j * R * np.exp(1j * th)
-        res = complex(-np.mean(w / (z * (z - 1) * (z - base.p0)) * dz) / 1j)
+    if base.masses[3] != 0:
+        mean = _loop_mean(F, anchor, base.p0, 0.0, anchor / 3.0 * 2.5, 2048,
+                          "odd branching at infinity")
+        res = complex(-mean / 1j)
         out["inf"] = (res, -res)
     else:
         out["inf"] = (0j, 0j)
@@ -560,11 +545,13 @@ def _ellipse_rho(a: complex, b: complex, z: complex) -> float:
     return abs(cmath.acos(u).imag)
 
 
-def _cycle_integral(F: np.ndarray, a: complex, b: complex, anchor: complex,
-                    weight=None, tol: float = 1e-9, nmax: int = 1 << 17) -> complex:
+def _cycle_integral(F: np.ndarray, branch: Sequence[complex], a: complex, b: complex,
+                    anchor: complex, weight=None, tol: float = 1e-9,
+                    nmax: int = 1 << 17) -> complex:
     """Integral of weight(z) dz / (2 w) once around the cut [a, b] on the
-    anchored sheet, via an elliptse contour and adaptive trapezoid."""
-    others = [complex(r) for r in _branch_points(F)]
+    anchored sheet, via an ellipse contour and adaptive trapezoid; ``branch``
+    holds the branch points (roots of F)."""
+    others = list(branch)
     for e in (a, b):
         k = int(np.argmin([abs(r - e) for r in others]))
         others.pop(k)
@@ -573,16 +560,16 @@ def _cycle_integral(F: np.ndarray, a: complex, b: complex, anchor: complex,
         raise BranchPointCoincidence("branch points collide with the cut")
     r = min(1.2, 0.5 * rho_min)
     mid, half = (a + b) / 2, (b - a) / 2
+    # every node count starts the contour at t = 0
+    start = _anchor_value(F, anchor, complex(mid + half * np.cos(0.0 - 1j * r)))
     prev = None
     n = 256
     while n <= nmax:
         t = 2 * np.pi * np.arange(n) / n
         z = mid + half * np.cos(t - 1j * r)
         dz = -half * np.sin(t - 1j * r) * 1j
-        w = _continue_sqrt(np.polyval(F[::-1], z),
-                           start=_anchor_value(F, anchor, complex(z[0])))
-        if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
-            raise BranchPointCoincidence("cycle contour crosses a branch cut")
+        w = _closed_sheet(F, z, start, BranchPointCoincidence,
+                          "cycle contour crosses a branch cut")
         wz = np.ones_like(z) if weight is None else weight(z)
         val = complex(np.sum(wz / (2 * w) * dz) * (2 * np.pi / n))
         if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
@@ -602,26 +589,22 @@ def elliptic_periods(base: HitchinBase, beta: complex):
     the tautological form equals the returned period exactly in the limit.
     """
     F = base.curve_coeffs(beta)
-    scale = float(np.max(np.abs(F)))
-    deg = 4
-    while deg > 0 and abs(F[deg]) <= 1e-13 * scale:
-        deg -= 1
-    if deg < 3:
+    poly = ComplexPoly(F)
+    if poly.degree < 3:
         raise SingularFiber("curve degenerates below genus one")
-    roots = np.roots(F[deg::-1])
-    rs = sorted((complex(r) for r in roots),
-                key=lambda r: (round(r.real, 12), round(r.imag, 12)))
+    branch = poly_roots(poly)
+    rs = sorted(branch, key=lambda r: (round(r.real, 12), round(r.imag, 12)))
     dmin = min(abs(x - y) for i, x in enumerate(rs) for y in rs[i + 1:])
     if dmin < 1e-8 * max(1.0, max(abs(r) for r in rs)):
         raise SingularFiber(f"branch points coincide (min distance {dmin:.2e})")
     anchor = 3.0 * max(1.0, float(np.max(np.abs(rs))))
-    if deg == 3:
+    if poly.degree == 3:
         a, b, c = rs
     else:
         rs, (i, j), (k, l) = _cut_pairs(rs)
         a, b, c = rs[i], rs[j], rs[k]
-    A = _cycle_integral(F, a, b, anchor)
-    B = _cycle_integral(F, b, c, anchor)
+    A = _cycle_integral(F, branch, a, b, anchor)
+    B = _cycle_integral(F, branch, b, c, anchor)
     if abs(A) < 1e-14:
         raise SingularFiber("vanishing A-period")
     tau = B / A
@@ -634,15 +617,15 @@ def tau_cycle_integral(base: HitchinBase, beta: complex, cut: tuple[complex, com
     """Cycle integral of the tautological form w dz / (z(z-1)(z-p0)) around
     a given cut; used for the d(Z_gamma) = (period) d(beta) consistency check."""
     F = base.curve_coeffs(beta)
-    branch = _branch_points(F)
+    branch = poly_roots(ComplexPoly(F))
     anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
-    a = min((complex(r) for r in branch), key=lambda r: abs(r - cut[0]))
-    b = min((complex(r) for r in branch), key=lambda r: abs(r - cut[1]))
+    a = min(branch, key=lambda r: abs(r - cut[0]))
+    b = min(branch, key=lambda r: abs(r - cut[1]))
 
     def weight(z):
         return 2 * np.polyval(F[::-1], z) / (z * (z - 1) * (z - base.p0))
 
-    return _cycle_integral(F, a, b, anchor, weight=weight)
+    return _cycle_integral(F, branch, a, b, anchor, weight=weight)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +653,7 @@ def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
     sep = min(abs(x - y) for x in punctures.values() for y in punctures.values() if x != y)
     shifts = {k: [] for k in punctures}
     for b in betas:
-        F = base.curve_coeffs(b)
-        deg = 4
-        while deg > 0 and abs(F[deg]) <= 1e-13 * np.max(np.abs(F)):
-            deg -= 1
-        roots = np.roots(F[deg::-1])
+        roots = np.array(poly_roots(ComplexPoly(base.curve_coeffs(b))))
         for key, p in punctures.items():
             k = int(np.argmin(np.abs(roots - p)))
             if abs(roots[k] - p) > 0.45 * sep:

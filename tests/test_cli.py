@@ -103,6 +103,13 @@ def test_spectral_fibers_and_residues(capsys):
     assert min(abs(plus - 1), abs(plus + 1)) < 1e-7
 
 
+def test_spectral_residues_zero_masses_at_zero_beta(capsys):
+    code, doc = run_json(capsys, "spectral", "residues", "--p0", "2",
+                         "--m", "0,0,0,0", "--beta", "0")
+    assert code == 0
+    assert doc["result"] == {key: [[0.0, 0.0]] * 2 for key in ("0", "1", "p0", "inf")}
+
+
 def test_spectral_tau_sweep_csv(capsys):
     code, out = run_cli(capsys, "spectral", "tau", "--p0", "0.37",
                         "--m", "0.5,0.25,0.125,1", "--sweep", "50,200,3")

@@ -58,13 +58,13 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def test_domain_errors_are_exactly_the_eighteen():
+def test_domain_errors_are_exactly_the_seventeen():
     classes = list(_subclasses(DomainError))
     names = {f"{c.__module__}.{c.__name__}" for c in classes}
     assert names == {
         "hitchin4.chambers.OnWall", "hitchin4.chambers.OutOfCube",
         "hitchin4.torelli.NonGeneric", "hitchin4.torelli.InconsistentFiberRelation",
-        "hitchin4.core.Singular", "hitchin4.core.NonConvergence",
+        "hitchin4.core.NonConvergence",
         "hitchin4.coxeter.NotAVertex", "hitchin4.coxeter.WalkLimitExceeded",
         "hitchin4.spectral.DegenerateP0", "hitchin4.spectral.DegenerateConfiguration",
         "hitchin4.spectral.BranchPointCollision", "hitchin4.spectral.SingularFiber",

@@ -3,6 +3,7 @@ import pytest
 
 from hitchin4.spectral import (
     BranchPointCoincidence,
+    BranchPointCollision,
     DegenerateP0,
     SpectralFiberPoint,
     OffCurve,
@@ -16,6 +17,7 @@ from hitchin4.spectral import (
     on_curve_point,
     predicted_root_shift,
     residue_matrix,
+    SingularFiber,
     singular_fibers,
     tau_asymptotics,
     tau_cycle_integral,
@@ -90,6 +92,14 @@ def test_singular_fibers_zero_masses():
     # about eps^(1/6), but the center of mass is stable
     assert all(abs(b) < 1e-2 for b in roots)
     assert abs(sum(roots)) < 1e-8
+    assert roots == [0j] * 6
+
+
+def test_singular_fibers_underflowing_masses():
+    # m_0^2 underflows, so f_m vanishes in double precision as at m = 0
+    base = build_base(2.0, (1e-200, 0, 0, 0))
+    assert not any(base.f_coeffs)
+    assert singular_fibers(base) == [0j] * 6
 
 
 def test_singular_fibers_generic():
@@ -259,6 +269,20 @@ def test_residues_zero_masses():
         assert res[key] == (0j, 0j)
 
 
+def test_residues_zero_masses_at_zero_beta():
+    # F vanishes identically, and every residue is +-m_p = 0
+    res = tautological_residues(build_base(2.0, (0, 0, 0, 0)), 0)
+    assert res == {key: (0j, 0j) for key in ("0", "1", "p0", "inf")}
+
+
+def test_residues_large_beta_collide_with_branch_points():
+    # the masses are nonzero, so each finite puncture carries a branch point
+    # at distance about 1/beta; at beta = 1e12 it lies inside the loop
+    base = build_base(2.0, (0.5, 0.25, 0.125, 1))
+    with pytest.raises(BranchPointCollision):
+        tautological_residues(base, 1e12)
+
+
 # ---------------------------------------------------------------------------
 # elliptic periods
 # ---------------------------------------------------------------------------
@@ -310,23 +334,53 @@ def test_dZ_dbeta_equals_period_on_both_cycles():
     base = generic_base()
     F = np.roots(base.curve_coeffs(BETA)[::-1])
     rs = sorted((complex(r) for r in F), key=lambda r: (r.real, r.imag))
-    from hitchin4.spectral import _branch_points, _cycle_integral
+    from hitchin4.spectral import ComplexPoly, _cycle_integral, poly_roots
     F0 = base.curve_coeffs(BETA)
-    anchor = 3.0 * max(1.0, float(np.max(np.abs(_branch_points(F0)))))
+    branch = poly_roots(ComplexPoly(F0))
+    anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
     h = 1e-5
     for cut in ((rs[0], rs[1]), (rs[1], rs[2])):
         Zp = tau_cycle_integral(base, BETA + h, cut)
         Zm = tau_cycle_integral(base, BETA - h, cut)
         dZ = (Zp - Zm) / (2 * h)
-        per = _cycle_integral(F0, cut[0], cut[1], anchor)
+        per = _cycle_integral(F0, branch, cut[0], cut[1], anchor)
         assert abs(dZ - per) < 1e-5 * abs(per)
 
 
 def test_singular_beta_rejected():
     base = generic_base()
-    bad = singular_fibers(base)[0]
-    with pytest.raises((BranchPointCoincidence, Exception)):
-        elliptic_periods(base, bad)
+    for bad in singular_fibers(base):
+        with pytest.raises((SingularFiber, BranchPointCoincidence)):
+            elliptic_periods(base, bad)
+
+
+def test_elliptic_periods_find_roots_once_and_anchor_once_per_cycle(monkeypatch):
+    from hitchin4 import spectral
+
+    calls = {"roots": 0, "anchor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "poly_roots", counted("roots", spectral.poly_roots))
+    monkeypatch.setattr(spectral, "_anchor_value", counted("anchor", spectral._anchor_value))
+    elliptic_periods(generic_base(), BETA)
+    assert calls == {"roots": 1, "anchor": 2}
+
+
+def test_np_roots_called_only_in_poly_roots():
+    import inspect
+    from pathlib import Path
+
+    from hitchin4 import spectral
+
+    package = Path(spectral.__file__).parent
+    count = sum(path.read_text().count("np.roots(") for path in package.rglob("*.py"))
+    assert count == 1
+    assert "np.roots(" in inspect.getsource(spectral.poly_roots)
 
 
 def test_tau_large_beta_decay():
