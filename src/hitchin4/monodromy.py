@@ -9,19 +9,23 @@ the composite is -Id; the canonical pattern also satisfies the reversed
 relation A6 A5 A4 A3 A2 A1 = -Id.
 
 An I1 factor is parabolic with a single twist (conjugate to [[1,1],[0,1]]),
-so it is determined by its primitive eigenvector up to sign.  The search in
-``normalize`` runs breadth-first on factor tuples hashed modulo simultaneous
-SL(2,Z) conjugation via those eigenvectors; the reachable class space is
-small (a few dozen states), so the search is exact and fast.
+so it is determined by its primitive eigenvector v up to sign, and
+P T_v P^-1 = T_{Pv} for P in SL(2,Z).  The search in ``normalize`` runs
+breadth-first on eigenvector tuples hashed modulo simultaneous SL(2,Z)
+conjugation; the reachable class space is small (a few dozen states), so
+the search is exact and fast.  The canonical form of a tuple comes with the
+transform P that produces it, so a normal form whose class matches the
+pattern's is certified by C = P_pattern^-1 P_normal, which satisfies
+C M_i = T_i C for every factor M_i and pattern factor T_i; ``normalize``
+checks that identity by multiplication before it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .core import DomainError, ExactMatrix, nullspace
+from .core import DomainError
 
 SL2Z = tuple  # ((a, b), (c, d)) of ints
 
@@ -46,9 +50,9 @@ def mat_mul(M: SL2Z, N: SL2Z) -> SL2Z:
 
 
 def mat_inv(M: SL2Z) -> SL2Z:
-    (a, b), (c, d) = M
-    if a * d - b * c != 1:
+    if mat_det(M) != 1:
         raise ValueError("determinant must be 1")
+    (a, b), (c, d) = M
     return ((d, -b), (-c, a))
 
 
@@ -68,6 +72,12 @@ def _primitive(v: tuple[int, int]) -> tuple[int, int]:
     return (p, q)
 
 
+def _act(M: SL2Z, v: tuple[int, int]) -> tuple[int, int]:
+    """Primitive direction of M v, up to sign."""
+    (a, b), (c, d) = M
+    return _primitive((a * v[0] + b * v[1], c * v[0] + d * v[1]))
+
+
 def is_I1_twist(M: SL2Z):
     """(True, primitive eigenvector) iff M is a single parabolic Dehn twist.
 
@@ -78,16 +88,9 @@ def is_I1_twist(M: SL2Z):
         raise ValueError("determinant must be 1")
     if a + d != 2 or M == IDENT:
         return False, None
-    # eigenvector of eigenvalue 1: (M - Id) v = 0
-    if b != 0 or a != 1:
-        v = _primitive((b, 1 - a))
-    else:
-        v = _primitive((d - 1, c)) if (d != 1 or c != 0) else None
-    if v is None:
-        return False, None
-    p, q = v
-    model = ((1 - p * q, p * p), (-q * q, 1 + p * q))
-    return (model == M), (v if model == M else None)
+    # eigenvector of eigenvalue 1, (M - Id) v = 0; a = d = 1, b = 0 forces c != 0
+    v = _primitive((b, 1 - a) if (a, b) != (1, 0) else (0, c))
+    return (True, v) if twist_of_vector(v) == M else (False, None)
 
 
 def twist_of_vector(v: tuple[int, int]) -> SL2Z:
@@ -148,12 +151,6 @@ def hurwitz_move(f: Factorization, i: int, direction: int = 1) -> Factorization:
 # conjugation-canonical hashing on eigenvector tuples
 # ---------------------------------------------------------------------------
 
-def _apply_inv(C: SL2Z, v: tuple[int, int]) -> tuple[int, int]:
-    (a, b), (c, d) = C
-    # C^{-1} v with det C = 1
-    return _primitive((d * v[0] - b * v[1], -c * v[0] + a * v[1]))
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
@@ -164,122 +161,82 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
 
 
 def _canonical_class(vectors: tuple[tuple[int, int], ...]):
-    """Canonical representative of an eigenvector tuple modulo simultaneous
-    SL(2,Z) conjugation: send v1 to (1,0), then reduce the first
-    non-parallel vector with the residual unipotent stabilizer."""
+    """(P, class): the canonical representative of an eigenvector tuple
+    modulo simultaneous SL(2,Z) conjugation, and the P in SL(2,Z) with
+    class[i] = P vectors[i] up to sign.  P sends v1 to (1,0), then reduces
+    the first non-parallel vector with the residual unipotent stabilizer."""
     p, q = vectors[0]
     x, y = _ext_gcd(p, q)  # p x + q y = 1
-    Cinv = ((x, y), (-q, p))
-
-    def apply_all(M, vs):
-        return tuple(_primitive((M[0][0] * v[0] + M[0][1] * v[1],
-                                 M[1][0] * v[0] + M[1][1] * v[1])) for v in vs)
-
-    vs = apply_all(Cinv, vectors)
-    for v in vs:
-        if v[1] != 0:
-            a, b = v
-            k = a // b
-            vs = apply_all(((1, -k), (0, 1)), vs)
+    P = ((x, y), (-q, p))
+    for v in vectors:
+        a, b = _act(P, v)
+        if b != 0:
+            P = mat_mul(((1, -(a // b)), (0, 1)), P)
             break
-    return vs
+    return P, tuple(_act(P, v) for v in vectors)
 
 
 def _class_moves(vectors):
     """All Hurwitz moves on an eigenvector tuple, as (move, new tuple)."""
     out = []
-    k = len(vectors)
-    for i in range(1, k):
+    for i in range(1, len(vectors)):
         vi, vj = vectors[i - 1], vectors[i]
-        m1 = vectors[:i - 1] + (vj, _apply_inv(twist_of_vector(vj), vi)) + vectors[i + 1:]
-        Mi = twist_of_vector(vi)
-        vj2 = _primitive((Mi[0][0] * vj[0] + Mi[0][1] * vj[1],
-                          Mi[1][0] * vj[0] + Mi[1][1] * vj[1]))
-        m2 = vectors[:i - 1] + (vj2, vi) + vectors[i + 1:]
-        out.append(((i, 1), m1))
-        out.append(((i, 2), m2))
+        head, tail = vectors[:i - 1], vectors[i + 1:]
+        out.append(((i, 1), head + (vj, _act(mat_inv(twist_of_vector(vj)), vi)) + tail))
+        out.append(((i, 2), head + (_act(twist_of_vector(vi), vj), vi) + tail))
     return out
 
 
-def _conjugator_to(src: Factorization, pattern: tuple[SL2Z, ...]):
-    """C in SL(2,Z) with C^{-1} src C == pattern, or None.
+_PATTERN = canonical_factorization()
+_P_PATTERN, _TARGET = _canonical_class(_PATTERN.vectors())
 
-    C A_i = T_i C is linear in the entries of C; the joint solution space of
-    an irreducible tuple is one-dimensional, so solve exactly over Q via the
-    first two independent constraints and check integrality and det 1."""
-    rows = []
-    for M, T in zip(src.factors, pattern):
-        (a, b), (c, d) = M
-        (e, f), (g, h) = T
-        # unknowns (C00, C01, C10, C11): C M - T C = 0
-        rows += [
-            (a - e, c, -f, 0),
-            (b, d - e, 0, -f),
-            (-g, 0, a - h, c),
-            (0, -g, b, d - h),
-        ]
-    basis = nullspace(ExactMatrix([[Fraction(x) for x in r] for r in rows]))
-    for vec in basis:
-        den = 1
-        for q in vec:
-            den = den * q.denominator // gcd(den, q.denominator)
-        ints = [int(q * den) for q in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g == 0:
-            continue
-        ints = [v // g for v in ints]
-        for sgn in (1, -1):
-            C = ((sgn * ints[0], sgn * ints[1]), (sgn * ints[2], sgn * ints[3]))
-            if mat_det(C) == 1 and all(
-                    mat_mul(C, M) == mat_mul(T, C) for M, T in zip(src.factors, pattern)):
-                return C
-    return None
+
+def _certificate(f: Factorization):
+    """C in SL(2,Z) with C M_i = T_i C for every factor M_i of f and T_i of
+    (B, A, B, A, B, A), or None if f is not a global conjugate of it."""
+    P, cls = _canonical_class(f.vectors())
+    C = mat_mul(mat_inv(_P_PATTERN), P)
+    return C if cls == _TARGET and all(
+        mat_mul(C, M) == mat_mul(T, C) for M, T in zip(f.factors, _PATTERN.factors)) else None
 
 
 def normalize(f: Factorization, max_depth: int = 24):
     """Hurwitz moves carrying f to the canonical pattern up to simultaneous
     SL(2,Z) conjugation.
 
-    Breadth-first search over factor tuples hashed by the conjugation-
-    canonical form of their eigenvector tuples; returns (moves, normal)
-    where replaying ``moves`` on f yields ``normal``, a global conjugate of
-    (B, A, B, A, B, A).  Raises Exhausted at the depth bound.
+    Breadth-first search over eigenvector tuples hashed by their
+    conjugation-canonical form; returns (moves, normal) where replaying
+    ``moves`` on f yields ``normal``, a global conjugate of
+    (B, A, B, A, B, A) certified by ``_certificate``.  Raises Exhausted at
+    the depth bound.
     """
     if len(f.factors) != 6:
         raise ValueError("need six factors")
     vecs = f.vectors()
     if f.total_product() != NEG_IDENT:
         raise ValueError("composite along the base loop must be -Id")
-    target = _canonical_class(canonical_factorization().vectors())
-    start = _canonical_class(vecs)
+    _, start = _canonical_class(vecs)
     parents = {start: None}
     frontier = [(start, vecs)]
-    depth = 0
-    goal_state = None
-    if start == target:
-        goal_state = start
-    while goal_state is None and depth < max_depth and frontier:
-        depth += 1
+    for _ in range(max_depth):
+        if _TARGET in parents or not frontier:
+            break
         nxt = []
         for cls, raw in frontier:
             for move, raw2 in _class_moves(raw):
-                cls2 = _canonical_class(raw2)
-                if cls2 in parents:
-                    continue
-                parents[cls2] = (cls, move)
-                nxt.append((cls2, raw2))
-                if cls2 == target:
-                    goal_state = cls2
-                    break
-            if goal_state:
+                _, cls2 = _canonical_class(raw2)
+                if cls2 not in parents:
+                    parents[cls2] = (cls, move)
+                    nxt.append((cls2, raw2))
+                    if cls2 == _TARGET:
+                        break
+            if _TARGET in parents:
                 break
         frontier = nxt
-    if goal_state is None:
+    if _TARGET not in parents:
         raise Exhausted(f"no normalization within depth {max_depth}")
     moves = []
-    node = goal_state
+    node = _TARGET
     while parents[node] is not None:
         node, move = parents[node]
         moves.append(move)
@@ -287,7 +244,7 @@ def normalize(f: Factorization, max_depth: int = 24):
     normal = f
     for i, d in moves:
         normal = hurwitz_move(normal, i, d)
-    if _conjugator_to(normal, canonical_factorization().factors) is None:
+    if _certificate(normal) is None:
         raise Exhausted("class search reached target but replay failed")
     return moves, normal
 
@@ -312,7 +269,6 @@ def vanishing_cycle_match(f: Factorization, i: int, j: int,
         P = IDENT
         for t in range(lo, hi - 1):
             P = mat_mul(P, f.factors[t])
-        vi = _primitive((P[0][0] * vecs[lo - 1][0] + P[0][1] * vecs[lo - 1][1],
-                         P[1][0] * vecs[lo - 1][0] + P[1][1] * vecs[lo - 1][1]))
+        vi = _act(P, vecs[lo - 1])
         vj = vecs[hi - 1]
     return vi == vj

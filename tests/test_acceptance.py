@@ -60,7 +60,7 @@ from hitchin4.torelli import (
     torelli_parallel,
 )
 
-from lattice_oracle import brute_force_minus2
+from lattice_oracle import brute_force_minus2, conjugator_by_solve
 
 rng = random.Random(0xD4)
 nrng = np.random.default_rng(0xD4)
@@ -284,7 +284,7 @@ def test_11_monodromy():
             g = monodromy.hurwitz_move(g, rng.randint(1, 5), rng.choice((1, 2)))
         moves, normal = monodromy.normalize(g, max_depth=2 * n)
         assert len(moves) <= n
-        assert monodromy._conjugator_to(
+        assert conjugator_by_solve(
             normal, monodromy.canonical_factorization().factors) is not None
     _passed(11, "(AB)^3 = -Id and 100 scrambles (depth <= 12) renormalized")
 

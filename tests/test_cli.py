@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hitchin4.cli import main
+from hitchin4.monodromy import canonical_factorization, hurwitz_move
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +256,20 @@ def test_monodromy_factors_of_wrong_shape(capsys):
         assert "2x2 integer matrices" in err and repr(factors) in err
     err = _usage_error(capsys, ["monodromy", "normalize", "--factors", "x"])  # not JSON
     assert "2x2 integer matrices" in err and repr("x") in err
+
+
+def test_negative_search_depth_is_a_usage_error(capsys):
+    f = canonical_factorization()
+    canonical = json.dumps(f.factors)
+    scrambled = json.dumps(hurwitz_move(f, 1, 1).factors)
+    for factors in (canonical, scrambled):
+        for depth in ("-1", "-5"):
+            err = _usage_error(capsys, ["monodromy", "normalize", "--factors", factors,
+                                        "--max-depth", depth])
+            assert "search depth" in err and depth in err
+    code, doc = run_json(capsys, "monodromy", "normalize", "--factors", canonical,
+                         "--max-depth", "0")
+    assert code == 0 and doc["result"]["moves"] == []
 
 
 def test_degenerate_counts_are_usage_errors(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hitchin4 import monodromy
 from hitchin4.monodromy import (
     IDENT,
     MAT_A,
@@ -13,12 +14,15 @@ from hitchin4.monodromy import (
     canonical_factorization,
     hurwitz_move,
     is_I1_twist,
+    mat_det,
     mat_inv,
     mat_mul,
     normalize,
     vanishing_cycle_match,
-    _conjugator_to,
+    _certificate,
 )
+
+from lattice_oracle import conjugator_by_solve
 
 rng = random.Random(123456)
 
@@ -37,6 +41,11 @@ def random_sl2z(depth=6):
     for _ in range(rng.randint(1, depth)):
         C = mat_mul(C, rng.choice((S, T, Ti)))
     return C
+
+
+def random_conjugate(f):
+    C = random_sl2z()
+    return Factorization(tuple(mat_mul(mat_mul(mat_inv(C), M), C) for M in f.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +168,14 @@ def test_normalize_scrambles():
         for i, d in moves:
             g = hurwitz_move(g, i, d)
         assert g.factors == normal.factors
-        assert _conjugator_to(normal, canonical_factorization().factors) is not None
+        assert conjugator_by_solve(normal, canonical_factorization().factors) is not None
 
 
 def test_normalize_global_conjugate():
     for _ in range(10):
         f = random_scramble(canonical_factorization(), rng.randint(0, 8))
-        C = random_sl2z()
-        Ci = mat_inv(C)
-        conj = Factorization(tuple(mat_mul(mat_mul(Ci, M), C) for M in f.factors))
-        moves, normal = normalize(conj)
-        assert _conjugator_to(normal, canonical_factorization().factors) is not None
+        moves, normal = normalize(random_conjugate(f))
+        assert conjugator_by_solve(normal, canonical_factorization().factors) is not None
 
 
 def test_normalize_validates_input():
@@ -180,18 +186,88 @@ def test_normalize_validates_input():
         normalize(Factorization(bad))
 
 
-def test_normalize_depth_exhaustion():
-    f = random_scramble(canonical_factorization(), 12)
-    # depth 0 cannot reach the goal unless already canonical
-    start_is_goal = False
-    try:
-        moves, _ = normalize(f, max_depth=0)
-        start_is_goal = moves == []
-    except Exhausted:
-        pass
-    if start_is_goal:
-        assert True
-    assert issubclass(Exhausted, RuntimeError)
+def seeded_scramble(seed, n):
+    r = random.Random(seed)
+    f = canonical_factorization()
+    for _ in range(n):
+        f = hurwitz_move(f, r.randint(1, 5), r.choice((1, 2)))
+    return f
+
+
+X = ((2, 1), (-1, 0))
+# (seed, scramble depth, moves, normal): the exact search output, so any
+# change to the move order or the tie-breaking shows here
+PINNED = [
+    (0, 1, [(4, 1)], (MAT_B, MAT_A) * 3),
+    (1, 2, [(2, 1), (3, 1)], (MAT_B, MAT_A) * 3),
+    (2, 3, [(2, 1)], (MAT_B, MAT_A) * 3),
+    (3, 4, [(3, 1), (2, 2), (5, 1)], (MAT_B, MAT_A) * 3),
+    (4, 5, [(5, 1)], (MAT_A, MAT_B) * 3),
+    (5, 6, [(1, 1), (5, 2)], (MAT_A, X) * 3),
+    (6, 7, [(2, 2), (4, 2)], (MAT_A, X) * 3),
+    (7, 8, [(4, 2)], (MAT_B, MAT_A) * 3),
+    (8, 9, [(5, 1)], (MAT_A, MAT_B) * 3),
+    (9, 10, [(3, 2), (4, 1)], (MAT_B, MAT_A) * 3),
+    (10, 11, [(1, 2), (4, 2)], (MAT_B, MAT_A) * 3),
+    (11, 12, [(1, 1), (5, 2)], (MAT_A, MAT_B) * 3),
+    (22, 11, [(3, 1), (2, 2), (5, 1)], (MAT_B, MAT_A) * 3),
+    (208, 5, [], (X, MAT_B) * 3),
+]
+
+
+@pytest.mark.parametrize("seed, n, moves, normal", PINNED,
+                         ids=[f"seed{p[0]}-depth{p[1]}" for p in PINNED])
+def test_normalize_pinned_scrambles(seed, n, moves, normal):
+    got_moves, got_normal = normalize(seeded_scramble(seed, n))
+    assert got_moves == moves
+    assert got_normal.factors == normal
+
+
+def test_normalize_depth_boundary():
+    lengths = set()
+    for seed in range(40):
+        f = seeded_scramble(seed, 1 + seed % 12)
+        moves, normal = normalize(f)
+        k = len(moves)
+        lengths.add(k)
+        if k == 0:
+            continue
+        at_k = normalize(f, max_depth=k)
+        assert at_k[0] == moves and at_k[1].factors == normal.factors
+        with pytest.raises(Exhausted, match=f"within depth {k - 1}$"):
+            normalize(f, max_depth=k - 1)
+    assert lengths >= {1, 2, 3}
+
+
+def test_certificate_agrees_with_linear_solve():
+    pattern = canonical_factorization().factors
+    found = missed = 0
+    for seed in range(60):
+        f = seeded_scramble(seed, seed % 13)
+        moves, normal = normalize(f)
+        cases = [normal, random_conjugate(normal), random_conjugate(f)]
+        if moves:
+            cases.append(f)  # scrambled and not in the pattern's class
+        for g in cases:
+            C = _certificate(g)
+            oracle = conjugator_by_solve(g, pattern)
+            assert (C is None) == (oracle is None)
+            if C is None:
+                missed += 1
+                continue
+            found += 1
+            assert mat_det(C) == 1
+            assert all(mat_mul(C, M) == mat_mul(T, C) for M, T in zip(g.factors, pattern))
+            assert C in (oracle, tuple(tuple(-x for x in row) for row in oracle))
+    assert found > 0 and missed > 0
+
+
+def test_normalize_raises_when_certificate_fails(monkeypatch):
+    f = seeded_scramble(3, 4)
+    S = ((0, -1), (1, 0))
+    monkeypatch.setattr(monodromy, "_P_PATTERN", mat_mul(S, monodromy._P_PATTERN))
+    with pytest.raises(Exhausted, match="replay failed"):
+        normalize(f)
 
 
 # ---------------------------------------------------------------------------
