@@ -241,7 +241,6 @@ def _cmd_monodromy(args) -> int:
     if not (isinstance(factors, list) and all(_is_int_2x2(M) for M in factors)):
         raise ValueError(f"--factors must be a list of 2x2 integer matrices, got {raw!r}")
     f = monodromy.Factorization(tuple(tuple(tuple(row) for row in M) for M in factors))
-    _check_count("search depth", args.max_depth, 0)
     moves, normal = monodromy.normalize(f, max_depth=args.max_depth)
     return _emit(_envelope("monodromy", {"action": "normalize",
                                          "factors": args.factors}, {

@@ -1,5 +1,6 @@
-"""Shared exact arithmetic: rationals, Gaussian rationals and small exact
-matrices, plus the ``DomainError`` base class of every layer's domain errors.
+"""Shared exact arithmetic: rationals, Gaussian rationals, small exact
+matrices and the integer matrix product, plus the ``DomainError`` base class
+of every layer's domain errors.
 
 Exact types are immutable and hashable; all operations are pure functions,
 safe to share across threads.  This module imports no numpy; the numeric
@@ -11,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -196,18 +198,6 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({[list(map(str, r)) for r in self.rows]})"
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return ExactMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                                 for r1, r2 in zip(self.rows, other.rows)))
-
-    def __neg__(self):
-        return ExactMatrix(tuple(tuple(-a for a in r) for r in self.rows))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             n, k = self.shape
@@ -230,56 +220,15 @@ class ExactMatrix:
             raise ValueError("length mismatch")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
 
-    def det(self):
-        n, m = self.shape
-        if n != m:
-            raise ValueError("not square")
-        _, pivots, det = _row_reduce(self.rows, n)
-        return det if len(pivots) == n else 0 * det
+
+def int_matvec(A, v) -> tuple:
+    """Product of an integer matrix (a sequence of rows) and a vector, as a
+    tuple of Python ints (no overflow)."""
+    return tuple([sum(map(mul, row, v)) for row in A])
 
 
-def _row_reduce(rows, ncols: int):
-    """Gauss-Jordan elimination of ``rows`` over their first ``ncols`` columns.
-
-    Returns the reduced row echelon form, the pivot columns in ascending
-    order, and the product of the pivots signed by the row swaps: the
-    determinant, for a square matrix of full rank.  Entries may be Fraction
-    or GaussianRational."""
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    pivots = []
-    det = Fraction(1)
-    for c in range(ncols):
-        r = len(pivots)
-        if r == n:
-            break
-        piv = next((i for i in range(r, n) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        det = det * rows[r][c]
-        inv = 1 / rows[r][c]
-        pivot_row = [a * inv for a in rows[r][c:]]  # columns left of c are zero
-        rows[r][c:] = pivot_row
-        for i in range(n):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], pivot_row)]
-        pivots.append(c)
-    return rows, pivots, det
-
-
-def nullspace(A: ExactMatrix) -> list[tuple]:
-    """Exact right nullspace basis of a (possibly rectangular) matrix."""
-    n, m = A.shape
-    rows, pivots, _ = _row_reduce(A.rows, m)
-    basis = []
-    for fc in (c for c in range(m) if c not in pivots):
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(tuple(v))
-    return basis
+def int_matmul(A, B) -> tuple:
+    """Product A B of integer matrices given as sequences of rows, as nested
+    tuples of Python ints."""
+    cols = tuple(zip(*B))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in A])

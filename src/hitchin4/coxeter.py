@@ -1,10 +1,11 @@
 """The affine D4 Coxeter group acting on weights, masses and periods.
 
 Generators are the exact reflections r_0..r_4 in the faces of the model
-chamber (the interior B1_1 simplex with vertices (1/4,1/4,1/4,1/4), v_{},
-v_{12}, v_{13}, v_{14}); they are constructed from face normals rather than
-transcribed.  Words are stored unreduced; equality of group elements is
-equality of affine maps.  A word [i1, i2, ...] denotes the isometry that
+alcove (the interior B1_1 simplex with vertices (1/4,1/4,1/4,1/4), v_{},
+v_{12}, v_{13}, v_{14}), an alcove of the affine Weyl group of type D4; each
+is built from its row of the integer face table ``_FACES``, which this module
+owns.  Words are stored unreduced; equality of group elements is equality of
+affine maps.  A word [i1, i2, ...] denotes the isometry that
 applies r_{i1} first, then r_{i2}, and so on.
 
 The companion target-space generators R_0..R_4 (reflections in the faces of
@@ -15,14 +16,14 @@ leftmost-first reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .core import DomainError, ExactMatrix, GaussianRational, nullspace
+from .core import DomainError, ExactMatrix, GaussianRational, int_matmul, int_matvec
 
 COXETER_MATRIX = ((1, 3, 3, 3, 3),
                   (3, 1, 2, 2, 2),
@@ -92,9 +93,8 @@ def _fold(forms):
     t = (0, 0, 0, 0)
     d = 1
     for Lg, tg, dg in forms:
-        cols = tuple(zip(*L))
-        L = [[sum(map(mul, row, col)) for col in cols] for row in Lg]
-        t = [sum(map(mul, row, t)) + d * s for row, s in zip(Lg, tg)]
+        L = int_matmul(Lg, L)
+        t = [a + d * s for a, s in zip(int_matvec(Lg, t), tg)]
         d *= dg
         k = gcd(d, *t, *chain.from_iterable(L))
         if k > 1:
@@ -125,70 +125,33 @@ def compose_word(word, gens) -> AffineIsometry:
 
 
 # ---------------------------------------------------------------------------
-# model chamber and generators
+# model alcove and generators
 # ---------------------------------------------------------------------------
 
-def _vertex(mask: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, 2) if mask >> i & 1 else Fraction(0) for i in range(4))
-
-
-MODEL_VERTICES = ((Fraction(1, 4),) * 4, _vertex(0), _vertex(0b0011),
-                  _vertex(0b0101), _vertex(0b1001))
-
-
-@dataclass(frozen=True)
-class ModelChamber:
-    """The model simplex with faces f_i (omitting vertex i), their inward
-    functionals and exact reflections."""
-
-    vertices: tuple = MODEL_VERTICES
-    normals: tuple = field(init=False)
-
-    def __post_init__(self):
-        norms = []
-        for i in range(5):
-            others = [v for j, v in enumerate(self.vertices) if j != i]
-            base = others[0]
-            rows = [tuple(p - q for p, q in zip(v, base)) for v in others[1:]]
-            ns = nullspace(ExactMatrix(rows))
-            if len(ns) != 1:
-                raise AssertionError("face normal is not unique")
-            n = ns[0]
-            # orient inward: positive on the omitted vertex
-            val = sum((a - b) * c for a, b, c in zip(self.vertices[i], base, n))
-            if val < 0:
-                n = tuple(-c for c in n)
-            norms.append((n, base))
-        object.__setattr__(self, "normals", tuple(norms))
-
-    def functional(self, i: int, x) -> Fraction:
-        """Inward affine functional of face f_i; positive on the interior."""
-        n, base = self.normals[i]
-        return sum((Fraction(a) - b) * c for a, b, c in zip(x, base, n))
-
-    def reflection(self, i: int) -> AffineIsometry:
-        n, base = self.normals[i]
-        nn = sum(c * c for c in n)
-        lin = ExactMatrix(tuple(tuple(Fraction(int(r == c)) - 2 * n[r] * n[c] / nn
-                                      for c in range(4)) for r in range(4)))
-        nb = sum(a * b for a, b in zip(n, base))
-        tr = tuple(2 * nb * c / nn for c in n)
-        return AffineIsometry(lin, tr, (i,))
-
-    def contains(self, x, closed: bool = True) -> bool:
-        vals = [self.functional(i, x) for i in range(5)]
-        return all(v >= 0 for v in vals) if closed else all(v > 0 for v in vals)
-
-
-MODEL = ModelChamber()
+# Faces f_0..f_4 of the model alcove, f_i omitting the i-th vertex named in
+# the module docstring, as rows (n, c): the inward functional of f_i is
+# n.x + c, positive on the interior.  Every n lies in {+-1}^4, so |n|^2 = 4
+# on every face.  The functionals are the five x-periods of the model
+# chamber's parallel basis: f_0 is L_1 = x_0 and f_1..f_4 are K_{}, K_{12},
+# K_{13}, K_{14} = x_1..x_4, which ``torelli`` reads from this table.
+_FACES = (((-1, 1, 1, 1), 0),
+          ((-1, -1, -1, -1), 1),
+          ((1, 1, -1, -1), 0),
+          ((1, -1, 1, -1), 0),
+          ((1, -1, -1, 1), 0))
 
 
 @lru_cache(maxsize=None)
 def generator(i: int) -> AffineIsometry:
-    """Reflection r_i in face f_i of the model chamber (exact)."""
+    """Reflection r_i in face f_i of the model alcove (exact): with
+    |n|^2 = 4 it is x -> x - (n.x + c) n / 2, linear part I - n n^T / 2 and
+    translation -c n / 2."""
     if not 0 <= i <= 4:
         raise ValueError("index must be in 0..4")
-    return MODEL.reflection(i)
+    n, c = _FACES[i]
+    lin = ExactMatrix(tuple(tuple(Fraction(2 * (r == k) - n[r] * n[k], 2) for k in range(4))
+                            for r in range(4)))
+    return AffineIsometry(lin, tuple(Fraction(-c * a, 2) for a in n), (i,))
 
 
 @lru_cache(maxsize=None)
@@ -227,21 +190,6 @@ def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
 # alcove walk
 # ---------------------------------------------------------------------------
 
-def _integer_faces():
-    """Faces of MODEL as (n, c, |n|^2): the inward functional of face i at the
-    point b/N, times N, is n.b + c*N with n and c integers."""
-    faces = []
-    for n, base in MODEL.normals:
-        c = -sum(a * b for a, b in zip(n, base))
-        if any(v.denominator != 1 for v in (*n, c)):
-            raise AssertionError("face normal or offset is not integral")
-        faces.append((tuple(int(v) for v in n), int(c), int(sum(v * v for v in n))))
-    return tuple(faces)
-
-
-_FACES = _integer_faces()
-
-
 def alcove_walk(alpha, max_steps: int = 100000):
     """Fold alpha into the closed model alcove.
 
@@ -254,9 +202,11 @@ def alcove_walk(alpha, max_steps: int = 100000):
     periods in that basis are its transpose applied to the parallel periods.
 
     The walk steps on integer numerators b = N*alpha with N twice the lcm of
-    the denominators: each face functional is +-b1+-b2+-b3+-b4 (+ N), whose
-    parity is that of sum(b), and the reflections keep that parity even, so
-    every step divides exactly (checked; ``ArithmeticError`` otherwise).
+    the denominators, so every b_i starts even.  With n in {+-1}^4 a face
+    functional n.b + c*N has the parity of sum(b), and the reflection step
+    b -> b - (n.b + c*N)/2 * n (a ``divmod`` by 2) changes sum(b) by a
+    multiple of the even sum(n), so every step divides exactly (checked;
+    ``ArithmeticError`` otherwise).
     Each step crosses one wall, so the cost is linear in the distance from
     the model alcove (about 10 steps per unit of |alpha|); g is composed
     once at the end by ``compose_word``.  Raises ``WalkLimitExceeded`` after
@@ -267,17 +217,16 @@ def alcove_walk(alpha, max_steps: int = 100000):
     b = [v.numerator * (N // v.denominator) for v in x]
     applied: list[int] = []
     for _ in range(max_steps):
-        vals = [sum(map(mul, n, b)) + c * N for n, c, _ in _FACES]
+        vals = [sum(map(mul, n, b)) + c * N for n, c in _FACES]
         viol = next((i for i, f in enumerate(vals) if f < 0), None)
         if viol is None:
             word = tuple(reversed(applied))
             g = compose_word(word, [generator(i) for i in range(5)])
             return g, tuple(Fraction(v, N) for v in b), 0 in vals
-        n, _, nn = _FACES[viol]
-        q, r = divmod(2 * vals[viol], nn)
+        q, r = divmod(vals[viol], 2)
         if r:
             raise ArithmeticError("alcove walk step is not integral")
-        b = [v - q * a for v, a in zip(b, n)]
+        b = [v - q * a for v, a in zip(b, _FACES[viol][0])]
         applied.append(viol)
     raise WalkLimitExceeded(f"alcove walk did not reach the model alcove in {max_steps} steps")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ExactMatrix
+from .core import ExactMatrix, int_matmul, int_matvec
 
 I0 = ((-2, 1, 1, 1, 1),
       (1, -2, 0, 0, 0),
@@ -29,21 +29,12 @@ def intersection(a, b) -> int:
     return sum(a[i] * I0[i][j] * b[j] for i in range(5) for j in range(5))
 
 
-def _mat_mul(A, B):
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(5)) for j in range(5))
-                 for i in range(5))
-
-
-def _mat_vec(A, v):
-    return tuple(sum(A[i][k] * v[k] for k in range(5)) for i in range(5))
-
-
 def is_lattice_auto(A) -> bool:
     """A preserves I0 and fixes the fiber class (2,1,1,1,1)."""
     At = tuple(zip(*A))
-    if _mat_mul(_mat_mul(At, I0), A) != I0:
+    if int_matmul(int_matmul(At, I0), A) != I0:
         return False
-    return _mat_vec(A, FIBER_CLASS) == FIBER_CLASS
+    return int_matvec(A, FIBER_CLASS) == FIBER_CLASS
 
 
 def dehn_twist_matrix(i: int) -> LatticeAuto:
@@ -79,7 +70,7 @@ def word_to_auto(word) -> LatticeAuto:
 
 
 def apply_auto(A, cls):
-    return _mat_vec(A, cls)
+    return int_matvec(A, cls)
 
 
 def classes_of_square_minus2(k_max: int) -> list[tuple[int, ...]]:

@@ -208,8 +208,10 @@ def normalize(f: Factorization, max_depth: int = 24):
     conjugation-canonical form; returns (moves, normal) where replaying
     ``moves`` on f yields ``normal``, a global conjugate of
     (B, A, B, A, B, A) certified by ``_certificate``.  Raises Exhausted at
-    the depth bound.
+    the depth bound and ``ValueError`` for a negative ``max_depth``.
     """
+    if max_depth < 0:
+        raise ValueError(f"search depth must be >= 0, got {max_depth}")
     if len(f.factors) != 6:
         raise ValueError("need six factors")
     vecs = f.vectors()

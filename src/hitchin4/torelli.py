@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, ExactMatrix, GaussianRational
+from .core import DomainError, GaussianRational
 from .chambers import (
     ChamberLabel,
     ParabolicData,
@@ -29,15 +29,14 @@ from .chambers import (
     wall_K,
     FULL,
 )
+from .coxeter import _FACES
 
 PARALLEL_BASIS = "parallel(model)"
 
-# rows of the model-chamber x/z linear part: K_{}, K_{12}, K_{13}, K_{14}
-# (and the same matrix on masses); determinant 16, M M^T = 4 Id.
-M_ROWS = ((-1, -1, -1, -1),
-          (1, 1, -1, -1),
-          (1, -1, 1, -1),
-          (1, -1, -1, 1))
+# The model chamber's outer x-periods K_{}, K_{12}, K_{13}, K_{14} are the
+# face functionals f_1..f_4 of the model alcove, n.alpha + c: x = M alpha + e1
+# with M the rows n (the same M acts on masses); determinant 16, M M^T = 4 Id.
+M_ROWS = tuple(n for n, _ in _FACES[1:])
 
 
 class NonGeneric(DomainError, ValueError):
@@ -112,17 +111,11 @@ def torelli_chamber(data: ParabolicData) -> PeriodVector:
     return pv
 
 
-def _model_affine(alpha):
-    alpha = tuple(Fraction(a) for a in alpha)
-    vals = [sum(r * a for r, a in zip(row, alpha)) for row in M_ROWS]
-    vals[0] += 1
-    return tuple(vals)
-
-
 def torelli_parallel(data: ParabolicData) -> PeriodVector:
     """Global affine-linear period map in the model chamber's parallel basis:
     x = M alpha + e1, z = M m, central entries from the fiber relations."""
-    x4 = _model_affine(data.alpha)
+    alpha = tuple(Fraction(a) for a in data.alpha)
+    x4 = tuple(sum(r * a for r, a in zip(n, alpha)) + c for n, c in _FACES[1:])
     z4 = tuple(mass_functional(s, data.masses) for s in (0, 0b0011, 0b0101, 0b1001))
     return PeriodVector.from_outer(x4, z4, PARALLEL_BASIS)
 
@@ -130,18 +123,13 @@ def torelli_parallel(data: ParabolicData) -> PeriodVector:
 def inverse_torelli(pv: PeriodVector) -> ParabolicData:
     """Exact inverse of ``torelli_parallel``: alpha = M^T (x - e1) / 4,
     m = M^T z / 4 (valid since M M^T = 4 Id)."""
-    x4 = list(pv.x[1:])
-    x4[0] -= 1
+    x4 = [x - c for x, (_, c) in zip(pv.x[1:], _FACES[1:])]
     z4 = pv.z[1:]
     alpha = tuple(sum(Fraction(M_ROWS[r][c]) * x4[r] for r in range(4)) / 4
                   for c in range(4))
     masses = tuple(sum(GaussianRational(Fraction(M_ROWS[r][c])) * z4[r]
                        for r in range(4)) / 4 for c in range(4))
     return ParabolicData(alpha, masses)
-
-
-def parallel_x_matrix() -> ExactMatrix:
-    return ExactMatrix(tuple(tuple(Fraction(v) for v in row) for row in M_ROWS))
 
 
 # ---------------------------------------------------------------------------

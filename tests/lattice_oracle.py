@@ -1,14 +1,136 @@
-"""Brute-force and slow reference oracles, shared by the test modules: the
-homology lattice's -2 classes and the SL(2,Z) conjugator of a monodromy
-factorization."""
+"""Brute-force and slow reference oracles, shared by the test modules: exact
+row reduction (determinant and nullspace), the model alcove's faces derived
+from its vertices, the homology lattice's -2 classes and the SL(2,Z)
+conjugator of a monodromy factorization."""
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from hitchin4.core import ExactMatrix, nullspace
+from hitchin4.core import ExactMatrix
+from hitchin4.coxeter import AffineIsometry
 from hitchin4.homology import intersection
 from hitchin4.monodromy import mat_det, mat_mul
+
+
+# ---------------------------------------------------------------------------
+# exact row reduction
+# ---------------------------------------------------------------------------
+
+def row_reduce(rows, ncols: int):
+    """Gauss-Jordan elimination of ``rows`` over their first ``ncols`` columns.
+
+    Returns the reduced row echelon form, the pivot columns in ascending
+    order, and the product of the pivots signed by the row swaps: the
+    determinant, for a square matrix of full rank.  Entries may be Fraction
+    or GaussianRational."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    pivots = []
+    det = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        det = det * rows[r][c]
+        inv = 1 / rows[r][c]
+        pivot_row = [a * inv for a in rows[r][c:]]  # columns left of c are zero
+        rows[r][c:] = pivot_row
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], pivot_row)]
+        pivots.append(c)
+    return rows, pivots, det
+
+
+def det(A: ExactMatrix):
+    """Exact determinant of a square matrix."""
+    n, m = A.shape
+    if n != m:
+        raise ValueError("not square")
+    _, pivots, d = row_reduce(A.rows, n)
+    return d if len(pivots) == n else 0 * d
+
+
+def nullspace(A: ExactMatrix) -> list[tuple]:
+    """Exact right nullspace basis of a (possibly rectangular) matrix."""
+    n, m = A.shape
+    rows, pivots, _ = row_reduce(A.rows, m)
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [Fraction(0)] * m
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# the model alcove from its vertices
+# ---------------------------------------------------------------------------
+
+def _vertex(mask: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1, 2) if mask >> i & 1 else Fraction(0) for i in range(4))
+
+
+# (1/4,1/4,1/4,1/4), v_{}, v_{12}, v_{13}, v_{14}; face f_i omits vertex i
+MODEL_VERTICES = ((Fraction(1, 4),) * 4, _vertex(0), _vertex(0b0011),
+                  _vertex(0b0101), _vertex(0b1001))
+
+
+def _derive_faces():
+    """(n, base) for each face f_i: n spans the nullspace of the edges of f_i
+    at its first vertex ``base``, oriented positive on the omitted vertex."""
+    faces = []
+    for i in range(5):
+        others = [v for j, v in enumerate(MODEL_VERTICES) if j != i]
+        base = others[0]
+        ns = nullspace(ExactMatrix([tuple(p - q for p, q in zip(v, base))
+                                    for v in others[1:]]))
+        assert len(ns) == 1, "face normal is not unique"
+        n = ns[0]
+        if sum((a - b) * c for a, b, c in zip(MODEL_VERTICES[i], base, n)) < 0:
+            n = tuple(-c for c in n)
+        faces.append((n, base))
+    return tuple(faces)
+
+
+MODEL_FACES = _derive_faces()
+
+
+def face_value(i: int, x) -> Fraction:
+    """Inward affine functional of face f_i at x; positive on the interior."""
+    n, base = MODEL_FACES[i]
+    return sum((Fraction(a) - b) * c for a, b, c in zip(x, base, n))
+
+
+def in_model(x, closed: bool = True) -> bool:
+    vals = [face_value(i, x) for i in range(5)]
+    return all(v >= 0 for v in vals) if closed else all(v > 0 for v in vals)
+
+
+def face_reflection(i: int) -> AffineIsometry:
+    """Reflection in face f_i by the Fraction formula
+    x -> x - 2 (n.(x - base)) n / |n|^2."""
+    n, base = MODEL_FACES[i]
+    nn = sum(c * c for c in n)
+    lin = ExactMatrix(tuple(tuple(Fraction(int(r == c)) - 2 * n[r] * n[c] / nn
+                                  for c in range(4)) for r in range(4)))
+    nb = sum(a * b for a, b in zip(n, base))
+    return AffineIsometry(lin, tuple(2 * nb * c / nn for c in n), (i,))
+
+
+# ---------------------------------------------------------------------------
+# homology lattice and monodromy
+# ---------------------------------------------------------------------------
 
 
 def brute_force_minus2(box: int) -> list[tuple[int, ...]]:

@@ -25,7 +25,7 @@ from hitchin4.chambers import (
     interior_label,
     subset_mask,
 )
-from hitchin4.core import GaussianRational
+from hitchin4.core import ExactMatrix, GaussianRational
 from hitchin4.coxeter import (
     COXETER_MATRIX,
     AffineIsometry,
@@ -47,6 +47,7 @@ from hitchin4.homology import (
     word_to_auto,
 )
 from hitchin4.torelli import (
+    M_ROWS,
     PARALLEL_BASIS,
     PeriodVector,
     central_x_closed_form,
@@ -54,13 +55,12 @@ from hitchin4.torelli import (
     intersection_table,
     inverse_torelli,
     mass_functional,
-    parallel_x_matrix,
     scale_masses,
     torelli_chamber,
     torelli_parallel,
 )
 
-from lattice_oracle import brute_force_minus2, conjugator_by_solve
+from lattice_oracle import brute_force_minus2, conjugator_by_solve, det
 
 rng = random.Random(0xD4)
 nrng = np.random.default_rng(0xD4)
@@ -123,7 +123,7 @@ def test_02_torelli_exactness():
 
 
 def test_03_inverse_map():
-    assert parallel_x_matrix().det() == 16
+    assert det(ExactMatrix(M_ROWS)) == 16
     for _ in range(1000):
         d = rand_generic_data()
         back = inverse_torelli(torelli_parallel(d))

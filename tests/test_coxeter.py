@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hitchin4.chambers import enumerate_chambers, chamber_vertices
+from hitchin4.chambers import ParabolicData, enumerate_chambers, chamber_vertices
 from hitchin4.core import ExactMatrix, GaussianRational
 from hitchin4.coxeter import (
     COXETER_MATRIX,
-    MODEL,
+    _FACES,
     AffineIsometry,
     NotAVertex,
     WalkLimitExceeded,
@@ -21,6 +21,15 @@ from hitchin4.coxeter import (
     vertex_orbit,
 )
 from hitchin4.homology import hat_affine_apply, hat_linear_apply, word_to_auto
+from hitchin4.torelli import torelli_parallel
+
+from lattice_oracle import (
+    MODEL_FACES,
+    MODEL_VERTICES,
+    face_reflection,
+    face_value,
+    in_model,
+)
 
 rng = random.Random(777)
 
@@ -61,8 +70,8 @@ def test_model_chamber_dihedral_angles():
     # 0 and 1/2, so the squared relation is rational-exact
     for i in range(5):
         for j in range(i + 1, 5):
-            ni, _ = MODEL.normals[i]
-            nj, _ = MODEL.normals[j]
+            ni, _ = MODEL_FACES[i]
+            nj, _ = MODEL_FACES[j]
             dot = sum(a * b for a, b in zip(ni, nj))
             nn = sum(a * a for a in ni) * sum(b * b for b in nj)
             m = COXETER_MATRIX[i][j]
@@ -178,7 +187,7 @@ def test_alcove_walk_random_points():
     for _ in range(60):
         alpha = rand_point()
         g, a0, _ = alcove_walk(alpha)
-        assert MODEL.contains(a0, closed=True)
+        assert in_model(a0, closed=True)
         assert g(a0) == alpha
 
 
@@ -188,7 +197,7 @@ def test_alcove_walk_reaches_all_24_chambers():
         centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(4))
         g, a0, on_wall = alcove_walk(centroid)
         assert not on_wall
-        assert MODEL.contains(a0, closed=False)
+        assert in_model(a0, closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +296,12 @@ def _fraction_walk(alpha):
     x = tuple(Fraction(a) for a in alpha)
     applied = []
     while True:
-        viol = next((i for i in range(5) if MODEL.functional(i, x) < 0), None)
+        viol = next((i for i in range(5) if face_value(i, x) < 0), None)
         if viol is None:
             break
         x = GENS[viol](x)
         applied.append(viol)
-    on_wall = any(MODEL.functional(i, x) == 0 for i in range(5))
+    on_wall = any(face_value(i, x) == 0 for i in range(5))
     return tuple(reversed(applied)), x, on_wall
 
 
@@ -346,3 +355,52 @@ def test_apply_to_masses_matches_mass_action():
     g = compose_word([0, 2, 1], GENS)
     assert apply_to_masses(g, (1, Fraction(1, 3), 0, -2)) == mass_action(g).apply(
         tuple(GaussianRational(m) for m in (1, Fraction(1, 3), 0, -2)))
+
+
+# ---------------------------------------------------------------------------
+# the integer face table
+# ---------------------------------------------------------------------------
+
+def _face_table_value(i, x):
+    n, c = _FACES[i]
+    return sum(a * v for a, v in zip(n, x)) + c
+
+
+def test_faces_are_the_parallel_x_periods():
+    r = random.Random(1105)
+    for _ in range(300):
+        alpha = tuple(_diff_rational(r, 2) for _ in range(4))
+        masses = tuple(GaussianRational(_diff_rational(r, 3), _diff_rational(r, 3))
+                       for _ in range(4))
+        x = torelli_parallel(ParabolicData(alpha, masses)).x
+        assert x == tuple(face_value(i, alpha) for i in range(5))
+    # every walk lands where all five parallel x-periods are >= 0, on a wall
+    # exactly when one of them is 0; integer points land on walls
+    walls = 0
+    zeros = (GaussianRational(0),) * 4
+    for k in range(300):
+        if k % 3:
+            alpha = tuple(_diff_rational(r, 0.25 * 40 ** r.random()) for _ in range(4))
+        else:
+            alpha = tuple(Fraction(r.randint(-6, 6)) for _ in range(4))
+        _, a0, on_wall = alcove_walk(alpha)
+        x = torelli_parallel(ParabolicData(a0, zeros)).x
+        assert all(v >= 0 for v in x)
+        assert on_wall == (0 in x)
+        walls += on_wall
+    assert 100 <= walls < 300
+
+
+def test_face_table_matches_the_vertex_derivation():
+    # MODEL_FACES is derived from the vertices by the oracle nullspace
+    for i, ((n, c), (derived, base)) in enumerate(zip(_FACES, MODEL_FACES)):
+        assert n == derived and c == -sum(a * b for a, b in zip(n, base))
+        assert sum(a * a for a in n) == 4 and set(n) <= {-1, 1}
+        # orientation: zero on the face's vertices, positive on the omitted one
+        for j, v in enumerate(MODEL_VERTICES):
+            assert (_face_table_value(i, v) > 0) == (i == j)
+            assert _face_table_value(i, v) == face_value(i, v)
+        want = face_reflection(i)
+        assert generator(i).linear == want.linear
+        assert generator(i).translation == want.translation
+        assert generator(i).word == want.word == (i,)

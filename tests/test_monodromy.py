@@ -186,6 +186,13 @@ def test_normalize_validates_input():
         normalize(Factorization(bad))
 
 
+def test_normalize_rejects_negative_depth():
+    f = canonical_factorization()
+    for g in (f, hurwitz_move(hurwitz_move(f, 1, 1), 3, 1)):
+        with pytest.raises(ValueError, match=r"search depth.*-1"):
+            normalize(g, max_depth=-1)
+
+
 def seeded_scramble(seed, n):
     r = random.Random(seed)
     f = canonical_factorization()

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import hitchin4
-from hitchin4 import hkmodel, spectral
-from hitchin4.core import DomainError
+from hitchin4 import core, coxeter, hkmodel, spectral, torelli
+from hitchin4.core import DomainError, ExactMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,6 +50,17 @@ def test_unknown_package_name_raises_attribute_error():
         hitchin4.no_such_name
     for name in ("discriminant_z", "exact_solve"):
         assert not hasattr(hitchin4, name)
+
+
+def test_row_reduction_and_derived_model_stay_out_of_the_package():
+    # one integer face table states the model alcove; row reduction is a test oracle
+    for name in ("nullspace", "_row_reduce"):
+        assert not hasattr(core, name)
+    for name in ("det", "__add__", "__sub__", "__neg__"):
+        assert not hasattr(ExactMatrix, name)
+    for name in ("MODEL", "ModelChamber", "MODEL_VERTICES", "_integer_faces"):
+        assert not hasattr(coxeter, name)
+    assert not hasattr(torelli, "parallel_x_matrix")
 
 
 def _subclasses(cls):

@@ -16,10 +16,11 @@ from hitchin4.chambers import (
     wall_K,
     FULL,
 )
-from hitchin4.core import GaussianRational
+from hitchin4.core import ExactMatrix, GaussianRational
 from hitchin4.coxeter import apply_to_masses, generator, target_generator
 from hitchin4.homology import hat_affine_apply, hat_linear_apply, word_to_auto
 from hitchin4.torelli import (
+    M_ROWS,
     PARALLEL_BASIS,
     InconsistentFiberRelation,
     NonGeneric,
@@ -29,11 +30,12 @@ from hitchin4.torelli import (
     intersection_table,
     inverse_torelli,
     moment_value,
-    parallel_x_matrix,
     scale_masses,
     torelli_chamber,
     torelli_parallel,
 )
+
+from lattice_oracle import det
 
 rng = random.Random(31337)
 
@@ -160,7 +162,7 @@ def test_parallel_at_cube_vertex():
 
 
 def test_parallel_matrix_determinant_16():
-    assert parallel_x_matrix().det() == 16
+    assert det(ExactMatrix(M_ROWS)) == 16
 
 
 def test_inverse_examples():
