@@ -8,10 +8,10 @@ residues +-m_p over the punctures (0, 1, p0, infinity).
 Everything here is complex double precision, including the polynomial
 kernel: every root is found by the residual-checked ``poly_roots`` of a
 ``ComplexPoly``, whose construction is the one degree trim (``TRIM_TOL``).
-Contour and cycle integrals use trapezoid/elliptic-annulus quadrature with
-adaptive node doubling; the square-root sheet is fixed by analytic
-continuation from the base point z = 3 * max|branch point| with the
-principal square root, so repeated runs are deterministic.
+Residues are +-m_p in closed form and cycle integrals use elliptic-contour
+trapezoid quadrature with adaptive node doubling; the square-root sheet that
+signs both is the principal square root at the base point
+z = 3 * max|branch point| continued analytically, so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class DegenerateConfiguration(DomainError, RuntimeError):
 
 
 class BranchPointCollision(DomainError, RuntimeError):
-    """A branch point lies inside a residue integration loop."""
+    """A branch point too near a puncture, or trimmed away, leaves a residue sign open."""
 
 
 class SingularFiber(DomainError, RuntimeError):
@@ -459,49 +459,32 @@ def _anchor_value(F: np.ndarray, anchor: complex, z0: complex, n: int = 4096) ->
     return complex(w[-1])
 
 
-def _closed_sheet(F: np.ndarray, z: np.ndarray, start: complex,
-                  error: type[DomainError], message: str) -> np.ndarray:
-    """Sheet of sqrt(F) along the closed contour z, continued from the
-    anchored value ``start`` at z[0]; raises ``error(message)`` unless the
-    sheet returns to its starting value."""
-    w = _continue_sqrt(np.polyval(F[::-1], z), start=start)
-    if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
-        raise error(message)
-    return w
-
-
-def _loop_mean(F: np.ndarray, anchor: complex, p0: complex, center: complex,
-               radius: float, n: int, message: str) -> complex:
-    """Trapezoid mean, over n nodes of the circle |z - center| = radius, of
-    tau / dtheta on the anchored sheet: the loop integral of tau over 2 pi."""
-    th = 2 * np.pi * np.arange(n) / n
-    z = center + radius * np.exp(1j * th)
-    w = _closed_sheet(F, z, _anchor_value(F, anchor, complex(z[0])),
-                      BranchPointCollision, message)
-    dz = 1j * radius * np.exp(1j * th)
-    return np.mean(w / (z * (z - 1) * (z - p0)) * dz)
+def _nearer(v: complex, target: complex) -> complex:
+    """Whichever of +-v lies nearer target."""
+    return v if abs(v - target) <= abs(v + target) else -v
 
 
 def tautological_residues(base: HitchinBase, beta: complex) -> dict:
-    """Contour residues of tau = w dz / (z(z-1)(z-p0)) at the eight points
-    over the punctures, keyed "0", "1", "p0", "inf"; each entry is the
-    (plus-sheet, minus-sheet) pair on the anchored sheet labeling.
+    """Residues of tau = w dz / c(z), c = z(z-1)(z-p0), over the punctures
+    "0", "1", "p0", "inf": (plus sheet, minus sheet) = (s m_p, -s m_p) with
+    s = +-1 on the anchored sheet labeling.
 
-    Residues at a finite puncture come from loops of radius 0.1 x the
-    distance to the nearest branch point or other puncture; the value at
-    infinity integrates the anchored sheet over a circle enclosing all
-    branch points (only present when m_inf != 0).  A puncture of mass 0
-    is a ramification point for every beta, since F(p) = m_p^2 c'(p)^2
-    with c = z(z-1)(z-p0): tau is regular there and both residues are 0.
+    F(p) = m_p^2 c'(p)^2, so the plus sheet is s m_p c'(p) at a finite
+    puncture p; s is read at p + r, r = 0.1 x the distance to the nearest
+    branch point or other puncture, and no branch point within 10 r can flip
+    it on the way to p.  At infinity the plus sheet is s m_inf z^2 (1 +
+    O(1/z)) at the anchor and the residue is -s m_inf; if the trim drops
+    m_inf^2, the far branch point is lost and ``BranchPointCollision`` is raised.
     """
     if not any(base.masses):
         return {key: (0j, 0j) for key in PUNCTURE_KEYS}
     F = base.curve_coeffs(beta)
     branch = poly_roots(ComplexPoly(F))
     anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
-    punctures = [0.0, 1.0, base.p0]
+    p0, mi = base.p0, base.masses[3]
+    punctures = [0.0, 1.0, p0]
     out = {}
-    for key, p, m in zip(PUNCTURE_KEYS[:3], punctures, base.masses):
+    for key, p, dc, m in zip(PUNCTURE_KEYS, punctures, (p0, 1 - p0, p0 * (p0 - 1)), base.masses):
         if m == 0:
             out[key] = (0j, 0j)
             continue
@@ -509,16 +492,16 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
         radius = 0.1 * min(dists)
         if radius < 1e-12:
             raise BranchPointCollision(f"branch point at puncture z = {p}")
-        res = complex(_loop_mean(F, anchor, base.p0, p, radius, 512,
-                                 "sheet failed to close around loop") / 1j)
+        z = p + radius
+        w = _nearer(np.sqrt(complex(np.polyval(F[::-1], z))), _anchor_value(F, anchor, z))
+        res = _nearer(m, w / dc)
         out[key] = (res, -res)
-    if base.masses[3] != 0:
-        mean = _loop_mean(F, anchor, base.p0, 0.0, anchor / 3.0 * 2.5, 2048,
-                          "odd branching at infinity")
-        res = complex(-mean / 1j)
+    out["inf"] = (0j, 0j)
+    if mi != 0:
+        if len(branch) < 4:
+            raise BranchPointCollision("trimmed far branch point near -beta/m_inf^2")
+        res = _nearer(mi, -np.sqrt(complex(np.polyval(F[::-1], anchor))) / anchor ** 2)
         out["inf"] = (res, -res)
-    else:
-        out["inf"] = (0j, 0j)
     return out
 
 
@@ -568,8 +551,9 @@ def _cycle_integral(F: np.ndarray, branch: Sequence[complex], a: complex, b: com
         t = 2 * np.pi * np.arange(n) / n
         z = mid + half * np.cos(t - 1j * r)
         dz = -half * np.sin(t - 1j * r) * 1j
-        w = _closed_sheet(F, z, start, BranchPointCoincidence,
-                          "cycle contour crosses a branch cut")
+        w = _continue_sqrt(np.polyval(F[::-1], z), start=start)
+        if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
+            raise BranchPointCoincidence("cycle contour crosses a branch cut")
         wz = np.ones_like(z) if weight is None else weight(z)
         val = complex(np.sum(wz / (2 * w) * dz) * (2 * np.pi / n))
         if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):

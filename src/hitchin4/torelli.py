@@ -35,8 +35,9 @@ PARALLEL_BASIS = "parallel(model)"
 
 # The model chamber's outer x-periods K_{}, K_{12}, K_{13}, K_{14} are the
 # face functionals f_1..f_4 of the model alcove, n.alpha + c: x = M alpha + e1
-# with M the rows n (the same M acts on masses); determinant 16, M M^T = 4 Id.
+# and z = M m with M the rows n (n.m = M_J, J = {j : n_j = 1}); det M = 16.
 M_ROWS = tuple(n for n, _ in _FACES[1:])
+_MASS_MASKS = tuple(sum(1 << j for j, v in enumerate(n) if v > 0) for n in M_ROWS)
 
 
 class NonGeneric(DomainError, ValueError):
@@ -116,7 +117,7 @@ def torelli_parallel(data: ParabolicData) -> PeriodVector:
     x = M alpha + e1, z = M m, central entries from the fiber relations."""
     alpha = tuple(Fraction(a) for a in data.alpha)
     x4 = tuple(sum(r * a for r, a in zip(n, alpha)) + c for n, c in _FACES[1:])
-    z4 = tuple(mass_functional(s, data.masses) for s in (0, 0b0011, 0b0101, 0b1001))
+    z4 = tuple(mass_functional(s, data.masses) for s in _MASS_MASKS)
     return PeriodVector.from_outer(x4, z4, PARALLEL_BASIS)
 
 
@@ -149,6 +150,7 @@ def in_period_domain(pv: PeriodVector):
       (2)  x_i = k                    and z_i = 0
       (2') 2 x_i - sum x = 2k+1       and 2 z_i - sum z = 0
       (3)  2(x_i + x_j) - sum x = 2k+1 and 2(z_i + z_j) - sum z = 0
+    A pair and its complement give one plane, so (3) scans the pairs (1, j).
     """
     x = pv.x[1:]
     z = pv.z[1:]
@@ -162,12 +164,11 @@ def in_period_domain(pv: PeriodVector):
         v = 2 * x[i] - sx
         if _is_odd_integer(v) and not (2 * z[i] - sz):
             return False, {"family": "H'_k_i", "k": (v.numerator - 1) // 2, "i": i + 1}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            v = 2 * (x[i] + x[j]) - sx
-            if _is_odd_integer(v) and not (2 * (z[i] + z[j]) - sz):
-                return False, {"family": "H_k_i1_i2", "k": (v.numerator - 1) // 2,
-                               "i1": i + 1, "i2": j + 1}
+    for j in range(1, 4):
+        v = 2 * (x[0] + x[j]) - sx
+        if _is_odd_integer(v) and not (2 * (z[0] + z[j]) - sz):
+            return False, {"family": "H_k_i1_i2", "k": (v.numerator - 1) // 2,
+                           "i1": 1, "i2": j + 1}
     return True, None
 
 

@@ -111,6 +111,14 @@ def test_spectral_residues_zero_masses_at_zero_beta(capsys):
     assert doc["result"] == {key: [[0.0, 0.0]] * 2 for key in ("0", "1", "p0", "inf")}
 
 
+def test_spectral_residues_refuse_a_trimmed_far_branch_point(capsys):
+    code, doc = run_json(capsys, "spectral", "residues", "--p0", "2",
+                         "--m", "0,0,0,1", "--beta", "1e12")
+    assert code == 2
+    assert doc["error"] == "BranchPointCollision"
+    assert doc["message"].startswith("trimmed far branch point")
+
+
 def test_spectral_tau_sweep_csv(capsys):
     code, out = run_cli(capsys, "spectral", "tau", "--p0", "0.37",
                         "--m", "0.5,0.25,0.125,1", "--sweep", "50,200,3")

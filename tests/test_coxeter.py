@@ -372,8 +372,11 @@ def test_faces_are_the_parallel_x_periods():
         alpha = tuple(_diff_rational(r, 2) for _ in range(4))
         masses = tuple(GaussianRational(_diff_rational(r, 3), _diff_rational(r, 3))
                        for _ in range(4))
-        x = torelli_parallel(ParabolicData(alpha, masses)).x
-        assert x == tuple(face_value(i, alpha) for i in range(5))
+        pv = torelli_parallel(ParabolicData(alpha, masses))
+        assert pv.x == tuple(face_value(i, alpha) for i in range(5))
+        # the z side is the linear part of each face functional on the masses
+        assert pv.z == tuple(sum((c * m for c, m in zip(n, masses)), GaussianRational(0))
+                             for n, _ in MODEL_FACES)
     # every walk lands where all five parallel x-periods are >= 0, on a wall
     # exactly when one of them is 0; integer points land on walls
     walls = 0

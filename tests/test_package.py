@@ -63,6 +63,12 @@ def test_row_reduction_and_derived_model_stay_out_of_the_package():
     assert not hasattr(torelli, "parallel_x_matrix")
 
 
+def test_residue_quadrature_stays_out_of_the_package():
+    # residues are +-m_p in closed form; the loop quadrature is a test oracle
+    for name in ("_loop_mean", "_closed_sheet"):
+        assert not hasattr(spectral, name)
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -1,9 +1,16 @@
+import cmath
+import math
+import random
+
 import numpy as np
 import pytest
 
 from hitchin4.spectral import (
+    _anchor_value,
+    _continue_sqrt,
     BranchPointCoincidence,
     BranchPointCollision,
+    ComplexPoly,
     DegenerateP0,
     SpectralFiberPoint,
     OffCurve,
@@ -15,6 +22,7 @@ from hitchin4.spectral import (
     in_B0,
     is_square_polynomial,
     on_curve_point,
+    poly_roots,
     predicted_root_shift,
     residue_matrix,
     SingularFiber,
@@ -277,10 +285,115 @@ def test_residues_zero_masses_at_zero_beta():
 
 def test_residues_large_beta_collide_with_branch_points():
     # the masses are nonzero, so each finite puncture carries a branch point
-    # at distance about 1/beta; at beta = 1e12 it lies inside the loop
+    # at distance about 1/beta; at beta = 1e12 it lies closer than 1e-11,
+    # too close for the anchored sheet to be read beside the puncture
     base = build_base(2.0, (0.5, 0.25, 0.125, 1))
     with pytest.raises(BranchPointCollision):
         tautological_residues(base, 1e12)
+
+
+def test_residues_refuse_a_trimmed_far_branch_point():
+    # m_inf^2 = 1 falls below the degree trim of F at beta = 1e12, so the
+    # branch point near -beta is lost and the sign at infinity is unknown
+    base = build_base(2.0, (0, 0, 0, 1))
+    with pytest.raises(BranchPointCollision, match="trimmed far branch point"):
+        tautological_residues(base, 1e12)
+    assert tautological_residues(base, 1e10)["inf"] in ((1, -1), (-1, 1))
+
+
+def _loop_mean(F, anchor, p0, center, radius, n):
+    """Trapezoid mean, over n nodes of |z - center| = radius, of tau / dtheta
+    on the anchored sheet; raises BranchPointCollision unless the sheet closes."""
+    th = 2 * np.pi * np.arange(n) / n
+    z = center + radius * np.exp(1j * th)
+    w = _continue_sqrt(np.polyval(F[::-1], z), start=_anchor_value(F, anchor, complex(z[0])))
+    if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
+        raise BranchPointCollision("sheet failed to close around the loop")
+    return np.mean(w / (z * (z - 1) * (z - p0)) * 1j * radius * np.exp(1j * th))
+
+
+def loop_residues(base, beta):
+    """Quadrature oracle: the plus-sheet residue at each puncture from a
+    512-node loop of radius 0.1 x the distance to the nearest branch point or
+    other puncture, and at infinity from a 2,048-node loop around every
+    branch point."""
+    F = base.curve_coeffs(beta)
+    branch = poly_roots(ComplexPoly(F))
+    anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
+    punctures = [0.0, 1.0, base.p0]
+    out = {}
+    for key, p, m in zip(("0", "1", "p0"), punctures, base.masses):
+        if m == 0:
+            out[key] = 0j
+            continue
+        dists = [abs(p - b) for b in branch] + [abs(p - q) for q in punctures if q != p]
+        radius = 0.1 * min(dists)
+        if radius < 1e-12:
+            raise BranchPointCollision(f"branch point at puncture z = {p}")
+        out[key] = complex(_loop_mean(F, anchor, base.p0, p, radius, 512) / 1j)
+    out["inf"] = 0j
+    if base.masses[3] != 0:
+        out["inf"] = complex(-_loop_mean(F, anchor, base.p0, 0.0, anchor / 3 * 2.5, 2048) / 1j)
+    return out
+
+
+def _assert_signed_masses(res, base, oracle=None):
+    """Each pair is exactly (s m_p, -s m_p); s is the sign nearer the oracle."""
+    for key, m in zip(("0", "1", "p0", "inf"), base.masses):
+        plus, minus = res[key]
+        assert minus == -plus and plus in (m, -m), (key, plus, m)
+        if oracle is not None and m != 0:
+            want = m if abs(oracle[key] - m) <= abs(oracle[key] + m) else -m
+            assert plus == want, (key, plus, oracle[key])
+
+
+def test_residues_are_the_signed_masses_of_the_quadrature_oracle():
+    r = random.Random(4242)
+    checked = 0
+    for _ in range(300):
+        while True:
+            p0 = complex(r.uniform(-2, 3), r.uniform(-1.5, 1.5))
+            if min(abs(p0), abs(p0 - 1)) >= 0.3:
+                break
+        masses = tuple(complex(r.gauss(0, 0.9), r.gauss(0, 0.9)) for _ in range(4))
+        beta = 10 ** r.uniform(-1, 4) * cmath.exp(2j * math.pi * r.random())
+        base = build_base(p0, masses)
+        if not in_B0(base, beta):
+            continue
+        _assert_signed_masses(tautological_residues(base, beta), base, loop_residues(base, beta))
+        checked += 1
+    assert checked > 290
+
+
+RESIDUE_GRID_P0 = (2.0, 0.37 + 0.2j, 0.5 - 1j, -1 + 0.5j)
+RESIDUE_GRID_MASSES = ((1, 1, 1, 1), (0.5, 0.25, 0.125, 1), (0, 0, 0, 1),
+                       (0.7 - 0.2j, 1.1 + 0.5j, -0.4 + 0.9j, 0.8 + 0.1j), (1e-3, 1, 1e3, 1))
+
+
+@pytest.mark.parametrize("p0", RESIDUE_GRID_P0)
+def test_residues_on_a_large_beta_grid(p0):
+    # up to beta = 1e11 each case is exactly +-m with the oracle's sign, or a
+    # BranchPointCollision that the oracle raises as well; the quadrature
+    # itself drifts past 1e-7 here (1.5e-7 at p0 = 2, masses (0.5, ...), 1e9)
+    returned = 0
+    for masses in RESIDUE_GRID_MASSES:
+        base = build_base(p0, masses)
+        for beta in (s * 10.0 ** e for e in (-2, 0, 3, 6, 9, 11) for s in (1, 1j, -1 + 1j)):
+            try:
+                oracle = loop_residues(base, beta)
+            except BranchPointCollision:
+                oracle = None
+            try:
+                res = tautological_residues(base, beta)
+            except BranchPointCollision:
+                assert oracle is None, (masses, beta)
+                continue
+            _assert_signed_masses(res, base, oracle)
+            returned += 1
+    assert returned >= 50
+    if p0 == 2.0:
+        base = build_base(p0, (0.5, 0.25, 0.125, 1))
+        _assert_signed_masses(tautological_residues(base, 1e9), base)
 
 
 # ---------------------------------------------------------------------------

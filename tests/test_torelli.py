@@ -236,6 +236,50 @@ def test_period_domain_plane_membership_iff_not_R_tilde_full():
         assert ok == in_R_tilde(d, full=True)
 
 
+def _in_period_domain_six_pairs(pv):
+    """Reference scan: the four plane families with family (3) over all six
+    pairs (i, j), in the order i < j."""
+    x, z = pv.x[1:], pv.z[1:]
+    sx, sz = sum(x), sum(z, GaussianRational(0))
+
+    def odd(q):
+        return q.denominator == 1 and q.numerator % 2 != 0
+
+    if odd(sx) and not sz:
+        return False, {"family": "H_k", "k": (sx.numerator - 1) // 2}
+    for i in range(4):
+        if x[i].denominator == 1 and not z[i]:
+            return False, {"family": "H_k_i", "k": x[i].numerator, "i": i + 1}
+        v = 2 * x[i] - sx
+        if odd(v) and not (2 * z[i] - sz):
+            return False, {"family": "H'_k_i", "k": (v.numerator - 1) // 2, "i": i + 1}
+    for i in range(4):
+        for j in range(i + 1, 4):
+            v = 2 * (x[i] + x[j]) - sx
+            if odd(v) and not (2 * (z[i] + z[j]) - sz):
+                return False, {"family": "H_k_i1_i2", "k": (v.numerator - 1) // 2,
+                               "i1": i + 1, "i2": j + 1}
+    return True, None
+
+
+def test_period_domain_pair_scan_matches_the_six_pair_reference():
+    # a pair and its complement give the same plane, so scanning (1, j) suffices
+    r = random.Random(2612)
+    pairs = 0
+    for _ in range(3000):
+        x4 = [Fraction(r.randint(-6, 6), r.choice((1, 2, 4))) for _ in range(4)]
+        z4 = [GaussianRational(Fraction(r.randint(-2, 2), r.choice((1, 2))),
+                               Fraction(r.randint(-1, 1))) for _ in range(4)]
+        if r.random() < 0.5:  # put z on the plane of a random pair (i, j)
+            i, j, k, l = r.sample(range(4), 4)
+            z4[k] = z4[i] + z4[j] - z4[l]
+        pv = PeriodVector.from_outer(x4, z4, PARALLEL_BASIS)
+        got = in_period_domain(pv)
+        assert got == _in_period_domain_six_pairs(pv), (x4, z4)
+        pairs += got[1] is not None and got[1]["family"] == "H_k_i1_i2"
+    assert pairs > 100
+
+
 # ---------------------------------------------------------------------------
 # intersection tables
 # ---------------------------------------------------------------------------
