@@ -15,8 +15,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class DomainError(Exception):
     """Base of every error that means "this input has no answer here"

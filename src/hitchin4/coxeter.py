@@ -4,9 +4,9 @@ Generators are the exact reflections r_0..r_4 in the faces of the model
 alcove (the interior B1_1 simplex with vertices (1/4,1/4,1/4,1/4), v_{},
 v_{12}, v_{13}, v_{14}), an alcove of the affine Weyl group of type D4; each
 is built from its row of the integer face table ``_FACES``, which this module
-owns.  Words are stored unreduced; equality of group elements is equality of
-affine maps.  A word [i1, i2, ...] denotes the isometry that
-applies r_{i1} first, then r_{i2}, and so on.
+owns.  Words are stored unreduced: ``same_map`` compares group elements as
+affine maps, ``==`` compares the map and the word.  A word [i1, i2, ...]
+denotes the isometry that applies r_{i1} first, then r_{i2}, and so on.
 
 The companion target-space generators R_0..R_4 (reflections in the faces of
 the simplex spanned by 0 and the unit vectors, 4*pi^2 units) satisfy
@@ -43,84 +43,86 @@ class WalkLimitExceeded(DomainError, RuntimeError):
 
 @dataclass(frozen=True)
 class AffineIsometry:
-    """Exact affine map x -> linear x + translation with a generator word."""
+    """Exact affine map x -> (L x + t) / d with a generator word, held only as
+    its integer form: L a 4x4 integer matrix (rows), t an integer 4-vector and
+    d > 0 with gcd(d, entries of L and t) == 1, so equal maps have equal
+    fields.  Linear parts and translations of the affine D4 group lie in
+    (1/2)Z, so d is 1 or 2 on any word over r_0..r_4 or R_0..R_4.  ``linear``
+    and ``translation`` are read-only ``Fraction`` views."""
 
-    linear: ExactMatrix
-    translation: tuple[Fraction, Fraction, Fraction, Fraction]
+    L: tuple[tuple[int, ...], ...]
+    t: tuple[int, ...]
+    d: int
     word: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "translation", tuple(Fraction(t) for t in self.translation))
+    @property
+    def linear(self) -> ExactMatrix:
+        return ExactMatrix(tuple(tuple(Fraction(e, self.d) for e in row) for row in self.L))
 
-    def __call__(self, x):
-        y = self.linear.apply(tuple(Fraction(v) for v in x))
-        return tuple(a + b for a, b in zip(y, self.translation))
+    @property
+    def translation(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(e, self.d) for e in self.t)
+
+    def __call__(self, x) -> tuple[Fraction, ...]:
+        """(L x + t) / d on exact numbers x, computed on integer numerators
+        over one common denominator; ``ValueError`` unless len(x) == 4."""
+        x = [Fraction(v) for v in x]
+        if len(x) != 4:
+            raise ValueError("length mismatch")
+        N = lcm(*(v.denominator for v in x))
+        b = [v.numerator * (N // v.denominator) for v in x]
+        return tuple(Fraction(sum(map(mul, row, b)) + s * N, self.d * N)
+                     for row, s in zip(self.L, self.t))
 
     def after(self, other: "AffineIsometry") -> "AffineIsometry":
         """Composite applying ``other`` first: self o other."""
-        return compose_word((0, 1), (other, self))
+        return AffineIsometry(*_fold((other, self)), other.word + self.word)
 
     def inverse(self) -> "AffineIsometry":
-        lt = self.linear.transpose()  # orthogonal linear part
-        tr = tuple(-v for v in lt.apply(self.translation))
-        return AffineIsometry(lt, tr, tuple(reversed(self.word)))
+        Lt = tuple(zip(*self.L))  # orthogonal linear part: (L/d)^-1 = L^T/d, over d^2
+        form = _reduced(tuple(tuple(self.d * e for e in row) for row in Lt),
+                        tuple(-v for v in int_matvec(Lt, self.t)), self.d ** 2)
+        return AffineIsometry(*form, tuple(reversed(self.word)))
 
     def same_map(self, other: "AffineIsometry") -> bool:
-        return self.linear == other.linear and self.translation == other.translation
+        return (self.L, self.t, self.d) == (other.L, other.t, other.d)
 
     @staticmethod
     def identity() -> "AffineIsometry":
-        return AffineIsometry(ExactMatrix.identity(4), (Fraction(0),) * 4, ())
+        return AffineIsometry(*_IDENTITY, ())
 
 
-# An affine map x -> (L x + t) / d is held as its integer form (L, t, d):
-# L a 4x4 integer matrix, t an integer 4-vector and d > 0 with
-# gcd(d, entries of L and t) == 1.  Linear parts and translations of the
-# affine D4 group lie in (1/2)Z, so d is 1 or 2 on any word over r_0..r_4.
-
-def _integer_form(g: AffineIsometry):
-    entries = (*chain.from_iterable(g.linear.rows), *g.translation)
-    d = lcm(*(e.denominator for e in entries))
-    L = tuple(tuple(e.numerator * (d // e.denominator) for e in row)
-              for row in g.linear.rows)
-    t = tuple(e.numerator * (d // e.denominator) for e in g.translation)
-    return L, t, d
+_IDENTITY = (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (0, 0, 0, 0), 1)
 
 
-def _fold(forms):
-    """Integer form of the composite of ``forms``, the first applied first."""
-    L = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    t = (0, 0, 0, 0)
-    d = 1
-    for Lg, tg, dg in forms:
-        L = int_matmul(Lg, L)
-        t = [a + d * s for a, s in zip(int_matvec(Lg, t), tg)]
-        d *= dg
-        k = gcd(d, *t, *chain.from_iterable(L))
-        if k > 1:
-            L = [[e // k for e in row] for row in L]
-            t = [e // k for e in t]
-            d //= k
+def _reduced(L, t, d):
+    """Integer form (L, t, d), tuples of ints, divided by gcd(d, entries of L and t)."""
+    k = gcd(d, *t, *chain.from_iterable(L))
+    if k == 1:
+        return L, t, d
+    return tuple(tuple(e // k for e in row) for row in L), tuple(e // k for e in t), d // k
+
+
+def _fold(gs):
+    """Integer form of the composite of ``gs``, the first applied first."""
+    L, t, d = _IDENTITY
+    for g in gs:
+        L = int_matmul(g.L, L)
+        t = tuple(a + d * s for a, s in zip(int_matvec(g.L, t), g.t))
+        L, t, d = _reduced(L, t, d * g.d)
     return L, t, d
 
 
 def compose_word(word, gens) -> AffineIsometry:
-    """Isometry of a word, leftmost letter applied first.
-
-    The word is folded on integer forms (integer linear part and translation
-    over one denominator, reduced by one gcd per letter) and converted to
-    ``Fraction`` once at the end.  Its word is the concatenation of the
-    letters' ``gens[i].word``.  Raises ``ValueError`` for a letter outside
-    ``0..len(gens)-1``.
-    """
+    """Isometry of a word, leftmost letter applied first, folded on the
+    letters' integer forms with one gcd reduction per letter.  Its word is the
+    concatenation of the letters' ``gens[i].word``.  Raises ``ValueError`` for
+    a letter outside ``0..len(gens)-1``."""
     word = tuple(word)
     for i in word:
         if not 0 <= i < len(gens):
             raise ValueError(f"letter {i} outside 0..{len(gens) - 1}")
-    forms = {i: _integer_form(gens[i]) for i in set(word)}
-    L, t, d = _fold(forms[i] for i in word)
-    return AffineIsometry(ExactMatrix(tuple(tuple(Fraction(e, d) for e in row) for row in L)),
-                          tuple(Fraction(e, d) for e in t),
+    return AffineIsometry(*_fold(gens[i] for i in word),
                           tuple(chain.from_iterable(gens[i].word for i in word)))
 
 
@@ -149,9 +151,8 @@ def generator(i: int) -> AffineIsometry:
     if not 0 <= i <= 4:
         raise ValueError("index must be in 0..4")
     n, c = _FACES[i]
-    lin = ExactMatrix(tuple(tuple(Fraction(2 * (r == k) - n[r] * n[k], 2) for k in range(4))
-                            for r in range(4)))
-    return AffineIsometry(lin, tuple(Fraction(-c * a, 2) for a in n), (i,))
+    L = tuple(tuple(2 * (r == k) - n[r] * n[k] for k in range(4)) for r in range(4))
+    return AffineIsometry(L, tuple(-c * a for a in n), 2, (i,))
 
 
 @lru_cache(maxsize=None)
@@ -162,12 +163,10 @@ def target_generator(i: int) -> AffineIsometry:
     if not 0 <= i <= 4:
         raise ValueError("index must be in 0..4")
     if i == 0:
-        lin = ExactMatrix(tuple(tuple(Fraction(1, 2) if r == c else Fraction(-1, 2)
-                                      for c in range(4)) for r in range(4)))
-        return AffineIsometry(lin, (Fraction(1, 2),) * 4, (0,))
-    lin = ExactMatrix(tuple(tuple(Fraction(-1 if r == c == i - 1 else int(r == c))
-                                  for c in range(4)) for r in range(4)))
-    return AffineIsometry(lin, (Fraction(0),) * 4, (i,))
+        L = tuple(tuple(2 * (r == c) - 1 for c in range(4)) for r in range(4))
+        return AffineIsometry(L, (1, 1, 1, 1), 2, (0,))
+    L = tuple(tuple(-1 if r == c == i - 1 else int(r == c) for c in range(4)) for r in range(4))
+    return AffineIsometry(L, (0, 0, 0, 0), 1, (i,))
 
 
 def mass_action(g: AffineIsometry) -> ExactMatrix:
@@ -177,13 +176,11 @@ def mass_action(g: AffineIsometry) -> ExactMatrix:
 
 
 def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
-    """``mass_action(g).apply(masses)``: the rational linear part of g applied
-    to the real and the imaginary parts separately."""
-    ms = tuple(m if isinstance(m, GaussianRational) else GaussianRational(Fraction(m))
-               for m in masses)
-    re = g.linear.apply(tuple(m.re for m in ms))
-    im = g.linear.apply(tuple(m.im for m in ms))
-    return tuple(GaussianRational(a, b) for a, b in zip(re, im))
+    """``mass_action(g).apply(masses)``: the rational linear part L/d of g
+    applied to the real and the imaginary parts separately."""
+    lin = AffineIsometry(g.L, (0, 0, 0, 0), g.d)
+    ms = [m if isinstance(m, GaussianRational) else GaussianRational(m) for m in masses]
+    return tuple(map(GaussianRational, lin([m.re for m in ms]), lin([m.im for m in ms])))
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +237,14 @@ def enumerate_W_fin() -> tuple[AffineIsometry, ...]:
     """Closure of {r_0, r_2, r_3, r_4}: the 192-element finite D4 Coxeter
     group fixing the origin (all elements linear)."""
     gens = [generator(i) for i in (0, 2, 3, 4)]
-    seen = {}
     frontier = [AffineIsometry.identity()]
-    seen[(frontier[0].linear, frontier[0].translation)] = frontier[0]
+    seen = {(frontier[0].L, frontier[0].t, frontier[0].d): frontier[0]}
     while frontier:
         new = []
         for g in frontier:
             for h in gens:
                 c = h.after(g)
-                key = (c.linear, c.translation)
+                key = (c.L, c.t, c.d)
                 if key not in seen:
                     seen[key] = c
                     new.append(c)

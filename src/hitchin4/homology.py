@@ -69,10 +69,6 @@ def word_to_auto(word) -> LatticeAuto:
     return tuple(tuple(row) for row in A)
 
 
-def apply_auto(A, cls):
-    return int_matvec(A, cls)
-
-
 def classes_of_square_minus2(k_max: int) -> list[tuple[int, ...]]:
     """All self-intersection -2 classes from the three coefficient families
     with |k| <= k_max, deduplicated, deterministic order.

@@ -3,12 +3,12 @@ row reduction (determinant and nullspace), the model alcove's faces derived
 from its vertices, the homology lattice's -2 classes and the SL(2,Z)
 conjugator of a monodromy factorization."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
 from hitchin4.core import ExactMatrix
-from hitchin4.coxeter import AffineIsometry
 from hitchin4.homology import intersection
 from hitchin4.monodromy import mat_det, mat_mul
 
@@ -117,7 +117,17 @@ def in_model(x, closed: bool = True) -> bool:
     return all(v >= 0 for v in vals) if closed else all(v > 0 for v in vals)
 
 
-def face_reflection(i: int) -> AffineIsometry:
+@dataclass(frozen=True)
+class FractionAffine:
+    """Reference affine map x -> linear x + translation over ``Fraction``,
+    independent of the integer form ``coxeter.AffineIsometry`` holds."""
+
+    linear: ExactMatrix
+    translation: tuple
+    word: tuple = ()
+
+
+def face_reflection(i: int) -> FractionAffine:
     """Reflection in face f_i by the Fraction formula
     x -> x - 2 (n.(x - base)) n / |n|^2."""
     n, base = MODEL_FACES[i]
@@ -125,7 +135,7 @@ def face_reflection(i: int) -> AffineIsometry:
     lin = ExactMatrix(tuple(tuple(Fraction(int(r == c)) - 2 * n[r] * n[c] / nn
                                   for c in range(4)) for r in range(4)))
     nb = sum(a * b for a, b in zip(n, base))
-    return AffineIsometry(lin, tuple(2 * nb * c / nn for c in n), (i,))
+    return FractionAffine(lin, tuple(2 * nb * c / nn for c in n), (i,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
@@ -24,6 +26,7 @@ from hitchin4.homology import hat_affine_apply, hat_linear_apply, word_to_auto
 from hitchin4.torelli import torelli_parallel
 
 from lattice_oracle import (
+    FractionAffine,
     MODEL_FACES,
     MODEL_VERTICES,
     face_reflection,
@@ -281,11 +284,11 @@ def _fraction_after(a, b):
     """Reference a o b: one Fraction matrix product per call."""
     lin = a.linear * b.linear
     tr = tuple(x + y for x, y in zip(a.linear.apply(b.translation), a.translation))
-    return AffineIsometry(lin, tr, b.word + a.word)
+    return FractionAffine(lin, tr, b.word + a.word)
 
 
 def _fraction_compose_word(word, gens):
-    g = AffineIsometry.identity()
+    g = FractionAffine(ExactMatrix.identity(4), (Fraction(0),) * 4)
     for i in word:
         g = _fraction_after(gens[i], g)
     return g
@@ -355,6 +358,67 @@ def test_apply_to_masses_matches_mass_action():
     g = compose_word([0, 2, 1], GENS)
     assert apply_to_masses(g, (1, Fraction(1, 3), 0, -2)) == mass_action(g).apply(
         tuple(GaussianRational(m) for m in (1, Fraction(1, 3), 0, -2)))
+
+
+# ---------------------------------------------------------------------------
+# the integer form (L, t, d)
+# ---------------------------------------------------------------------------
+
+def _sample_elements():
+    """All of W_fin, and seeded words over r_0..r_4, R_0..R_4 and both
+    together, each with its inverse, a same-map word and a rebuilt copy."""
+    r = random.Random(1414)
+    out = list(enumerate_W_fin())
+    for gens in (GENS, TGENS, GENS + TGENS):
+        for _ in range(40):
+            w = [r.randrange(len(gens)) for _ in range(r.randint(0, 40))]
+            g = compose_word(w, gens)
+            i = r.randrange(len(gens))
+            out += [g, g.inverse(), compose_word(w + [i, i], gens),
+                    compose_word(w, gens), g.inverse().inverse()]
+    return out
+
+
+def test_integer_form_is_reduced_with_denominator_one_or_two():
+    for g in _sample_elements():
+        entries = (*chain.from_iterable(g.L), *g.t)
+        assert all(type(e) is int for e in entries) and type(g.d) is int
+        assert g.d in (1, 2)
+        assert gcd(g.d, *entries) == 1
+        assert g.inverse().after(g).same_map(AffineIsometry.identity())
+        assert g.after(g.inverse()).same_map(AffineIsometry.identity())
+
+
+def test_equality_is_same_map_and_same_word():
+    r = random.Random(1415)
+    sample = _sample_elements()
+    equal = 0
+    for k in range(0, len(sample) - 4, 5):
+        group = sample[k:k + 5]
+        for g in group:
+            for h in group + [r.choice(sample)]:
+                same = g == h
+                assert same == (g.same_map(h) and g.word == h.word)
+                if same:
+                    assert hash(g) == hash(h)
+                    equal += g is not h
+    assert equal > 0
+
+
+def test_call_and_apply_to_masses_check_the_length_and_coerce():
+    g = compose_word([0, 2, 1], GENS)
+    for bad in ((1, 2, 3), (1, 2, 3, 4, 5), ()):
+        with pytest.raises(ValueError, match="length mismatch"):
+            g(bad)
+        with pytest.raises(ValueError, match="length mismatch"):
+            apply_to_masses(g, bad)
+    x = ("1/2", 0.25, 3, Fraction(-2, 7))
+    exact = (Fraction(1, 2), Fraction(1, 4), Fraction(3), Fraction(-2, 7))
+    ref = _fraction_compose_word([0, 2, 1], GENS)
+    got = g(x)
+    assert got == g(exact) == tuple(
+        a + b for a, b in zip(ref.linear.apply(exact), ref.translation))
+    assert all(type(v) is Fraction for v in got)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hitchin4
-from hitchin4 import core, coxeter, hkmodel, spectral, torelli
+from hitchin4 import core, coxeter, hkmodel, homology, spectral, torelli
 from hitchin4.core import DomainError, ExactMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -61,6 +61,13 @@ def test_row_reduction_and_derived_model_stay_out_of_the_package():
     for name in ("MODEL", "ModelChamber", "MODEL_VERTICES", "_integer_faces"):
         assert not hasattr(coxeter, name)
     assert not hasattr(torelli, "parallel_x_matrix")
+
+
+def test_aliases_and_fraction_conversions_stay_out_of_the_package():
+    # a group element is held once, as its integer form; no name only renames another
+    assert not hasattr(coxeter, "_integer_form")
+    assert not hasattr(homology, "apply_auto")
+    assert not hasattr(core, "Rational")
 
 
 def test_residue_quadrature_stays_out_of_the_package():
