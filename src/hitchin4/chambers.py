@@ -3,8 +3,11 @@
 The open weight cube (0,1/2)^4 is divided by 12 walls into 16 interior
 chambers (labelled by even partition sets, four each of types A1, A2, B1,
 B2) and 8 exterior chambers (labelled by odd subsets, types E1/E2).  All
-tests here are exact over Q; a weight vector sitting exactly on a wall is
-an error, never a silent nearest-chamber choice.
+tests here are exact integer sign or divisibility tests on numerators over a
+common denominator (``core.common_denominator``); labels come from a 16-entry
+interior and an 8-entry exterior table, and exact types appear only in
+arguments, results and messages.  A weight vector sitting exactly on a wall
+is an error, never a silent nearest-chamber choice.
 
 Subsets of {1,2,3,4} are encoded as bitmasks: bit i-1 set iff i is in the
 subset.
@@ -15,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
-from .core import DomainError, GaussianRational
+from .core import DomainError, GaussianRational, as_fraction, as_gaussian, common_denominator
 
 FULL = 0b1111
 E_REPS = (0b0000, 0b0011, 0b0101, 0b1001)  # {}, {1,2}, {1,3}, {1,4}
@@ -47,6 +51,23 @@ def subset_size(mask: int) -> int:
     return bin(mask & FULL).count("1")
 
 
+# _SIGNS[I][i] = +1 if i+1 in I else -1, the coefficients of a_i in K_I and of m_i
+# in M_I; K_I = _SIGNS[I].alpha + _K_OFFSET[I] with _K_OFFSET[I] = floor((|I^c|-|I|)/4).
+_SIGNS = tuple(tuple(1 if mask >> i & 1 else -1 for i in range(4)) for mask in range(16))
+_K_OFFSET = tuple((4 - 2 * subset_size(mask)) // 4 for mask in range(16))
+
+
+def _k(mask: int, b, N: int) -> int:
+    """N K_I for alpha = b / N."""
+    return sum(map(mul, _SIGNS[mask], b)) + _K_OFFSET[mask] * N
+
+
+def _gaussian_form(zs) -> tuple[int, list[int], list[int]]:
+    """(N, re, im): real and imaginary parts of ``zs`` as numerators over one N."""
+    N, nums = common_denominator([z.re for z in zs] + [z.im for z in zs])
+    return N, nums[:len(zs)], nums[len(zs):]
+
+
 @dataclass(frozen=True)
 class ParabolicData:
     """Exact parabolic weights alpha in Q^4 and complex masses m in Q(i)^4."""
@@ -55,10 +76,8 @@ class ParabolicData:
     masses: tuple[GaussianRational, GaussianRational, GaussianRational, GaussianRational]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(Fraction(a) for a in self.alpha))
-        ms = tuple(m if isinstance(m, GaussianRational) else GaussianRational(Fraction(m))
-                   for m in self.masses)
-        object.__setattr__(self, "masses", ms)
+        object.__setattr__(self, "alpha", tuple(map(as_fraction, self.alpha)))
+        object.__setattr__(self, "masses", tuple(map(as_gaussian, self.masses)))
         if len(self.alpha) != 4 or len(self.masses) != 4:
             raise ValueError("alpha and masses must have length 4")
 
@@ -97,18 +116,15 @@ class ChamberLabel:
 def wall_K(mask_or_members, alpha) -> Fraction:
     """K_I = sum_{i in I} a_i - sum_{i not in I} a_i + floor((|I^c|-|I|)/4)."""
     mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
-    alpha = [Fraction(a) for a in alpha]
-    s = sum(alpha[i] if mask >> i & 1 else -alpha[i] for i in range(4))
-    k = subset_size(mask)
-    return s + Fraction((4 - 2 * k) // 4)
+    N, b = common_denominator([as_fraction(a) for a in alpha])
+    return Fraction(_k(mask & FULL, b, N), N)
 
 
 def wall_L(i: int, alpha) -> Fraction:
-    """L_i = -a_i + sum_{j != i} a_j; the Biswas polytope is 0 < L_i < 1."""
+    """L_i = -a_i + sum_{j != i} a_j = -K_{{i}}; the Biswas polytope is 0 < L_i < 1."""
     if not 1 <= i <= 4:
         raise ValueError("index must be in 1..4")
-    alpha = [Fraction(a) for a in alpha]
-    return sum(alpha) - 2 * alpha[i - 1]
+    return -wall_K(1 << (i - 1), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +138,18 @@ def _classify_partition_set(subsets: tuple[int, ...]) -> tuple[str, int]:
     jointly omit one (types A1/B2); pairing with the presence of {} versus
     {1,2,3,4} gives the four types.
     """
-    has_empty = 0 in subsets
-    pairs = [s for s in subsets if subset_size(s) == 2]
-    counts = [sum(1 for s in pairs if s >> i & 1) for i in range(4)]
-    if 3 in counts:
-        i = counts.index(3) + 1
-        return ("B1", i) if has_empty else ("A2", i)
-    i = counts.index(0) + 1
-    return ("A1", i) if has_empty else ("B2", i)
+    counts = [sum(1 for s in subsets if subset_size(s) == 2 and s >> i & 1) for i in range(4)]
+    shared = 3 in counts
+    types = ("B1", "A2") if shared else ("A1", "B2")
+    return types[0 not in subsets], counts.index(3 if shared else 0) + 1
 
 
 def interior_label(subsets) -> ChamberLabel:
     subsets = tuple(sorted(subsets))
     if len(subsets) != 4 or any(subset_size(s) % 2 for s in subsets):
         raise ValueError("need four even subsets")
-    for rep in E_REPS:
-        if (rep in subsets) == ((rep ^ FULL) in subsets):
-            raise ValueError("need exactly one of each complementary pair")
+    if any((rep in subsets) == ((rep ^ FULL) in subsets) for rep in E_REPS):
+        raise ValueError("need exactly one of each complementary pair")
     ctype, i = _classify_partition_set(subsets)
     return ChamberLabel("interior", ctype, i, subsets)
 
@@ -148,53 +159,51 @@ def exterior_label(i0_mask: int) -> ChamberLabel:
     if k % 2 == 0:
         raise ValueError("exterior label needs an odd subset")
     assoc = tuple(sorted(i0_mask ^ (1 << j) for j in range(4)))
-    if k == 1:
-        return ChamberLabel("exterior", "E1", subset_members(i0_mask)[0], assoc, i0_mask)
-    i = subset_members(i0_mask ^ FULL)[0]
-    return ChamberLabel("exterior", "E2", i, assoc, i0_mask)
+    i = subset_members(i0_mask if k == 1 else i0_mask ^ FULL)[0]
+    return ChamberLabel("exterior", "E1" if k == 1 else "E2", i, assoc, i0_mask)
+
+
+# _INTERIOR[k]: the chamber where K_{E_REPS[r]} < 0 iff bit 3 - r of k is set;
+# _EXTERIOR[i] (_EXTERIOR[i + 4]): the chamber where L_{i+1} < 0 (L_{i+1} > 1).
+_INTERIOR = tuple(interior_label(tuple(rep ^ (FULL * b) for rep, b in zip(E_REPS, bits)))
+                  for bits in product((0, 1), repeat=4))
+_EXTERIOR = tuple(exterior_label((1 << i) ^ (FULL * s)) for s in (0, 1) for i in range(4))
 
 
 def enumerate_chambers() -> list[ChamberLabel]:
     """All 24 chamber labels: 16 interior then 8 exterior, deterministic order."""
-    labels = []
-    for bits in product((0, 1), repeat=4):
-        choices = tuple(rep ^ (FULL if b else 0) for rep, b in zip(E_REPS, bits))
-        labels.append(interior_label(choices))
-    for mask in range(1, 16):
-        if subset_size(mask) % 2 == 1:
-            labels.append(exterior_label(mask))
-    return labels
+    return list(_INTERIOR) + [exterior_label(m) for m in range(1, 16) if subset_size(m) % 2]
 
 
-def check_cube(alpha: tuple[Fraction, ...]) -> None:
-    """Raise OutOfCube unless alpha lies in the open cube (0,1/2)^4."""
-    if any(not (0 < a < Fraction(1, 2)) for a in alpha):
+def check_cube(alpha) -> tuple[int, list[int]]:
+    """Raise OutOfCube unless alpha is in (0,1/2)^4; return common_denominator(alpha)."""
+    N, b = common_denominator(alpha)
+    if len(b) != 4 or not all(0 < v and 2 * v < N for v in b):
         raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
+    return N, b
 
 
 def classify_chamber(alpha) -> ChamberLabel:
     """Exact chamber of a weight vector in the open cube (0,1/2)^4.
 
     Raises OutOfCube outside the cube and OnWall if any deciding functional
-    vanishes (equivalently, (alpha, 0) is non-generic).
+    vanishes (equivalently, (alpha, 0) is non-generic).  With alpha = b / N,
+    N L_i = sum(b) - 2 b_i and N K_I = ``_k(I, b, N)``.
     """
-    alpha = tuple(Fraction(a) for a in alpha)
-    check_cube(alpha)
-    for i in range(1, 5):
-        li = wall_L(i, alpha)
-        if li == 0 or li == 1:
-            raise OnWall(f"L_{i} = {li}")
-        if li < 0:
-            return exterior_label(subset_mask([i]))
-        if li > 1:
-            return exterior_label(FULL ^ subset_mask([i]))
-    choices = []
+    N, b = check_cube(tuple(map(as_fraction, alpha)))
+    for i, v in enumerate(b):
+        li = sum(b) - 2 * v
+        if li == 0 or li == N:
+            raise OnWall(f"L_{i + 1} = {li // N}")
+        if li < 0 or li > N:
+            return _EXTERIOR[i + 4 * (li > N)]
+    k = 0
     for rep in E_REPS:
-        k = wall_K(rep, alpha)
-        if k == 0:
+        kr = _k(rep, b, N)
+        if kr == 0:
             raise OnWall(f"K wall for subset mask {rep}")
-        choices.append(rep if k > 0 else rep ^ FULL)
-    return interior_label(choices)
+        k = 2 * k + (kr < 0)
+    return _INTERIOR[k]
 
 
 def chamber_vertices(label: ChamberLabel) -> list[tuple[Fraction, ...]]:
@@ -209,9 +218,7 @@ def chamber_vertices(label: ChamberLabel) -> list[tuple[Fraction, ...]]:
 
 def adjacent(a: ChamberLabel, b: ChamberLabel) -> bool:
     """Chambers are adjacent iff their vertex sets share exactly four points."""
-    va = set(chamber_vertices(a))
-    vb = set(chamber_vertices(b))
-    return len(va & vb) == 4
+    return len(set(chamber_vertices(a)) & set(chamber_vertices(b))) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +228,15 @@ def adjacent(a: ChamberLabel, b: ChamberLabel) -> bool:
 def mass_functional(mask_or_members, masses) -> GaussianRational:
     """M_J = sum_{j in J} m_j - sum_{j not in J} m_j; M_{J^c} = -M_J."""
     mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
-    out = GaussianRational(Fraction(0))
-    for j in range(4):
-        out = out + masses[j] if mask >> j & 1 else out - masses[j]
-    return out
+    N, re, im = _gaussian_form([as_gaussian(m) for m in masses])
+    c = _SIGNS[mask & FULL]
+    return GaussianRational(Fraction(sum(map(mul, c, re)), N), Fraction(sum(map(mul, c, im)), N))
+
+
+# Nakajima planes in ``product((0, 1), repeat=4)`` order of e: e, sum(e) and
+# the signs of J = {i : e_i = 0}, the plane's coefficients on alpha and on m.
+_PLANES = tuple((e, sum(e), _SIGNS[sum(1 << i for i, ei in enumerate(e) if not ei)])
+                for e in product((0, 1), repeat=4))
 
 
 def genericity_violations(data: ParabolicData) -> list[dict]:
@@ -234,15 +246,16 @@ def genericity_violations(data: ParabolicData) -> list[dict]:
     (alpha, m) lies on the plane (d, e) iff d + sum(e_i + (-1)^{e_i} a_i) = 0
     and sum((-1)^{e_i} m_i) = M_J = 0 with J = {i : e_i = 0}.  The
     alpha-equation fixes the integer d, so a sign vector costs one
-    integrality test, and a mass combination only when that passes.
+    divisibility test on integer numerators, and a mass combination only when
+    that passes.
     """
+    N, b = common_denominator(data.alpha)
+    _, re, im = _gaussian_form(data.masses)
     out = []
-    for e in product((0, 1), repeat=4):
-        s = sum(e) + sum(-a if ei else a for ei, a in zip(e, data.alpha))
-        if s.denominator == 1:
-            zeros = sum(1 << i for i, ei in enumerate(e) if not ei)
-            if not mass_functional(zeros, data.masses):
-                out.append({"d": -s.numerator, "e": list(e)})
+    for e, n, c in _PLANES:
+        s = n * N + sum(map(mul, c, b))
+        if s % N == 0 and not sum(map(mul, c, re)) and not sum(map(mul, c, im)):
+            out.append({"d": -s // N, "e": list(e)})
     return out
 
 
@@ -261,18 +274,12 @@ def in_R_tilde(data: ParabolicData, full: bool) -> bool:
     L-type combination and some 2*a_i are both integers (weights whose
     orbit never meets the open cube).
     """
-    alpha = data.alpha
-    if genericity_violations(data):
+    N, b = common_denominator(data.alpha)
+    if genericity_violations(data) or any(
+            2 * v % N == 0 and not m for v, m in zip(b, data.masses)):
         return False
-    for i in range(4):
-        if (2 * alpha[i]).denominator == 1 and not data.masses[i]:
-            return False
-    if not full:
-        l_hit = any((sum(alpha) - 2 * a).denominator == 1 for a in alpha)
-        half_hit = any((2 * a).denominator == 1 for a in alpha)
-        if l_hit and half_hit:
-            return False
-    return True
+    return full or not (any((sum(b) - 2 * v) % N == 0 for v in b)
+                        and any(2 * v % N == 0 for v in b))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +303,8 @@ def fixed_point_data(mask_or_members, alpha) -> FixedPointData:
     line bundle has degree |I| mod 2.
     """
     mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
-    alpha = tuple(Fraction(a) for a in alpha)
-    check_cube(alpha)
+    N, b = check_cube(tuple(map(as_fraction, alpha)))
     k = subset_size(mask)
-    value = wall_K(mask, alpha)
-    return FixedPointData(
-        deg_DI=k,
-        deg_L2=-1 - k // 2,
-        stability_value=value,
-        stable=value > 0,
-        phi0_bundle_degree=k % 2,
-    )
+    value = Fraction(_k(mask & FULL, b, N), N)
+    return FixedPointData(deg_DI=k, deg_L2=-1 - k // 2, stability_value=value,
+                          stable=value > 0, phi0_bundle_degree=k % 2)

@@ -1,6 +1,6 @@
-"""Shared exact arithmetic: rationals, Gaussian rationals, small exact
-matrices and the integer matrix product, plus the ``DomainError`` base class
-of every layer's domain errors.
+"""Shared exact arithmetic: rationals over a common denominator, Gaussian
+rationals, small exact matrices and the integer matrix product, plus the
+``DomainError`` base class of every layer's domain errors.
 
 Exact types are immutable and hashable; all operations are pure functions,
 safe to share across threads.  This module imports no numpy; the numeric
@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -39,6 +40,18 @@ def rational_from_str(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
+def as_fraction(v) -> Fraction:
+    """``v`` itself if its type is exactly ``Fraction``, else ``Fraction(v)``."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
+def common_denominator(qs) -> tuple[int, list[int]]:
+    """(N, nums) with N the lcm of the denominators of the sequence of
+    rationals ``qs`` and qs[i] == nums[i] / N."""
+    N = lcm(*(q.denominator for q in qs))
+    return N, [q.numerator * (N // q.denominator) for q in qs]
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """Element of Q(i), stored as an exact pair (re, im).
@@ -51,8 +64,8 @@ class GaussianRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        object.__setattr__(self, "re", as_fraction(self.re))
+        object.__setattr__(self, "im", as_fraction(self.im))
 
     # -- field operations ---------------------------------------------------
     def _coerce(self, other) -> "GaussianRational | None":
@@ -160,6 +173,11 @@ class GaussianRational:
         else:
             im_part = Fraction(imtok)
         return GaussianRational(re_part, im_part)
+
+
+def as_gaussian(v) -> GaussianRational:
+    """``v`` itself if it is a ``GaussianRational``, else ``GaussianRational(v)``."""
+    return v if isinstance(v, GaussianRational) else GaussianRational(v)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-from .core import DomainError, ExactMatrix, GaussianRational, int_matmul, int_matvec
+from .core import (DomainError, ExactMatrix, GaussianRational, as_gaussian, common_denominator,
+                   int_matmul, int_matvec)
 
 COXETER_MATRIX = ((1, 3, 3, 3, 3),
                   (3, 1, 2, 2, 2),
@@ -69,8 +70,7 @@ class AffineIsometry:
         x = [Fraction(v) for v in x]
         if len(x) != 4:
             raise ValueError("length mismatch")
-        N = lcm(*(v.denominator for v in x))
-        b = [v.numerator * (N // v.denominator) for v in x]
+        N, b = common_denominator(x)
         return tuple(Fraction(sum(map(mul, row, b)) + s * N, self.d * N)
                      for row, s in zip(self.L, self.t))
 
@@ -179,7 +179,7 @@ def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
     """``mass_action(g).apply(masses)``: the rational linear part L/d of g
     applied to the real and the imaginary parts separately."""
     lin = AffineIsometry(g.L, (0, 0, 0, 0), g.d)
-    ms = [m if isinstance(m, GaussianRational) else GaussianRational(m) for m in masses]
+    ms = list(map(as_gaussian, masses))
     return tuple(map(GaussianRational, lin([m.re for m in ms]), lin([m.im for m in ms])))
 
 
@@ -209,9 +209,8 @@ def alcove_walk(alpha, max_steps: int = 100000):
     once at the end by ``compose_word``.  Raises ``WalkLimitExceeded`` after
     ``max_steps`` reflections.
     """
-    x = tuple(Fraction(a) for a in alpha)
-    N = 2 * lcm(*(v.denominator for v in x))
-    b = [v.numerator * (N // v.denominator) for v in x]
+    N, b = common_denominator([Fraction(a) for a in alpha])
+    N, b = 2 * N, [2 * v for v in b]
     applied: list[int] = []
     for _ in range(max_steps):
         vals = [sum(map(mul, n, b)) + c * N for n, c in _FACES]

@@ -10,21 +10,28 @@ The fiber class 2 S0 + S1 + ... + S4 forces 2 x0 + sum x_j = 1 and
 z_J = M_J interior; K_J - K_{I0}, M_J - M_{I0} exterior).
 ``torelli_parallel`` evaluates the single global affine-linear map attached
 to the model chamber's parallel basis; it has linear part of determinant 16
-and is inverted exactly by ``inverse_torelli``.
+and is inverted exactly by ``inverse_torelli``.  All of them compute on
+integer numerators over common denominators (``core.common_denominator``) and
+build ``Fraction``/``GaussianRational`` only for results and messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
-from .core import DomainError, GaussianRational
+from .core import (DomainError, GaussianRational, as_fraction, as_gaussian, common_denominator,
+                   int_matvec)
 from .chambers import (
     ChamberLabel,
     ParabolicData,
+    _SIGNS,
+    _gaussian_form,
+    _k,
     classify_chamber,
-    is_generic,
-    mass_functional,
+    genericity_violations,
+    mass_functional,  # noqa: F401  (re-exported)
     subset_size,
     wall_K,
     FULL,
@@ -37,7 +44,7 @@ PARALLEL_BASIS = "parallel(model)"
 # face functionals f_1..f_4 of the model alcove, n.alpha + c: x = M alpha + e1
 # and z = M m with M the rows n (n.m = M_J, J = {j : n_j = 1}); det M = 16.
 M_ROWS = tuple(n for n, _ in _FACES[1:])
-_MASS_MASKS = tuple(sum(1 << j for j, v in enumerate(n) if v > 0) for n in M_ROWS)
+_M_T = tuple(zip(*M_ROWS))
 
 
 class NonGeneric(DomainError, ValueError):
@@ -46,6 +53,10 @@ class NonGeneric(DomainError, ValueError):
 
 class InconsistentFiberRelation(DomainError, ValueError):
     """Period data violates the exact fiber-class relations."""
+
+
+class BrokenIdentity(AssertionError):
+    """Two exact forms that must agree did not: a defect, not a bad input."""
 
 
 @dataclass(frozen=True)
@@ -57,89 +68,88 @@ class PeriodVector:
     basis: ChamberLabel | str
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
-        zz = tuple(v if isinstance(v, GaussianRational) else GaussianRational(Fraction(v))
-                   for v in self.z)
-        object.__setattr__(self, "z", zz)
+        object.__setattr__(self, "x", tuple(map(as_fraction, self.x)))
+        object.__setattr__(self, "z", tuple(map(as_gaussian, self.z)))
         if len(self.x) != 5 or len(self.z) != 5:
             raise ValueError("period vectors have five components")
-        if 2 * self.x[0] + sum(self.x[1:]) != 1:
+        N, x = common_denominator(self.x)
+        if 2 * x[0] + sum(x[1:]) != N:
             raise InconsistentFiberRelation("2 x0 + sum x_j != 1")
-        if 2 * self.z[0] + sum(self.z[1:], GaussianRational(Fraction(0))):
+        _, re, im = _gaussian_form(self.z)
+        if 2 * re[0] + sum(re[1:]) or 2 * im[0] + sum(im[1:]):
             raise InconsistentFiberRelation("2 z0 + sum z_j != 0")
 
     @staticmethod
     def from_outer(x4, z4, basis) -> "PeriodVector":
         """Complete the four outer periods by the fiber relations."""
-        x4 = tuple(Fraction(v) for v in x4)
-        z4 = tuple(v if isinstance(v, GaussianRational) else GaussianRational(Fraction(v))
-                   for v in z4)
-        x0 = (1 - sum(x4)) / 2
-        z0 = -sum(z4, GaussianRational(Fraction(0))) / 2
-        return PeriodVector((x0,) + x4, (z0,) + z4, basis)
+        return _completed(*common_denominator([as_fraction(v) for v in x4]),
+                          *_gaussian_form([as_gaussian(v) for v in z4]), basis)
+
+
+def _completed(N: int, xs, Nm: int, re, im, basis) -> PeriodVector:
+    """Period vector with outer x-periods xs / N and z-periods (re + i im) / Nm,
+    its central entries completed by the fiber relations."""
+    x = (Fraction(N - sum(xs), 2 * N),) + tuple(Fraction(v, N) for v in xs)
+    z = (GaussianRational(Fraction(-sum(re), 2 * Nm), Fraction(-sum(im), 2 * Nm)),) + tuple(
+        GaussianRational(Fraction(r, Nm), Fraction(i, Nm)) for r, i in zip(re, im))
+    return PeriodVector(x, z, basis)
 
 
 def central_x_closed_form(label: ChamberLabel, alpha) -> Fraction:
     """Closed form of the central-sphere x-period per chamber type."""
-    alpha = tuple(Fraction(a) for a in alpha)
-    i = label.index
-    if label.ctype == "A1":
-        return 2 * alpha[i - 1]
-    if label.ctype == "A2":
-        return 1 - 2 * alpha[i - 1]
-    if label.ctype == "B1":
-        return -wall_K((1 << (i - 1)), alpha)
-    if label.ctype == "B2":
-        return -wall_K(FULL ^ (1 << (i - 1)), alpha)
-    return wall_K(label.i0, alpha)  # E1 / E2
+    N, b = common_denominator([as_fraction(a) for a in alpha])
+    i = label.index - 1
+    if label.kind == "exterior":
+        return Fraction(_k(label.i0, b, N), N)
+    return Fraction({"A1": 2 * b[i], "A2": N - 2 * b[i], "B1": -_k(1 << i, b, N),
+                     "B2": -_k(FULL ^ (1 << i), b, N)}[label.ctype], N)
 
 
 def torelli_chamber(data: ParabolicData) -> PeriodVector:
-    """Period vector over the chamber basis of alpha's own chamber."""
+    """Period vector over the chamber basis of alpha's own chamber: x_J = K_J,
+    z_J = M_J, less K_{I0} and M_{I0} in an exterior chamber."""
     label = classify_chamber(data.alpha)
-    if not is_generic(data):
+    if genericity_violations(data):
         raise NonGeneric(f"(alpha, m) on a Nakajima wall: {data.alpha}")
-    ks = [wall_K(s, data.alpha) for s in label.subsets]
-    ms = [mass_functional(s, data.masses) for s in label.subsets]
+    N, b = common_denominator(data.alpha)
+    Nm, re, im = _gaussian_form(data.masses)
+    signs = [_SIGNS[s] for s in label.subsets]
+    ks = [_k(s, b, N) for s in label.subsets]
     if label.kind == "exterior":
-        k0 = wall_K(label.i0, data.alpha)
-        m0 = mass_functional(label.i0, data.masses)
+        c0, k0 = _SIGNS[label.i0], _k(label.i0, b, N)
+        signs = [tuple(map(sub, c, c0)) for c in signs]
         ks = [k - k0 for k in ks]
-        ms = [m - m0 for m in ms]
-    pv = PeriodVector.from_outer(ks, ms, label)
+    pv = _completed(N, ks, Nm, int_matvec(signs, re), int_matvec(signs, im), label)
     if pv.x[0] != central_x_closed_form(label, data.alpha):
-        raise AssertionError("fiber relation and central closed form disagree")
+        raise BrokenIdentity("fiber relation and central closed form disagree")
     return pv
 
 
 def torelli_parallel(data: ParabolicData) -> PeriodVector:
     """Global affine-linear period map in the model chamber's parallel basis:
     x = M alpha + e1, z = M m, central entries from the fiber relations."""
-    alpha = tuple(Fraction(a) for a in data.alpha)
-    x4 = tuple(sum(r * a for r, a in zip(n, alpha)) + c for n, c in _FACES[1:])
-    z4 = tuple(mass_functional(s, data.masses) for s in _MASS_MASKS)
-    return PeriodVector.from_outer(x4, z4, PARALLEL_BASIS)
+    N, b = common_denominator(data.alpha)
+    Nm, re, im = _gaussian_form(data.masses)
+    xs = [sum(map(mul, n, b)) + c * N for n, c in _FACES[1:]]
+    return _completed(N, xs, Nm, int_matvec(M_ROWS, re), int_matvec(M_ROWS, im), PARALLEL_BASIS)
 
 
 def inverse_torelli(pv: PeriodVector) -> ParabolicData:
     """Exact inverse of ``torelli_parallel``: alpha = M^T (x - e1) / 4,
-    m = M^T z / 4 (valid since M M^T = 4 Id)."""
-    x4 = [x - c for x, (_, c) in zip(pv.x[1:], _FACES[1:])]
-    z4 = pv.z[1:]
-    alpha = tuple(sum(Fraction(M_ROWS[r][c]) * x4[r] for r in range(4)) / 4
-                  for c in range(4))
-    masses = tuple(sum(GaussianRational(Fraction(M_ROWS[r][c])) * z4[r]
-                       for r in range(4)) / 4 for c in range(4))
+    m = M^T z / 4 (valid since M M^T = 4 Id), as integer M^T products over
+    4 N."""
+    N, x = common_denominator(pv.x[1:])
+    Nm, re, im = _gaussian_form(pv.z[1:])
+    xs = [v - c * N for v, (_, c) in zip(x, _FACES[1:])]
+    alpha = tuple(Fraction(v, 4 * N) for v in int_matvec(_M_T, xs))
+    masses = tuple(GaussianRational(Fraction(r, 4 * Nm), Fraction(i, 4 * Nm))
+                   for r, i in zip(int_matvec(_M_T, re), int_matvec(_M_T, im)))
     return ParabolicData(alpha, masses)
 
 
 # ---------------------------------------------------------------------------
 # period domain
 # ---------------------------------------------------------------------------
-
-def _is_odd_integer(q: Fraction) -> bool:
-    return q.denominator == 1 and q.numerator % 2 != 0
-
 
 def in_period_domain(pv: PeriodVector):
     """Exact membership in the period domain (l^2 Im tau = 1 in 4*pi^2 units).
@@ -151,25 +161,27 @@ def in_period_domain(pv: PeriodVector):
       (2') 2 x_i - sum x = 2k+1       and 2 z_i - sum z = 0
       (3)  2(x_i + x_j) - sum x = 2k+1 and 2(z_i + z_j) - sum z = 0
     A pair and its complement give one plane, so (3) scans the pairs (1, j).
+    Each plane of ``_PERIOD_PLANES`` is one divisibility test of an integer
+    numerator by the common denominator N, then two integer zero tests.
     """
-    x = pv.x[1:]
-    z = pv.z[1:]
-    sx = sum(x)
-    sz = sum(z, GaussianRational(Fraction(0)))
-    if _is_odd_integer(sx) and not sz:
-        return False, {"family": "H_k", "k": (sx.numerator - 1) // 2}
-    for i in range(4):
-        if x[i].denominator == 1 and not z[i]:
-            return False, {"family": "H_k_i", "k": x[i].numerator, "i": i + 1}
-        v = 2 * x[i] - sx
-        if _is_odd_integer(v) and not (2 * z[i] - sz):
-            return False, {"family": "H'_k_i", "k": (v.numerator - 1) // 2, "i": i + 1}
-    for j in range(1, 4):
-        v = 2 * (x[0] + x[j]) - sx
-        if _is_odd_integer(v) and not (2 * (z[0] + z[j]) - sz):
-            return False, {"family": "H_k_i1_i2", "k": (v.numerator - 1) // 2,
-                           "i1": 1, "i2": j + 1}
+    N, x = common_denominator(pv.x[1:])
+    _, re, im = _gaussian_form(pv.z[1:])
+    for family, a, odd, where in _PERIOD_PLANES:
+        q, r = divmod(sum(map(mul, a, x)), N)
+        if r == 0 and (q % 2 or not odd) and not sum(map(mul, a, re)) \
+                and not sum(map(mul, a, im)):
+            return False, {"family": family, "k": (q - 1) // 2 if odd else q, **where}
     return True, None
+
+
+# The planes of ``in_period_domain`` in scan order: (family, coefficients a on
+# x_1..x_4 and on z_1..z_4, whether a.x must be odd, indices for the witness).
+_PERIOD_PLANES = (("H_k", (1, 1, 1, 1), True, {}),) + tuple(
+    plane for i in range(4) for plane in (
+        ("H_k_i", tuple(int(j == i) for j in range(4)), False, {"i": i + 1}),
+        ("H'_k_i", tuple(2 * (j == i) - 1 for j in range(4)), True, {"i": i + 1}))) + tuple(
+    ("H_k_i1_i2", tuple(2 * (j in (0, i)) - 1 for j in range(4)), True, {"i1": 1, "i2": i + 1})
+    for i in range(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -183,34 +195,22 @@ def _puncture_sphere_order(label: ChamberLabel) -> list[int]:
     (adjacent) exterior odd set; A-type chambers have no adjacent exterior
     chamber and use the complement-omission convention.
     """
-    if label.kind == "exterior":
-        i0 = label.i0
-    elif label.ctype == "B1":
-        i0 = 1 << (label.index - 1)
-    elif label.ctype == "B2":
-        i0 = FULL ^ (1 << (label.index - 1))
-    else:
-        i0 = None
-    order = []
+    i = label.index
+    i0 = {"B1": 1 << (i - 1), "B2": FULL ^ (1 << (i - 1))}.get(label.ctype, label.i0)
     if i0 is not None:
-        for p in range(1, 5):
-            order.append(i0 ^ (1 << (p - 1)))
-        return order
+        return [i0 ^ (1 << p) for p in range(4)]
     # A types: the 0/4-subset pairs with the distinguished index; an A1 pair
     # (avoiding i) pairs with the index it omits inside {1..4}\{i}, an A2
     # pair {i, p} pairs with p (the complementary convention).
-    i = label.index
+    order = []
     for p in range(1, 5):
         if p == i:
             cand = [s for s in label.subsets if subset_size(s) in (0, 4)]
-        elif label.ctype == "A1":
-            cand = [s for s in label.subsets
-                    if subset_size(s) == 2 and not s >> (p - 1) & 1]
         else:
-            cand = [s for s in label.subsets
-                    if subset_size(s) == 2 and s >> (p - 1) & 1]
+            cand = [s for s in label.subsets if subset_size(s) == 2
+                    and bool(s >> (p - 1) & 1) == (label.ctype == "A2")]
         if len(cand) != 1:
-            raise AssertionError("puncture-sphere correspondence not unique")
+            raise BrokenIdentity("puncture-sphere correspondence not unique")
         order.append(cand[0])
     return order
 
@@ -219,16 +219,8 @@ def intersection_table(label: ChamberLabel) -> tuple[tuple[int, ...], ...]:
     """Integer matrix I(S_p, Sigma_j): rows are the exterior spheres in
     puncture order, columns the polar-section spheres; entries are minus the
     m_j-coefficients of the z-periods (2*pi units)."""
-    rows = []
-    for mask in _puncture_sphere_order(label):
-        coeffs = []
-        for j in range(4):
-            c = 1 if mask >> j & 1 else -1
-            if label.kind == "exterior":
-                c -= 1 if label.i0 >> j & 1 else -1
-            coeffs.append(-c)
-        rows.append(tuple(coeffs))
-    return tuple(rows)
+    c0 = _SIGNS[label.i0] if label.kind == "exterior" else (0, 0, 0, 0)
+    return tuple(tuple(map(sub, c0, _SIGNS[mask])) for mask in _puncture_sphere_order(label))
 
 
 def moment_value(mask_or_members, alpha) -> Fraction:
@@ -240,14 +232,14 @@ def moment_value(mask_or_members, alpha) -> Fraction:
 def scale_masses(data: ParabolicData, t: GaussianRational):
     """Periods before and after m -> t m; x-periods must be unchanged and
     z-periods scale by t (checked exactly)."""
-    t = t if isinstance(t, GaussianRational) else GaussianRational(Fraction(t))
+    t = as_gaussian(t)
     if not t:
         raise ValueError("t must be nonzero")
     scaled = ParabolicData(data.alpha, tuple(t * m for m in data.masses))
     pv1 = torelli_chamber(data)
     pv2 = torelli_chamber(scaled)
     if pv1.x != pv2.x:
-        raise AssertionError("x-periods changed under mass scaling")
+        raise BrokenIdentity("x-periods changed under mass scaling")
     if tuple(t * z for z in pv1.z) != pv2.z:
-        raise AssertionError("z-periods did not scale linearly")
+        raise BrokenIdentity("z-periods did not scale linearly")
     return pv1, pv2

@@ -1,16 +1,19 @@
 """Brute-force and slow reference oracles, shared by the test modules: exact
 row reduction (determinant and nullspace), the model alcove's faces derived
-from its vertices, the homology lattice's -2 classes and the SL(2,Z)
-conjugator of a monodromy factorization."""
+from its vertices, the homology lattice's -2 classes, the SL(2,Z)
+conjugator of a monodromy factorization, and the ``Fraction`` reference of
+the chamber, genericity, Torelli and period-domain computations."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from hitchin4.core import ExactMatrix
+from hitchin4.chambers import OnWall, OutOfCube, ParabolicData, exterior_label, interior_label
+from hitchin4.core import ExactMatrix, GaussianRational
 from hitchin4.homology import intersection
 from hitchin4.monodromy import mat_det, mat_mul
+from hitchin4.torelli import PARALLEL_BASIS, NonGeneric, PeriodVector
 
 
 # ---------------------------------------------------------------------------
@@ -187,4 +190,183 @@ def conjugator_by_solve(src, pattern):
             if mat_det(C) == 1 and all(
                     mat_mul(C, M) == mat_mul(T, C) for M, T in zip(src.factors, pattern)):
                 return C
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference of the chambers/torelli integer kernel
+# ---------------------------------------------------------------------------
+#
+# The wall, genericity, Torelli and period-domain computations written one
+# ``Fraction``/``GaussianRational`` operation at a time, as the library did
+# before it moved them onto integer numerators over common denominators.
+# Labels come from the library's ``interior_label``/``exterior_label``, which
+# sit outside the integer kernel.
+
+def ref_wall_K(mask, alpha) -> Fraction:
+    alpha = [Fraction(a) for a in alpha]
+    s = sum(alpha[i] if mask >> i & 1 else -alpha[i] for i in range(4))
+    k = bin(mask & 0b1111).count("1")
+    return s + Fraction((4 - 2 * k) // 4)
+
+
+def ref_wall_L(i, alpha) -> Fraction:
+    alpha = [Fraction(a) for a in alpha]
+    return sum(alpha) - 2 * alpha[i - 1]
+
+
+def ref_check_cube(alpha):
+    if any(not (0 < a < Fraction(1, 2)) for a in alpha):
+        raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
+
+
+def ref_classify_chamber(alpha):
+    alpha = tuple(Fraction(a) for a in alpha)
+    ref_check_cube(alpha)
+    for i in range(1, 5):
+        li = ref_wall_L(i, alpha)
+        if li == 0 or li == 1:
+            raise OnWall(f"L_{i} = {li}")
+        if li < 0:
+            return exterior_label(1 << (i - 1))
+        if li > 1:
+            return exterior_label(0b1111 ^ (1 << (i - 1)))
+    choices = []
+    for rep in (0b0000, 0b0011, 0b0101, 0b1001):
+        k = ref_wall_K(rep, alpha)
+        if k == 0:
+            raise OnWall(f"K wall for subset mask {rep}")
+        choices.append(rep if k > 0 else rep ^ 0b1111)
+    return interior_label(choices)
+
+
+def ref_mass_functional(mask, masses) -> GaussianRational:
+    out = GaussianRational(Fraction(0))
+    for j in range(4):
+        out = out + masses[j] if mask >> j & 1 else out - masses[j]
+    return out
+
+
+def ref_genericity_violations(data) -> list:
+    out = []
+    for e in product((0, 1), repeat=4):
+        s = sum(e) + sum(-a if ei else a for ei, a in zip(e, data.alpha))
+        if s.denominator == 1:
+            zeros = sum(1 << i for i, ei in enumerate(e) if not ei)
+            if not ref_mass_functional(zeros, data.masses):
+                out.append({"d": -s.numerator, "e": list(e)})
+    return out
+
+
+def ref_is_generic(data) -> bool:
+    ref_check_cube(data.alpha)
+    return not ref_genericity_violations(data)
+
+
+def ref_in_R_tilde(data, full: bool) -> bool:
+    alpha = data.alpha
+    if ref_genericity_violations(data):
+        return False
+    for i in range(4):
+        if (2 * alpha[i]).denominator == 1 and not data.masses[i]:
+            return False
+    if not full:
+        l_hit = any((sum(alpha) - 2 * a).denominator == 1 for a in alpha)
+        half_hit = any((2 * a).denominator == 1 for a in alpha)
+        if l_hit and half_hit:
+            return False
+    return True
+
+
+def ref_central_x(label, alpha) -> Fraction:
+    alpha = tuple(Fraction(a) for a in alpha)
+    i = label.index
+    if label.ctype == "A1":
+        return 2 * alpha[i - 1]
+    if label.ctype == "A2":
+        return 1 - 2 * alpha[i - 1]
+    if label.ctype == "B1":
+        return -ref_wall_K(1 << (i - 1), alpha)
+    if label.ctype == "B2":
+        return -ref_wall_K(0b1111 ^ (1 << (i - 1)), alpha)
+    return ref_wall_K(label.i0, alpha)
+
+
+def ref_from_outer(x4, z4, basis) -> PeriodVector:
+    x4 = tuple(Fraction(v) for v in x4)
+    x0 = (1 - sum(x4)) / 2
+    z0 = -sum(z4, GaussianRational(Fraction(0))) / 2
+    return PeriodVector((x0,) + x4, (z0,) + tuple(z4), basis)
+
+
+def ref_torelli_chamber(data) -> PeriodVector:
+    label = ref_classify_chamber(data.alpha)
+    if not ref_is_generic(data):
+        raise NonGeneric(f"(alpha, m) on a Nakajima wall: {data.alpha}")
+    ks = [ref_wall_K(s, data.alpha) for s in label.subsets]
+    ms = [ref_mass_functional(s, data.masses) for s in label.subsets]
+    if label.kind == "exterior":
+        k0 = ref_wall_K(label.i0, data.alpha)
+        m0 = ref_mass_functional(label.i0, data.masses)
+        ks = [k - k0 for k in ks]
+        ms = [m - m0 for m in ms]
+    pv = ref_from_outer(ks, ms, label)
+    assert pv.x[0] == ref_central_x(label, data.alpha)
+    return pv
+
+
+# the model alcove's faces f_1..f_4 as (n, c): x = M alpha + e1, z = M m
+REF_FACES = (((-1, -1, -1, -1), 1), ((1, 1, -1, -1), 0), ((1, -1, 1, -1), 0),
+             ((1, -1, -1, 1), 0))
+
+
+def ref_torelli_parallel(data) -> PeriodVector:
+    alpha = tuple(Fraction(a) for a in data.alpha)
+    x4 = tuple(sum(r * a for r, a in zip(n, alpha)) + c for n, c in REF_FACES)
+    z4 = tuple(ref_mass_functional(sum(1 << j for j, v in enumerate(n) if v > 0), data.masses)
+               for n, _ in REF_FACES)
+    return ref_from_outer(x4, z4, PARALLEL_BASIS)
+
+
+def ref_inverse_torelli(pv) -> ParabolicData:
+    x4 = [x - c for x, (_, c) in zip(pv.x[1:], REF_FACES)]
+    z4 = pv.z[1:]
+    rows = [n for n, _ in REF_FACES]
+    alpha = tuple(sum(Fraction(rows[r][c]) * x4[r] for r in range(4)) / 4 for c in range(4))
+    masses = tuple(sum(GaussianRational(Fraction(rows[r][c])) * z4[r] for r in range(4)) / 4
+                   for c in range(4))
+    return ParabolicData(alpha, masses)
+
+
+def ref_in_period_domain(pv):
+    def odd(q):
+        return q.denominator == 1 and q.numerator % 2 != 0
+
+    x = pv.x[1:]
+    z = pv.z[1:]
+    sx = sum(x)
+    sz = sum(z, GaussianRational(Fraction(0)))
+    if odd(sx) and not sz:
+        return False, {"family": "H_k", "k": (sx.numerator - 1) // 2}
+    for i in range(4):
+        if x[i].denominator == 1 and not z[i]:
+            return False, {"family": "H_k_i", "k": x[i].numerator, "i": i + 1}
+        v = 2 * x[i] - sx
+        if odd(v) and not (2 * z[i] - sz):
+            return False, {"family": "H'_k_i", "k": (v.numerator - 1) // 2, "i": i + 1}
+    for j in range(1, 4):
+        v = 2 * (x[0] + x[j]) - sx
+        if odd(v) and not (2 * (z[0] + z[j]) - sz):
+            return False, {"family": "H_k_i1_i2", "k": (v.numerator - 1) // 2,
+                           "i1": 1, "i2": j + 1}
+    return True, None
+
+
+def ref_fiber_relation_error(x, z):
+    """The message ``PeriodVector`` must raise ``InconsistentFiberRelation``
+    with for five x-periods and five z-periods, or None."""
+    if 2 * x[0] + sum(x[1:]) != 1:
+        return "2 x0 + sum x_j != 1"
+    if 2 * z[0] + sum(z[1:], GaussianRational(Fraction(0))):
+        return "2 z0 + sum z_j != 0"
     return None

@@ -86,6 +86,10 @@ def test_classify_examples():
         classify_chamber(CENTER)
     with pytest.raises(OutOfCube):
         classify_chamber((Fraction(3, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5)))
+    # a weight vector of another length is not in the cube either
+    for a in (ALPHA_B1[:3], ALPHA_B1 + (Fraction(1, 5),)):
+        with pytest.raises(OutOfCube):
+            classify_chamber(a)
 
 
 def test_chamber_census_and_centroid_roundtrip():

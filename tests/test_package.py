@@ -70,6 +70,13 @@ def test_aliases_and_fraction_conversions_stay_out_of_the_package():
     assert not hasattr(core, "Rational")
 
 
+def test_fraction_bodies_of_the_integer_kernel_stay_out_of_the_package():
+    # chambers and torelli compute on integer numerators; the Fraction bodies
+    # are the test reference in lattice_oracle
+    for name in ("_is_odd_integer", "_MASS_MASKS"):
+        assert not hasattr(torelli, name)
+
+
 def test_residue_quadrature_stays_out_of_the_package():
     # residues are +-m_p in closed form; the loop quadrature is a test oracle
     for name in ("_loop_mean", "_closed_sheet"):

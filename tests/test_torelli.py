@@ -16,12 +16,15 @@ from hitchin4.chambers import (
     wall_K,
     FULL,
 )
-from hitchin4.core import ExactMatrix, GaussianRational, int_matvec
+from hitchin4 import torelli
+from hitchin4.chambers import ChamberLabel
+from hitchin4.core import DomainError, ExactMatrix, GaussianRational, int_matvec
 from hitchin4.coxeter import apply_to_masses, generator, target_generator
 from hitchin4.homology import hat_affine_apply, hat_linear_apply, word_to_auto
 from hitchin4.torelli import (
     M_ROWS,
     PARALLEL_BASIS,
+    BrokenIdentity,
     InconsistentFiberRelation,
     NonGeneric,
     PeriodVector,
@@ -407,3 +410,57 @@ def test_transported_model_basis_is_chamber_basis():
     # interior walk words commute, so only exterior draws tell the two
     # word orders apart
     assert order_sensitive > 0
+
+
+# ---------------------------------------------------------------------------
+# broken identities
+# ---------------------------------------------------------------------------
+
+def test_broken_identity_is_an_assertion_not_a_domain_error():
+    assert issubclass(BrokenIdentity, AssertionError)
+    assert not issubclass(BrokenIdentity, DomainError)
+
+
+def test_torelli_chamber_checks_the_central_closed_form(monkeypatch):
+    d = rand_generic_data(rng=random.Random(7))
+    real = torelli.central_x_closed_form
+    monkeypatch.setattr(torelli, "central_x_closed_form", lambda label, a: real(label, a) + 1)
+    with pytest.raises(BrokenIdentity, match="fiber relation and central closed form disagree"):
+        torelli_chamber(d)
+
+
+def test_puncture_sphere_order_checks_uniqueness():
+    # an A1 label whose partition set repeats {} has four 0/4-subset candidates
+    label = ChamberLabel("interior", "A1", 1, (0, 0, 0, 0))
+    with pytest.raises(BrokenIdentity, match="puncture-sphere correspondence not unique"):
+        intersection_table(label)
+
+
+def _second_call_returns(monkeypatch, pv_for_second_call):
+    real = torelli.torelli_chamber
+    calls = []
+
+    def fake(data):
+        calls.append(data)
+        return real(data) if len(calls) == 1 else pv_for_second_call(data)
+
+    monkeypatch.setattr(torelli, "torelli_chamber", fake)
+
+
+def test_scale_masses_checks_the_x_periods(monkeypatch):
+    draws = random.Random(8)
+    d, other = rand_generic_data(rng=draws), rand_generic_data(rng=draws)
+    assert torelli_chamber(d).x != torelli_chamber(other).x
+    real = torelli.torelli_chamber
+    _second_call_returns(monkeypatch, lambda scaled: real(other))
+    with pytest.raises(BrokenIdentity, match="x-periods changed under mass scaling"):
+        scale_masses(d, GaussianRational(2))
+
+
+def test_scale_masses_checks_the_z_periods(monkeypatch):
+    d = rand_generic_data(rng=random.Random(9))
+    assert any(torelli_chamber(d).z)
+    real = torelli.torelli_chamber
+    _second_call_returns(monkeypatch, lambda scaled: real(d))
+    with pytest.raises(BrokenIdentity, match="z-periods did not scale linearly"):
+        scale_masses(d, GaussianRational(2))
