@@ -27,6 +27,10 @@ class NonConvergence(DomainError, RuntimeError):
     """Raised when iterative root refinement fails after bounded restarts."""
 
 
+class BrokenIdentity(AssertionError):
+    """Two exact forms that must agree did not: a defect, not a bad input."""
+
+
 # ---------------------------------------------------------------------------
 # rational serialization
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ExactMatrix, int_matmul, int_matvec
+from .core import BrokenIdentity, ExactMatrix, int_matmul, int_matvec
 
 I0 = ((-2, 1, 1, 1, 1),
       (1, -2, 0, 0, 0),
@@ -99,7 +99,7 @@ def classes_of_square_minus2(k_max: int) -> list[tuple[int, ...]]:
     classes = sorted(out)
     for c in classes:
         if intersection(c, c) != -2:
-            raise AssertionError(f"family member {c} has square {intersection(c, c)}")
+            raise BrokenIdentity(f"family member {c} has square {intersection(c, c)}")
     return classes
 
 

@@ -5,23 +5,30 @@ F(z) = f_m(z) + beta z(z-1)(z-p0); the spectral curve is the double cover
 w^2 = F(z), and the tautological form tau = w dz / (z(z-1)(z-p0)) has
 residues +-m_p over the punctures (0, 1, p0, infinity).
 
-Everything here is complex double precision, including the polynomial
-kernel: every root is found by the residual-checked ``poly_roots`` of a
-``ComplexPoly``, whose construction is the one degree trim (``TRIM_TOL``).
-Residues are +-m_p in closed form and cycle integrals use elliptic-contour
-trapezoid quadrature with adaptive node doubling; the square-root sheet that
-signs both is the principal square root at the base point
-z = 3 * max|branch point| continued analytically, so runs are deterministic.
-"""
+Everything here is complex double precision.  Every root is found by the
+residual-checked ``poly_roots`` of a ``ComplexPoly``, whose construction is
+the one degree trim (``TRIM_TOL``).  Residues are +-m_p in closed form and
+cycle integrals use elliptic-contour trapezoids with node doubling; both take
+their sign from ``_sheet``, the principal sqrt(F) at z* = 3 max(1, |branch
+point|) continued along the segment [z*, z].  That is w_cut(z) (-1)^(number of
+cuts the segment crosses): w_cut = s sqrt(lead) g(z; a, b) g(z; c, d), with
+g(z; a, b) = (z - mu) sqrt(1 - (h/(z - mu))^2), mu = (a+b)/2, h = (b-a)/2, is
+single-valued off the ``_cut_pairs`` cuts [a, b], [c, d], s makes it principal
+at z*, and a cubic F has the cuts [a, b] and c + (-inf, 0] (the principal
+sqrt(z - c)).  A branch point on the segment counts as lying on its left, as
+if the segment were moved by -i eps (z - z*): +i eps on a leftward stretch of
+the real axis, where real beta and p0 put branch points."""
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DomainError, NonConvergence
+from .core import BrokenIdentity, DomainError, NonConvergence
 
 PUNCTURE_KEYS = ("0", "1", "p0", "inf")
 
@@ -129,13 +136,6 @@ class ComplexPoly:
             out[k] = acc
             acc = self.coeffs[k] + acc * root
         return ComplexPoly(out)
-
-    @staticmethod
-    def from_roots(roots: Sequence[complex], lead: complex = 1.0) -> "ComplexPoly":
-        c = np.array([lead], dtype=complex)
-        for r in roots:
-            c = np.convolve(c, [-r, 1.0])
-        return ComplexPoly(c)
 
 
 def poly_roots(p: ComplexPoly) -> list[complex]:
@@ -345,15 +345,6 @@ class SpectralFiberPoint:
             raise OffCurve("extra point exists only when m_inf != 0")
 
 
-def on_curve_point(base: HitchinBase, beta: complex, u: complex,
-                   sign: int = +1) -> SpectralFiberPoint:
-    """Big-stratum point over u with w = sign * sqrt(F(u)) - m_inf u^2."""
-    F = base.curve_coeffs(beta)
-    val = np.polyval(F[::-1], u)
-    w = sign * np.sqrt(val) - base.masses[3] * u ** 2
-    return SpectralFiberPoint(base, beta, complex(u), complex(w), "big")
-
-
 def higgs_representative(pt: SpectralFiberPoint):
     """Trace-free Higgs matrix phi = N(z) / (z(z-1)(z-p0)) dz as a 2x2 of
     ascending coefficient arrays N plus the common denominator."""
@@ -370,7 +361,7 @@ def higgs_representative(pt: SpectralFiberPoint):
         diag = ComplexPoly([0, a, minf])
         upper = ComplexPoly(F) - diag * diag
         if upper.degree > 2:
-            raise AssertionError("extra-point upper entry must be quadratic")
+            raise BrokenIdentity("extra-point upper entry must be quadratic")
         N = ((-1 * diag, upper), (ComplexPoly([1]), diag))
         return N, den
     diag = ComplexPoly([pt.w, 0, minf])
@@ -424,39 +415,66 @@ def flags(pt: SpectralFiberPoint):
     return (F0, F1, Fp, np.inf)
 
 
-def residue_matrix(pt: SpectralFiberPoint, p: complex) -> np.ndarray:
-    """Residue of phi at a finite puncture (coefficient of dz/(z-p))."""
-    N, den = higgs_representative(pt)
-    dden = np.polynomial.polynomial.polyder(den.coeffs)
-    cp = np.polyval(dden[::-1], p)
-    return np.array([[complex(N[i][j](p)) for j in range(2)] for i in range(2)]) / cp
-
-
 # ---------------------------------------------------------------------------
-# sheet-anchored square root and contours
+# the square-root sheet and contours
 # ---------------------------------------------------------------------------
 
-def _continue_sqrt(values: np.ndarray, start: complex | None = None) -> np.ndarray:
-    """Continuous branch of sqrt along a sampled path; optionally match a
-    given starting value."""
+def _continue_sqrt(values: np.ndarray, start: complex) -> np.ndarray:
+    """Continuous branch of sqrt along a sampled path, signed to match start."""
     w = np.sqrt(values.astype(complex))
     flip = np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1])
     signs = np.ones(len(w))
     signs[1:] = np.cumprod(np.where(flip, -1.0, 1.0))
     w = w * signs
-    if start is not None and abs(w[0] - start) > abs(w[0] + start):
+    if abs(w[0] - start) > abs(w[0] + start):
         w = -w
     return w
 
 
-def _anchor_value(F: np.ndarray, anchor: complex, z0: complex, n: int = 4096) -> complex:
-    """Value of the anchored sheet at z0: principal sqrt at the anchor,
-    continued along the straight segment anchor -> z0."""
-    t = np.linspace(0.0, 1.0, n)
-    path = anchor + (z0 - anchor) * t
-    vals = np.polyval(F[::-1], path)
-    w = _continue_sqrt(vals)
-    return complex(w[-1])
+def _g(z: complex, a: complex, b: complex, side: complex) -> complex:
+    """g(z; a, b) of the module docstring as (z - mu) sqrt((z-a)(z-b)/(z-mu)^2),
+    exact near a and b; on the cut [a, b], where the root's argument is
+    -(1 - t^2)/t^2 with t = (z-mu)/h real, its limit from the direction ``side``."""
+    x, h = z - (a + b) / 2, (b - a) / 2
+    q = (z - a) * (z - b) / (x * x) if x else -1.0
+    if q.imag or q.real >= 0:
+        return x * cmath.sqrt(q)
+    r = abs((x / h).real) * math.sqrt(-q.real) if x else 1.0  # sqrt(1 - t^2)
+    return (1j if (side / h).imag > 0 else -1j) * h * r
+
+
+def _left(a: complex, b: complex, x: complex) -> float:
+    """> 0 iff x lies left of the line from a to b, measured from the nearer of a, b."""
+    return ((b - a).conjugate() * (x - (a if abs(x - a) <= abs(x - b) else b))).imag
+
+
+def _sheet(F: np.ndarray, branch: Sequence[complex]):
+    """z -> w_cut(z) times the crossing parity, the sheet of the module docstring
+    (+i sqrt|F| at z* if F(z*) < 0).  For a real F, a root that is its own nearest
+    conjugate and a z within 1e-9 |z| of the real axis count as real."""
+    real = not np.any(np.imag(F))
+    rs = sorted((complex(r.real) if real and min(branch, key=lambda q: abs(q - r.conjugate())) is r
+                 else r for r in branch), key=_root_order)
+    cuts = _cut_pairs(rs) if len(rs) == 4 else list(zip(rs[::2], rs[1::2]))
+    rays = rs[len(rs) // 2 * 2:]  # the odd root c of a cubic, cut along c + (-inf, 0]
+    anchor = 3.0 * max(1.0, max(abs(r) for r in rs))
+    s = cmath.sqrt(F[len(rs)])  # signed below, so that continued(z*) is principal
+
+    def continued(z: complex) -> complex:
+        z = complex(z.real) if real and abs(z.imag) <= 1e-9 * abs(z) else z
+        d = z - anchor
+        w = s * math.prod(_g(z, a, b, -1j * d) for a, b in cuts)
+        for c in rays:  # principal sqrt(z - c); on the ray, from the side of -i d
+            w *= cmath.sqrt(z - c) if (z - c).imag or (z - c).real >= 0 else \
+                (1j if d.real < 0 else -1j) * math.sqrt(c.real - z.real)
+        for a, b in cuts + [(c, c - 4 * (anchor + abs(z))) for c in rays]:  # one flip per crossing
+            if (_left(anchor, z, a) >= 0) != (_left(anchor, z, b) >= 0) and \
+                    (_left(a, b, anchor) > 0) != (_left(a, b, z) > 0):
+                w = -w
+        return w
+
+    s *= _nearer(1.0, cmath.sqrt(complex(np.polyval(F[::-1], anchor))) / continued(anchor))
+    return continued
 
 
 def _nearer(v: complex, target: complex) -> complex:
@@ -470,9 +488,9 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
     s = +-1 on the anchored sheet labeling.
 
     F(p) = m_p^2 c'(p)^2, so the plus sheet is s m_p c'(p) at a finite
-    puncture p; s is read at p + r, r = 0.1 x the distance to the nearest
-    branch point or other puncture, and no branch point within 10 r can flip
-    it on the way to p.  At infinity the plus sheet is s m_inf z^2 (1 +
+    puncture p; s is read on ``_sheet`` at p + r, r = 0.1 x the distance to the
+    nearest branch point or other puncture, and no branch point within 10 r can
+    flip it on the way to p.  At infinity the plus sheet is s m_inf z^2 (1 +
     O(1/z)) at the anchor and the residue is -s m_inf; if the trim drops
     m_inf^2, the far branch point is lost and ``BranchPointCollision`` is raised.
     """
@@ -481,6 +499,7 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
     F = base.curve_coeffs(beta)
     branch = poly_roots(ComplexPoly(F))
     anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
+    sheet = _sheet(F, branch)
     p0, mi = base.p0, base.masses[3]
     punctures = [0.0, 1.0, p0]
     out = {}
@@ -492,9 +511,7 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
         radius = 0.1 * min(dists)
         if radius < 1e-12:
             raise BranchPointCollision(f"branch point at puncture z = {p}")
-        z = p + radius
-        w = _nearer(np.sqrt(complex(np.polyval(F[::-1], z))), _anchor_value(F, anchor, z))
-        res = _nearer(m, w / dc)
+        res = _nearer(m, sheet(p + radius) / dc)
         out[key] = (res, -res)
     out["inf"] = (0j, 0j)
     if mi != 0:
@@ -509,31 +526,32 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
 # elliptic periods
 # ---------------------------------------------------------------------------
 
+def _root_order(r: complex):
+    return (round(r.real, 12), round(r.imag, 12))
+
+
 def _cut_pairs(roots):
-    """Deterministic nearest-neighbour pairing of four branch points
-    (minimal total cut length; ties broken by the sorted order)."""
-    rs = sorted((complex(r) for r in roots),
-                key=lambda r: (round(r.real, 12), round(r.imag, 12)))
+    """The two cuts [a, b], [c, d] of the deterministic nearest-neighbour
+    pairing of four branch points (minimal total cut length; ties broken by
+    the sorted order)."""
+    rs = sorted((complex(r) for r in roots), key=_root_order)
     pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
     lengths = [abs(rs[i] - rs[j]) + abs(rs[k] - rs[l]) for (i, j), (k, l) in pairings]
-    (i, j), (k, l) = pairings[int(np.argmin(lengths))]
-    return rs, (i, j), (k, l)
+    return [(rs[i], rs[j]) for i, j in pairings[int(np.argmin(lengths))]]
 
 
 def _ellipse_rho(a: complex, b: complex, z: complex) -> float:
     """Elliptic coordinate of z relative to the segment [a, b] (>0 off it)."""
-    import cmath
-
     u = (2 * z - a - b) / (b - a)
     return abs(cmath.acos(u).imag)
 
 
 def _cycle_integral(F: np.ndarray, branch: Sequence[complex], a: complex, b: complex,
-                    anchor: complex, weight=None, tol: float = 1e-9,
+                    sheet, weight=None, tol: float = 1e-9,
                     nmax: int = 1 << 17) -> complex:
-    """Integral of weight(z) dz / (2 w) once around the cut [a, b] on the
-    anchored sheet, via an ellipse contour and adaptive trapezoid; ``branch``
-    holds the branch points (roots of F)."""
+    """Integral of weight(z) dz / (2 w) once around the cut [a, b], via an
+    ellipse contour and adaptive trapezoid, starting on ``sheet`` (from
+    ``_sheet``); ``branch`` holds the branch points (roots of F)."""
     others = list(branch)
     for e in (a, b):
         k = int(np.argmin([abs(r - e) for r in others]))
@@ -544,7 +562,7 @@ def _cycle_integral(F: np.ndarray, branch: Sequence[complex], a: complex, b: com
     r = min(1.2, 0.5 * rho_min)
     mid, half = (a + b) / 2, (b - a) / 2
     # every node count starts the contour at t = 0
-    start = _anchor_value(F, anchor, complex(mid + half * np.cos(0.0 - 1j * r)))
+    start = sheet(complex(mid + half * np.cos(0.0 - 1j * r)))
     prev = None
     n = 256
     while n <= nmax:
@@ -577,39 +595,20 @@ def elliptic_periods(base: HitchinBase, beta: complex):
     if poly.degree < 3:
         raise SingularFiber("curve degenerates below genus one")
     branch = poly_roots(poly)
-    rs = sorted(branch, key=lambda r: (round(r.real, 12), round(r.imag, 12)))
+    rs = sorted(branch, key=_root_order)
     dmin = min(abs(x - y) for i, x in enumerate(rs) for y in rs[i + 1:])
     if dmin < 1e-8 * max(1.0, max(abs(r) for r in rs)):
         raise SingularFiber(f"branch points coincide (min distance {dmin:.2e})")
-    anchor = 3.0 * max(1.0, float(np.max(np.abs(rs))))
-    if poly.degree == 3:
-        a, b, c = rs
-    else:
-        rs, (i, j), (k, l) = _cut_pairs(rs)
-        a, b, c = rs[i], rs[j], rs[k]
-    A = _cycle_integral(F, branch, a, b, anchor)
-    B = _cycle_integral(F, branch, b, c, anchor)
+    (a, b), (c, *_) = _cut_pairs(rs) if poly.degree == 4 else (rs[:2], rs[2:])
+    sheet = _sheet(F, branch)
+    A = _cycle_integral(F, branch, a, b, sheet)
+    B = _cycle_integral(F, branch, b, c, sheet)
     if abs(A) < 1e-14:
         raise SingularFiber("vanishing A-period")
     tau = B / A
     if tau.imag < 0:
         tau, B = -tau, -B
     return A, B, tau
-
-
-def tau_cycle_integral(base: HitchinBase, beta: complex, cut: tuple[complex, complex]) -> complex:
-    """Cycle integral of the tautological form w dz / (z(z-1)(z-p0)) around
-    a given cut; used for the d(Z_gamma) = (period) d(beta) consistency check."""
-    F = base.curve_coeffs(beta)
-    branch = poly_roots(ComplexPoly(F))
-    anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
-    a = min(branch, key=lambda r: abs(r - cut[0]))
-    b = min(branch, key=lambda r: abs(r - cut[1]))
-
-    def weight(z):
-        return 2 * np.polyval(F[::-1], z) / (z * (z - 1) * (z - base.p0))
-
-    return _cycle_integral(F, branch, a, b, anchor, weight=weight)
 
 
 # ---------------------------------------------------------------------------

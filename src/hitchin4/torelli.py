@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
-from .core import (DomainError, GaussianRational, as_fraction, as_gaussian, common_denominator,
-                   int_matvec)
+from .core import (BrokenIdentity, DomainError, GaussianRational, as_fraction, as_gaussian,
+                   common_denominator, int_matvec)
 from .chambers import (
     ChamberLabel,
     ParabolicData,
@@ -30,7 +30,6 @@ from .chambers import (
     _gaussian_form,
     _k,
     classify_chamber,
-    genericity_violations,
     mass_functional,  # noqa: F401  (re-exported)
     subset_size,
     wall_K,
@@ -48,15 +47,12 @@ _M_T = tuple(zip(*M_ROWS))
 
 
 class NonGeneric(DomainError, ValueError):
-    """Parameters sit on a Nakajima wall (moduli space singular)."""
+    """Parameters sit on a Nakajima wall (moduli space singular).  No call
+    here raises it: ``torelli_chamber`` meets such points as ``OnWall``."""
 
 
 class InconsistentFiberRelation(DomainError, ValueError):
     """Period data violates the exact fiber-class relations."""
-
-
-class BrokenIdentity(AssertionError):
-    """Two exact forms that must agree did not: a defect, not a bad input."""
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,10 @@ def central_x_closed_form(label: ChamberLabel, alpha) -> Fraction:
 
 def torelli_chamber(data: ParabolicData) -> PeriodVector:
     """Period vector over the chamber basis of alpha's own chamber: x_J = K_J,
-    z_J = M_J, less K_{I0} and M_{I0} in an exterior chamber."""
+    z_J = M_J, less K_{I0} and M_{I0} in an exterior chamber.  Inside the open
+    cube every Nakajima alpha-plane is one of the 12 chamber walls, so a
+    non-generic (alpha, m) raises ``OnWall`` here."""
     label = classify_chamber(data.alpha)
-    if genericity_violations(data):
-        raise NonGeneric(f"(alpha, m) on a Nakajima wall: {data.alpha}")
     N, b = common_denominator(data.alpha)
     Nm, re, im = _gaussian_form(data.masses)
     signs = [_SIGNS[s] for s in label.subsets]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hitchin4.core import int_matvec
+from hitchin4.core import BrokenIdentity, int_matvec
 from hitchin4.coxeter import COXETER_MATRIX
 from hitchin4.homology import (
     FIBER_CLASS,
@@ -105,6 +105,14 @@ def test_minus2_matches_brute_force_box():
     family = [c for c in classes_of_square_minus2(4) if all(abs(x) <= 3 for x in c)]
     assert sorted(family) == brute
     assert len(brute) > 0
+
+
+def test_minus2_family_check_fires_on_a_broken_form(monkeypatch):
+    from hitchin4 import homology
+
+    monkeypatch.setattr(homology, "intersection", lambda a, b: 0)
+    with pytest.raises(BrokenIdentity, match="has square 0"):
+        classes_of_square_minus2(0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ import random
 import numpy as np
 import pytest
 
+from hitchin4.core import BrokenIdentity, DomainError
 from hitchin4.spectral import (
-    _anchor_value,
     _continue_sqrt,
+    _cycle_integral,
+    _sheet,
     BranchPointCoincidence,
     BranchPointCollision,
     ComplexPoly,
     DegenerateP0,
+    HitchinBase,
     SpectralFiberPoint,
     OffCurve,
     build_base,
@@ -21,14 +24,11 @@ from hitchin4.spectral import (
     higgs_representative,
     in_B0,
     is_square_polynomial,
-    on_curve_point,
     poly_roots,
     predicted_root_shift,
-    residue_matrix,
     SingularFiber,
     singular_fibers,
     tau_asymptotics,
-    tau_cycle_integral,
     tautological_residues,
 )
 
@@ -165,6 +165,21 @@ def test_in_B0_rejects_degeneration_at_infinity():
 # Higgs representatives and flags
 # ---------------------------------------------------------------------------
 
+def on_curve_point(base, beta, u, sign=+1):
+    """Big-stratum point over u with w = sign * sqrt(F(u)) - m_inf u^2."""
+    F = base.curve_coeffs(beta)
+    w = sign * np.sqrt(np.polyval(F[::-1], u)) - base.masses[3] * u ** 2
+    return SpectralFiberPoint(base, beta, complex(u), complex(w), "big")
+
+
+def residue_matrix(pt, p):
+    """Oracle: residue of phi at a finite puncture (coefficient of dz/(z-p))."""
+    N, den = higgs_representative(pt)
+    dden = np.polynomial.polynomial.polyder(den.coeffs)
+    cp = np.polyval(dden[::-1], p)
+    return np.array([[complex(N[i][j](p)) for j in range(2)] for i in range(2)]) / cp
+
+
 def test_small_stratum_companion_form():
     base = generic_base()
     pt = SpectralFiberPoint(base, BETA, stratum="small")
@@ -209,6 +224,14 @@ def test_extra_point_upper_entry_quadratic():
     den = z * (z - 1) * (z - base.p0)
     det = N[0][0](z) * N[1][1](z) - N[0][1](z) * N[1][0](z)
     assert abs(-det / den ** 2 - q) < 1e-8 * (1 + abs(q))
+
+
+def test_extra_point_with_an_inconsistent_quartic_is_a_broken_identity():
+    # build_base makes f4 = m_inf^2; a base built by hand with f4 = 5, m_inf = 1
+    # leaves a quartic upper entry
+    pt = SpectralFiberPoint(HitchinBase(2.0, (1, 1, 1, 1), (0, 0, 0, 0, 5)), BETA, stratum="extra")
+    with pytest.raises(BrokenIdentity, match="extra-point upper entry must be quadratic"):
+        higgs_representative(pt)
 
 
 def test_small_stratum_flags():
@@ -301,12 +324,61 @@ def test_residues_refuse_a_trimmed_far_branch_point():
     assert tautological_residues(base, 1e10)["inf"] in ((1, -1), (-1, 1))
 
 
-def _loop_mean(F, anchor, p0, center, radius, n):
+class OracleStalled(Exception):
+    """The stepped oracle cannot give the sheet: its path meets a branch point,
+    or passes too near one for the real-axis shift."""
+
+
+def stepped_sqrt(F, branch, path, max_steps=20_000):
+    """Oracle of ``spectral._sheet``: the principal sqrt(F) at path[0] continued
+    along the polyline ``path``.  Each step is at most half the distance to the
+    nearest root, so sqrt(F) turns by less than 90 degrees and the root nearer
+    the last value is the continued one; each leg ends exactly at its vertex.
+    Away from path[0], F is evaluated as lead * prod(x - root), which keeps its
+    relative precision near a root."""
+    lead = F[len(branch)]
+    x, w, steps = path[0], cmath.sqrt(complex(np.polyval(F[::-1], path[0]))), 0
+    for target in path[1:]:
+        while x != target:
+            half, gap = min(abs(x - e) for e in branch) / 2, abs(target - x)
+            x = target if gap <= half else x + (target - x) * (half / gap)
+            v = lead
+            for e in branch:
+                v *= x - e
+            v = cmath.sqrt(v)
+            w = v if abs(v - w) <= abs(v + w) else -v
+            steps += 1
+            if steps > max_steps:
+                raise OracleStalled
+    return w
+
+
+def stepped_sheet(F, branch):
+    """Stand-in for ``spectral._sheet``: z -> ``stepped_sqrt`` along the segment
+    from the anchor to z.  For a real F and a real z the segment runs along the
+    real axis through the real branch points, so it is moved 1e-12 anchor to
+    the right of its direction (the +i eps rule).  That is the same path while
+    no non-real branch point (|Im| above 1e-12 of its size) lies within
+    1e-9 anchor of the axis; otherwise the oracle does not apply
+    (``OracleStalled``)."""
+    anchor = 3.0 * max(1.0, max(abs(r) for r in branch))
+    shift = 0.0 if np.any(np.imag(F)) else 1e-12 * anchor
+    if any(1e-12 * abs(e) < abs(e.imag) < 1e3 * shift for e in branch):
+        raise OracleStalled
+
+    def value(z):
+        on_axis = abs(z.imag) < shift and z != anchor
+        n = -1j * shift * (z - anchor) / abs(z - anchor) if on_axis else 0
+        return stepped_sqrt(F, branch, [anchor, anchor + n, z + n, z])
+    return value
+
+
+def _loop_mean(F, branch, p0, center, radius, n):
     """Trapezoid mean, over n nodes of |z - center| = radius, of tau / dtheta
     on the anchored sheet; raises BranchPointCollision unless the sheet closes."""
     th = 2 * np.pi * np.arange(n) / n
     z = center + radius * np.exp(1j * th)
-    w = _continue_sqrt(np.polyval(F[::-1], z), start=_anchor_value(F, anchor, complex(z[0])))
+    w = _continue_sqrt(np.polyval(F[::-1], z), start=stepped_sheet(F, branch)(complex(z[0])))
     if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
         raise BranchPointCollision("sheet failed to close around the loop")
     return np.mean(w / (z * (z - 1) * (z - p0)) * 1j * radius * np.exp(1j * th))
@@ -316,7 +388,7 @@ def loop_residues(base, beta):
     """Quadrature oracle: the plus-sheet residue at each puncture from a
     512-node loop of radius 0.1 x the distance to the nearest branch point or
     other puncture, and at infinity from a 2,048-node loop around every
-    branch point."""
+    branch point; each loop starts on ``stepped_sheet``."""
     F = base.curve_coeffs(beta)
     branch = poly_roots(ComplexPoly(F))
     anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
@@ -330,10 +402,10 @@ def loop_residues(base, beta):
         radius = 0.1 * min(dists)
         if radius < 1e-12:
             raise BranchPointCollision(f"branch point at puncture z = {p}")
-        out[key] = complex(_loop_mean(F, anchor, base.p0, p, radius, 512) / 1j)
+        out[key] = complex(_loop_mean(F, branch, base.p0, p, radius, 512) / 1j)
     out["inf"] = 0j
     if base.masses[3] != 0:
-        out["inf"] = complex(-_loop_mean(F, anchor, base.p0, 0.0, anchor / 3 * 2.5, 2048) / 1j)
+        out["inf"] = complex(-_loop_mean(F, branch, base.p0, 0.0, anchor / 3 * 2.5, 2048) / 1j)
     return out
 
 
@@ -347,17 +419,21 @@ def _assert_signed_masses(res, base, oracle=None):
             assert plus == want, (key, plus, oracle[key])
 
 
-def test_residues_are_the_signed_masses_of_the_quadrature_oracle():
-    r = random.Random(4242)
-    checked = 0
-    for _ in range(300):
+def spectral_draws(r, n):
+    """n draws shaped like the spectral-numeric benchmark: p0 at least 0.3 from
+    0 and 1, normal masses, |beta| log-uniform over 0.1 to 1e4, random phase."""
+    for _ in range(n):
         while True:
             p0 = complex(r.uniform(-2, 3), r.uniform(-1.5, 1.5))
             if min(abs(p0), abs(p0 - 1)) >= 0.3:
                 break
         masses = tuple(complex(r.gauss(0, 0.9), r.gauss(0, 0.9)) for _ in range(4))
-        beta = 10 ** r.uniform(-1, 4) * cmath.exp(2j * math.pi * r.random())
-        base = build_base(p0, masses)
+        yield build_base(p0, masses), 10 ** r.uniform(-1, 4) * cmath.exp(2j * math.pi * r.random())
+
+
+def test_residues_are_the_signed_masses_of_the_quadrature_oracle():
+    checked = 0
+    for base, beta in spectral_draws(random.Random(4242), 300):
         if not in_B0(base, beta):
             continue
         _assert_signed_masses(tautological_residues(base, beta), base, loop_residues(base, beta))
@@ -394,6 +470,71 @@ def test_residues_on_a_large_beta_grid(p0):
     if p0 == 2.0:
         base = build_base(p0, (0.5, 0.25, 0.125, 1))
         _assert_signed_masses(tautological_residues(base, 1e9), base)
+
+
+def _outputs(base, beta):
+    """Residues and periods, or the domain error each raises."""
+    out = []
+    for f in (tautological_residues, elliptic_periods):
+        try:
+            out.append(f(base, beta))
+        except DomainError as e:
+            out.append(repr(e))
+    return out
+
+
+def _outputs_on(sheet, base, beta, monkeypatch):
+    from hitchin4 import spectral
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_sheet", sheet)
+        return _outputs(base, beta)
+
+
+def test_residue_and_period_signs_equal_the_stepped_oracle(monkeypatch):
+    # A, B and tau read the sheet only at the contour starts, so equal signs
+    # make the periods bit-identical; |beta| from 0.1 to 1e4
+    checked = 0
+    for base, beta in spectral_draws(random.Random(1616), 400):
+        if not in_B0(base, beta):
+            continue
+        assert _outputs(base, beta) == _outputs_on(stepped_sheet, base, beta, monkeypatch), \
+            (base, beta)
+        checked += 1
+    assert checked > 390
+
+
+REAL_GRID_MASSES = ((1, 0, 0, 0), (0.5, 0.25, 0.125, 1), (1, 1, 1, 1), (0.3, -0.7, 1.2, 0.5),
+                    (0, 0, 0, 1), (0.5, 1, 0.25, 1j), (1j, 0.5, -0.5j, 1))
+
+
+def test_signs_on_the_real_axis_follow_the_plus_i_eps_rule(monkeypatch):
+    # with p0 = 2 and real beta, F is real and the segment from the anchor runs
+    # along the real axis through real branch points; each counts as lying on
+    # the path's left, so the leftward path runs just above the axis
+    checked = on_axis = 0
+    for masses in REAL_GRID_MASSES:
+        base = build_base(2.0, masses)
+        for beta in (s * 10 ** (k / 4) for k in range(-4, 17) for s in (1, -1)):
+            if not in_B0(base, beta):
+                continue
+            assert _outputs(base, beta) == _outputs_on(stepped_sheet, base, beta, monkeypatch), \
+                (masses, beta)
+            checked += 1
+            branch = poly_roots(ComplexPoly(base.curve_coeffs(beta)))
+            on_axis += any(abs(e.imag) <= 1e-12 * abs(e) and e.real > 0.1 for e in branch)
+    assert checked > 280 and on_axis > 250
+    # README: from the anchor 20 to 0.1 the path passes 6.67, 2 and 1 above
+    assert tautological_residues(build_base(2.0, (1, 0, 0, 0)), 0.7)["0"] == (1, -1)
+
+
+def test_sheet_is_principal_at_the_anchor_whatever_the_sign_of_a_zero():
+    # F = -(z-1)(z-2)(z-3)(z-4) is negative at its anchor z* = 12, where the
+    # principal root is +i sqrt|F(z*)|, also when the coefficients carry Im = -0.0
+    for zero in (0.0, -0.0):
+        F = np.array([complex(c, zero) for c in (-24, 50, -35, 10, -1)])
+        w = _sheet(F, poly_roots(ComplexPoly(F)))(12.0 + 0j)
+        assert w.imag > 0 and abs(w * w - np.polyval(F[::-1], 12.0)) < 1e-9 * abs(w * w)
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +582,34 @@ def test_period_refinement_stability():
     assert abs(t1.imag) > 1e-6
 
 
+def tau_cycle_integral(base, beta, cut):
+    """Oracle: cycle integral of the tautological form w dz / (z(z-1)(z-p0))
+    around a given cut; its beta-derivative is the holomorphic period."""
+    F = base.curve_coeffs(beta)
+    branch = poly_roots(ComplexPoly(F))
+    a = min(branch, key=lambda r: abs(r - cut[0]))
+    b = min(branch, key=lambda r: abs(r - cut[1]))
+
+    def weight(z):
+        return 2 * np.polyval(F[::-1], z) / (z * (z - 1) * (z - base.p0))
+
+    return _cycle_integral(F, branch, a, b, _sheet(F, branch), weight=weight)
+
+
 def test_dZ_dbeta_equals_period_on_both_cycles():
     # the beta-derivative of the tautological cycle integral equals the
     # holomorphic period on each basis cycle
     base = generic_base()
     F = np.roots(base.curve_coeffs(BETA)[::-1])
     rs = sorted((complex(r) for r in F), key=lambda r: (r.real, r.imag))
-    from hitchin4.spectral import ComplexPoly, _cycle_integral, poly_roots
     F0 = base.curve_coeffs(BETA)
     branch = poly_roots(ComplexPoly(F0))
-    anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
     h = 1e-5
     for cut in ((rs[0], rs[1]), (rs[1], rs[2])):
         Zp = tau_cycle_integral(base, BETA + h, cut)
         Zm = tau_cycle_integral(base, BETA - h, cut)
         dZ = (Zp - Zm) / (2 * h)
-        per = _cycle_integral(F0, branch, cut[0], cut[1], anchor)
+        per = _cycle_integral(F0, branch, cut[0], cut[1], _sheet(F0, branch))
         assert abs(dZ - per) < 1e-5 * abs(per)
 
 
@@ -467,10 +620,10 @@ def test_singular_beta_rejected():
             elliptic_periods(base, bad)
 
 
-def test_elliptic_periods_find_roots_once_and_anchor_once_per_cycle(monkeypatch):
+def test_elliptic_periods_find_roots_once_and_build_one_sheet(monkeypatch):
     from hitchin4 import spectral
 
-    calls = {"roots": 0, "anchor": 0}
+    calls = {"roots": 0, "sheet": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -479,9 +632,9 @@ def test_elliptic_periods_find_roots_once_and_anchor_once_per_cycle(monkeypatch)
         return wrapper
 
     monkeypatch.setattr(spectral, "poly_roots", counted("roots", spectral.poly_roots))
-    monkeypatch.setattr(spectral, "_anchor_value", counted("anchor", spectral._anchor_value))
+    monkeypatch.setattr(spectral, "_sheet", counted("sheet", spectral._sheet))
     elliptic_periods(generic_base(), BETA)
-    assert calls == {"roots": 1, "anchor": 2}
+    assert calls == {"roots": 1, "sheet": 1}
 
 
 def test_np_roots_called_only_in_poly_roots():

@@ -109,15 +109,41 @@ def test_torelli_chamber_B2_z_periods_match_intersection_numbers():
 
 
 def test_torelli_chamber_rejects_walls():
-    # inside the open cube every Nakajima alpha-wall is one of the 12
-    # chamber walls, so a wall point is caught by classification; NonGeneric
-    # remains for callers that bypass the classifier
+    # inside the open cube every Nakajima alpha-plane is one of the 12
+    # chamber walls (next test), so a non-generic point raises OnWall
     from hitchin4.chambers import OnWall
 
     a = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
     with pytest.raises(OnWall):
         torelli_chamber(ParabolicData(a, ZEROS))
     assert issubclass(NonGeneric, ValueError)
+
+
+def test_every_nakajima_plane_meeting_the_open_cube_is_a_chamber_wall():
+    # the plane (d, e) of genericity_violations is {c . alpha = k}, k = -d - sum(e)
+    # an integer and c the sign vector of J = {i : e_i = 0}; it meets (0, 1/2)^4
+    # iff k lies strictly between the extremes of c . alpha on the cube
+    from hitchin4.chambers import _K_OFFSET, _PLANES, _SIGNS, E_REPS, OnWall
+
+    def plane(c, k):  # {c . alpha = k} up to an overall sign
+        return max((tuple(c), k), (tuple(-v for v in c), -k))
+
+    walls = {plane(_SIGNS[rep], -_K_OFFSET[rep]) for rep in E_REPS}        # K_I = 0
+    walls |= {plane(_SIGNS[1 << i], k) for i in range(4) for k in (0, -1)}  # L_i = 0, 1
+    assert len(walls) == 12
+    met = set()
+    for _, _, c in _PLANES:
+        lo, hi = Fraction(sum(v for v in c if v < 0), 2), Fraction(sum(v for v in c if v > 0), 2)
+        for k in range(int(lo), int(hi) + 1):
+            if lo < k < hi:
+                met.add(plane(c, k))
+                # its point nearest the cube center lies inside the cube, on a wall
+                t = (k - Fraction(sum(c), 4)) / 4
+                alpha = tuple(Fraction(1, 4) + t * v for v in c)
+                assert all(0 < a < Fraction(1, 2) for a in alpha)
+                with pytest.raises(OnWall):
+                    classify_chamber(alpha)
+    assert met == walls
 
 
 def test_fiber_relations_and_positivity_sweep():
@@ -417,6 +443,9 @@ def test_transported_model_basis_is_chamber_basis():
 # ---------------------------------------------------------------------------
 
 def test_broken_identity_is_an_assertion_not_a_domain_error():
+    from hitchin4 import core
+
+    assert BrokenIdentity is core.BrokenIdentity
     assert issubclass(BrokenIdentity, AssertionError)
     assert not issubclass(BrokenIdentity, DomainError)
 
