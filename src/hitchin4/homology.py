@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import BrokenIdentity, ExactMatrix, int_matmul, int_matvec
+from .core import BrokenIdentity, ExactMatrix
 
 I0 = ((-2, 1, 1, 1, 1),
       (1, -2, 0, 0, 0),
@@ -27,14 +27,6 @@ LatticeAuto = tuple  # 5x5 nested int tuples
 def intersection(a, b) -> int:
     """Intersection pairing a^T I0 b of two coefficient vectors."""
     return sum(a[i] * I0[i][j] * b[j] for i in range(5) for j in range(5))
-
-
-def is_lattice_auto(A) -> bool:
-    """A preserves I0 and fixes the fiber class (2,1,1,1,1)."""
-    At = tuple(zip(*A))
-    if int_matmul(int_matmul(At, I0), A) != I0:
-        return False
-    return int_matvec(A, FIBER_CLASS) == FIBER_CLASS
 
 
 def dehn_twist_matrix(i: int) -> LatticeAuto:
@@ -122,9 +114,3 @@ def hat_affine_apply(A, x) -> tuple[Fraction, ...]:
     hatA, hatB = hat_reduction(A)
     xt = hatA.transpose().apply(tuple(Fraction(v) for v in x))
     return tuple(a + b for a, b in zip(xt, hatB))
-
-
-def hat_linear_apply(A, z) -> tuple:
-    """Apply the linear (z-period) part of the hat reduction: z -> hatA^T z."""
-    hatA, _ = hat_reduction(A)
-    return hatA.transpose().apply(tuple(z))

@@ -7,11 +7,11 @@ residues +-m_p over the punctures (0, 1, p0, infinity).
 
 Everything here is complex double precision.  Every root is found by the
 residual-checked ``poly_roots`` of a ``ComplexPoly``, whose construction is
-the one degree trim (``TRIM_TOL``).  Residues are +-m_p in closed form and
-cycle integrals use elliptic-contour trapezoids with node doubling; both take
-their sign from ``_sheet``, the principal sqrt(F) at z* = 3 max(1, |branch
-point|) continued along the segment [z*, z].  That is w_cut(z) (-1)^(number of
-cuts the segment crosses): w_cut = s sqrt(lead) g(z; a, b) g(z; c, d), with
+the one degree trim (``TRIM_TOL``).  Residues (+-m_p) and periods (integer
+combinations of AGM lattice generators) are closed forms that take only their
+sign from ``_sheet``, the principal sqrt(F) at z* = 3 max(1, |branch point|)
+continued along the segment [z*, z].  That is w_cut(z) (-1)^(number of cuts
+the segment crosses): w_cut = s sqrt(lead) g(z; a, b) g(z; c, d), with
 g(z; a, b) = (z - mu) sqrt(1 - (h/(z - mu))^2), mu = (a+b)/2, h = (b-a)/2, is
 single-valued off the ``_cut_pairs`` cuts [a, b], [c, d], s makes it principal
 at z*, and a cubic F has the cuts [a, b] and c + (-inf, 0] (the principal
@@ -34,6 +34,7 @@ PUNCTURE_KEYS = ("0", "1", "p0", "inf")
 
 ROOT_TOL = 1e-8
 TRIM_TOL = 1e-12
+COARSE_NODE_CAP = 1 << 14
 
 
 class DegenerateP0(DomainError, ValueError):
@@ -95,7 +96,12 @@ class ComplexPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return np.polyval(self.coeffs[::-1], z)
+        if not isinstance(z, (int, float, complex)):
+            return np.polyval(self.coeffs[::-1], z)
+        acc = 0j  # Horner on a Python scalar, as np.polyval but without its array set-up
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        return acc
 
     def __eq__(self, other):
         return isinstance(other, ComplexPoly) and self.coeffs == other.coeffs
@@ -206,12 +212,6 @@ class HitchinBase:
     def curve_coeffs(self, beta: complex) -> np.ndarray:
         """Ascending coefficients of F = f_m + beta z(z-1)(z-p0)."""
         return np.asarray(self.f_coeffs, dtype=complex) + beta * _cubic_coeffs(self.p0)
-
-    def quadratic_differential(self, beta: complex, z):
-        """q(z) = F(z) / (z(z-1)(z-p0))^2."""
-        F = np.polyval(self.curve_coeffs(beta)[::-1], z)
-        c = z * (z - 1) * (z - self.p0)
-        return F / c ** 2
 
 
 def build_base(p0: complex, masses) -> HitchinBase:
@@ -416,20 +416,8 @@ def flags(pt: SpectralFiberPoint):
 
 
 # ---------------------------------------------------------------------------
-# the square-root sheet and contours
+# the square-root sheet and residues
 # ---------------------------------------------------------------------------
-
-def _continue_sqrt(values: np.ndarray, start: complex) -> np.ndarray:
-    """Continuous branch of sqrt along a sampled path, signed to match start."""
-    w = np.sqrt(values.astype(complex))
-    flip = np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1])
-    signs = np.ones(len(w))
-    signs[1:] = np.cumprod(np.where(flip, -1.0, 1.0))
-    w = w * signs
-    if abs(w[0] - start) > abs(w[0] + start):
-        w = -w
-    return w
-
 
 def _g(z: complex, a: complex, b: complex, side: complex) -> complex:
     """g(z; a, b) of the module docstring as (z - mu) sqrt((z-a)(z-b)/(z-mu)^2),
@@ -540,69 +528,80 @@ def _cut_pairs(roots):
     return [(rs[i], rs[j]) for i, j in pairings[int(np.argmin(lengths))]]
 
 
-def _ellipse_rho(a: complex, b: complex, z: complex) -> float:
-    """Elliptic coordinate of z relative to the segment [a, b] (>0 off it)."""
-    u = (2 * z - a - b) / (b - a)
-    return abs(cmath.acos(u).imag)
+def _lattice_generator(root: complex, p: complex, q: complex, r: complex, *s: complex) -> complex:
+    """pi / (root M(sqrt((p-r)(q-s)), sqrt((p-s)(q-r)))) (a cubic has no s), M the AGM
+    with each root taken nearer the arithmetic mean, stopped at |x - y| <= 1e-15 |x|."""
+    qs, ps = (q - s[0], p - s[0]) if s else (1, 1)
+    x, y = cmath.sqrt((p - r) * qs), cmath.sqrt(ps * (q - r))
+    for _ in range(64):
+        if abs(x - y) > abs(x + y):
+            y = -y
+        if abs(x - y) <= 1e-15 * abs(x):
+            return math.pi / (root * x)
+        x, y = (x + y) / 2, cmath.sqrt(x * y)
+    raise NonConvergence(f"AGM did not settle ({x} vs {y})")
 
 
-def _cycle_integral(F: np.ndarray, branch: Sequence[complex], a: complex, b: complex,
-                    sheet, weight=None, tol: float = 1e-9,
-                    nmax: int = 1 << 17) -> complex:
-    """Integral of weight(z) dz / (2 w) once around the cut [a, b], via an
-    ellipse contour and adaptive trapezoid, starting on ``sheet`` (from
-    ``_sheet``); ``branch`` holds the branch points (roots of F)."""
-    others = list(branch)
-    for e in (a, b):
-        k = int(np.argmin([abs(r - e) for r in others]))
-        others.pop(k)
-    rho_min = min((_ellipse_rho(a, b, r) for r in others), default=2.0)
-    if rho_min < 1e-7:
+def _collapsed_cycle(root: complex, p: complex, q: complex, others, sheet):
+    """(sign, coarse): collapsed onto [p, q], z = mu + h cos theta, the cycle around it
+    is -int_0^pi dtheta / (root G(z)), G = prod sqrt(z - e) over the other roots e, and
+    coarse(n) its n-node Gauss-Chebyshev sum; sign * coarse is the period on ``sheet`` at
+    z0 = mu + h cosh min(1.2, rho/2), rho the elliptic coordinate of the nearest e.  Each
+    sqrt(z - e) is sqrt(u) sqrt((z - e)/u), u bisecting the angle [p, z0] subtends at e."""
+    rho = min(abs(cmath.acos((2 * e - p - q) / (q - p)).imag) for e in others)
+    if rho < 1e-7:
         raise BranchPointCoincidence("branch points collide with the cut")
-    r = min(1.2, 0.5 * rho_min)
-    mid, half = (a + b) / 2, (b - a) / 2
-    # every node count starts the contour at t = 0
-    start = sheet(complex(mid + half * np.cos(0.0 - 1j * r)))
-    prev = None
-    n = 256
-    while n <= nmax:
-        t = 2 * np.pi * np.arange(n) / n
-        z = mid + half * np.cos(t - 1j * r)
-        dz = -half * np.sin(t - 1j * r) * 1j
-        w = _continue_sqrt(np.polyval(F[::-1], z), start=start)
-        if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
-            raise BranchPointCoincidence("cycle contour crosses a branch cut")
-        wz = np.ones_like(z) if weight is None else weight(z)
-        val = complex(np.sum(wz / (2 * w) * dz) * (2 * np.pi / n))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        n *= 2
-    return prev
+    mu, h, r = (p + q) / 2, (q - p) / 2, min(1.2, 0.5 * rho)
+    z0 = mu + h * math.cosh(r)
+    us = [(p - e) / abs(p - e) + (z0 - e) / abs(z0 - e) for e in others]
+
+    def G(z):
+        return root * math.prod(cmath.sqrt(u) * np.sqrt((z - e) / u) for e, u in zip(others, us))
+
+    def coarse(n: int) -> complex:
+        z = mu + h * np.cos((np.arange(n) + 0.5) * (math.pi / n))
+        return -math.pi / n * complex(np.sum(1 / G(z)))
+
+    return _nearer(1.0, sheet(z0) / complex(h * math.sinh(r) * G(z0))), coarse
 
 
 def elliptic_periods(base: HitchinBase, beta: complex):
-    """(A-period, B-period, tau) of omega = dz/(2w) on w^2 = F(z).
-
-    Cycles circle the two cuts of the deterministic branch-point pairing;
-    tau = B/A is normalized to the upper half-plane by a sign flip of B.
-    The same anchored sheet is used for both cycles, so the periods vary
-    continuously along beta sweeps; d/dbeta of the tau-cycle integral of
-    the tautological form equals the returned period exactly in the limit.
-    """
+    """(A, B, tau): i times the integrals of omega = dz/(2w) around the A- and
+    B-cycles, tau = B/A put in the upper half-plane by a sign flip of B.  The nodes
+    double from 32 until the coarse cycles lie within 0.1 of integer combinations
+    of the generators, of determinant +-1 (``NonConvergence`` past ``COARSE_NODE_CAP``)."""
     F = base.curve_coeffs(beta)
     poly = ComplexPoly(F)
     if poly.degree < 3:
         raise SingularFiber("curve degenerates below genus one")
     branch = poly_roots(poly)
     rs = sorted(branch, key=_root_order)
-    dmin = min(abs(x - y) for i, x in enumerate(rs) for y in rs[i + 1:])
-    if dmin < 1e-8 * max(1.0, max(abs(r) for r in rs)):
-        raise SingularFiber(f"branch points coincide (min distance {dmin:.2e})")
-    (a, b), (c, *_) = _cut_pairs(rs) if poly.degree == 4 else (rs[:2], rs[2:])
+    size = max(1.0, max(abs(r) for r in rs))
+    for i, x in enumerate(rs):  # periods ~ log d, d^2 ~ beta: eps/d^2 > ROOT_TOL for d < 1e-4
+        for y in rs[i + 1:]:
+            if abs(x - y) < max(1e-8 * size, 1e-4 * max(1.0, abs(x), abs(y))):
+                raise SingularFiber(f"branch points coincide (distance {abs(x - y):.2e})")
+    (a, b), (c, *d) = _cut_pairs(rs) if poly.degree == 4 else (rs[:2], rs[2:])
+    root = cmath.sqrt(F[poly.degree])
+    w1, w2 = _lattice_generator(root, a, b, c, *d), _lattice_generator(root, b, c, a, *d)
+    span = (w1.conjugate() * w2).imag
+    if not span:
+        raise SingularFiber("lattice generators are collinear")
     sheet = _sheet(F, branch)
-    A = _cycle_integral(F, branch, a, b, sheet)
-    B = _cycle_integral(F, branch, b, c, sheet)
+    cycles = [_collapsed_cycle(root, a, b, [c, *d], sheet),
+              _collapsed_cycle(root, b, c, [a, *d], sheet)]
+    n = 32
+    while True:
+        coords = [((v.conjugate() * w2).imag / span, (w1.conjugate() * v).imag / span)
+                  for v in (coarse(n) for _, coarse in cycles)]
+        (k11, k12), (k21, k22) = k = [(round(s), round(t)) for s, t in coords]
+        gap = max(abs(t - round(t)) for row in coords for t in row)
+        if gap <= 0.1 and abs(k11 * k22 - k12 * k21) == 1:
+            break
+        if 2 * n > COARSE_NODE_CAP:
+            raise NonConvergence(f"coarse periods off the lattice (gap {gap:.2f}) at {n} nodes")
+        n *= 2
+    A, B = (sign * (k1 * w1 + k2 * w2) for (sign, _), (k1, k2) in zip(cycles, k))
     if abs(A) < 1e-14:
         raise SingularFiber("vanishing A-period")
     tau = B / A

@@ -1,6 +1,7 @@
 """Brute-force and slow reference oracles, shared by the test modules: exact
 row reduction (determinant and nullspace), the model alcove's faces derived
-from its vertices, the homology lattice's -2 classes, the SL(2,Z)
+from its vertices, the homology lattice's -2 classes and automorphism test,
+the linear part of the hat reduction, the SL(2,Z)
 conjugator of a monodromy factorization, and the ``Fraction`` reference of
 the chamber, genericity, Torelli and period-domain computations."""
 
@@ -10,8 +11,8 @@ from itertools import product
 from math import gcd
 
 from hitchin4.chambers import OnWall, OutOfCube, ParabolicData, exterior_label, interior_label
-from hitchin4.core import ExactMatrix, GaussianRational
-from hitchin4.homology import intersection
+from hitchin4.core import ExactMatrix, GaussianRational, int_matmul, int_matvec
+from hitchin4.homology import FIBER_CLASS, I0, hat_reduction, intersection
 from hitchin4.monodromy import mat_det, mat_mul
 from hitchin4.torelli import PARALLEL_BASIS, NonGeneric, PeriodVector
 
@@ -154,6 +155,20 @@ def brute_force_minus2(box: int) -> list[tuple[int, ...]]:
         if intersection(c, c) == -2:
             out.append(c)
     return sorted(out)
+
+
+def is_lattice_auto(A) -> bool:
+    """A preserves I0 and fixes the fiber class (2,1,1,1,1)."""
+    At = tuple(zip(*A))
+    if int_matmul(int_matmul(At, I0), A) != I0:
+        return False
+    return int_matvec(A, FIBER_CLASS) == FIBER_CLASS
+
+
+def hat_linear_apply(A, z) -> tuple:
+    """Apply the linear (z-period) part of the hat reduction: z -> hatA^T z."""
+    hatA, _ = hat_reduction(A)
+    return hatA.transpose().apply(tuple(z))
 
 
 def conjugator_by_solve(src, pattern):

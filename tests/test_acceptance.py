@@ -41,9 +41,7 @@ from hitchin4.homology import (
     classes_of_square_minus2,
     dehn_twist_matrix,
     hat_affine_apply,
-    hat_linear_apply,
     intersection,
-    is_lattice_auto,
     word_to_auto,
 )
 from hitchin4.torelli import (
@@ -60,7 +58,13 @@ from hitchin4.torelli import (
     torelli_parallel,
 )
 
-from lattice_oracle import brute_force_minus2, conjugator_by_solve, det
+from lattice_oracle import (
+    brute_force_minus2,
+    conjugator_by_solve,
+    det,
+    hat_linear_apply,
+    is_lattice_auto,
+)
 
 rng = random.Random(0xD4)
 nrng = np.random.default_rng(0xD4)

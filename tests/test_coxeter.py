@@ -22,7 +22,7 @@ from hitchin4.coxeter import (
     target_generator,
     vertex_orbit,
 )
-from hitchin4.homology import hat_affine_apply, hat_linear_apply, word_to_auto
+from hitchin4.homology import hat_affine_apply, word_to_auto
 from hitchin4.torelli import torelli_parallel
 
 from lattice_oracle import (
@@ -31,6 +31,7 @@ from lattice_oracle import (
     MODEL_VERTICES,
     face_reflection,
     face_value,
+    hat_linear_apply,
     in_model,
 )
 

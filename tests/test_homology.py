@@ -10,14 +10,12 @@ from hitchin4.homology import (
     classes_of_square_minus2,
     dehn_twist_matrix,
     hat_affine_apply,
-    hat_linear_apply,
     hat_reduction,
     intersection,
-    is_lattice_auto,
     word_to_auto,
 )
 
-from lattice_oracle import brute_force_minus2
+from lattice_oracle import brute_force_minus2, hat_linear_apply, is_lattice_auto
 
 rng = random.Random(99)
 

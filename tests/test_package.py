@@ -83,6 +83,16 @@ def test_residue_quadrature_stays_out_of_the_package():
         assert not hasattr(spectral, name)
 
 
+def test_period_contour_and_test_only_helpers_stay_out_of_the_package():
+    # periods are AGM lattice combinations; the contour is the test oracle, and
+    # helpers only the tests call live with them
+    for name in ("_cycle_integral", "_continue_sqrt", "_ellipse_rho"):
+        assert not hasattr(spectral, name)
+    for name in ("hat_linear_apply", "is_lattice_auto"):
+        assert not hasattr(homology, name)
+    assert not hasattr(spectral.HitchinBase, "quadratic_differential")
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

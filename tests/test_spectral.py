@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from hitchin4.core import BrokenIdentity, DomainError
+from hitchin4.core import BrokenIdentity, DomainError, NonConvergence
 from hitchin4.spectral import (
-    _continue_sqrt,
-    _cycle_integral,
+    _cut_pairs,
+    _root_order,
     _sheet,
     BranchPointCoincidence,
     BranchPointCollision,
@@ -41,6 +41,12 @@ BETA = 1.3 - 0.8j
 
 def generic_base():
     return build_base(P0, MASSES)
+
+
+def quadratic_differential(base, beta, z):
+    """q(z) = F(z) / (z(z-1)(z-p0))^2."""
+    F = np.polyval(base.curve_coeffs(beta)[::-1], z)
+    return F / (z * (z - 1) * (z - base.p0)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ def test_big_stratum_det_reproduces_q():
         pt = on_curve_point(base, BETA, u, sign=+1)
         N, den = higgs_representative(pt)
         for z in rng.normal(size=20) + 1j * rng.normal(size=20):
-            q = base.quadratic_differential(BETA, z)
+            q = quadratic_differential(base, BETA, z)
             det = N[0][0](z) * N[1][1](z) - N[0][1](z) * N[1][0](z)
             got = -det / den(z) ** 2
             assert abs(got - q) < 1e-8 * (1 + abs(q))
@@ -220,7 +226,7 @@ def test_extra_point_upper_entry_quadratic():
     N, _ = higgs_representative(pt)
     assert N[0][1].degree <= 2
     z = 0.45 - 1.2j
-    q = base.quadratic_differential(BETA, z)
+    q = quadratic_differential(base, BETA, z)
     den = z * (z - 1) * (z - base.p0)
     det = N[0][0](z) * N[1][1](z) - N[0][1](z) * N[1][0](z)
     assert abs(-det / den ** 2 - q) < 1e-8 * (1 + abs(q))
@@ -373,12 +379,24 @@ def stepped_sheet(F, branch):
     return value
 
 
+def continue_sqrt(values, start):
+    """Continuous branch of sqrt along a sampled path, signed to match start."""
+    w = np.sqrt(values.astype(complex))
+    flip = np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1])
+    signs = np.ones(len(w))
+    signs[1:] = np.cumprod(np.where(flip, -1.0, 1.0))
+    w = w * signs
+    if abs(w[0] - start) > abs(w[0] + start):
+        w = -w
+    return w
+
+
 def _loop_mean(F, branch, p0, center, radius, n):
     """Trapezoid mean, over n nodes of |z - center| = radius, of tau / dtheta
     on the anchored sheet; raises BranchPointCollision unless the sheet closes."""
     th = 2 * np.pi * np.arange(n) / n
     z = center + radius * np.exp(1j * th)
-    w = _continue_sqrt(np.polyval(F[::-1], z), start=stepped_sheet(F, branch)(complex(z[0])))
+    w = continue_sqrt(np.polyval(F[::-1], z), start=stepped_sheet(F, branch)(complex(z[0])))
     if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
         raise BranchPointCollision("sheet failed to close around the loop")
     return np.mean(w / (z * (z - 1) * (z - p0)) * 1j * radius * np.exp(1j * th))
@@ -548,6 +566,126 @@ def _lambda_of_tau(tau: complex) -> complex:
     return complex((mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 4)
 
 
+def lambda_misfit(base, beta, tau):
+    """Distance of lambda(tau) from the anharmonic orbit of the cross-ratio of
+    the branch points (the modular-lambda oracle)."""
+    r = np.roots(base.curve_coeffs(beta)[::-1])
+    cr = ((r[0] - r[2]) * (r[1] - r[3])) / ((r[1] - r[2]) * (r[0] - r[3]))
+    lam = _lambda_of_tau(tau)
+    orbit = [cr, 1 - cr, 1 / cr, 1 / (1 - cr), cr / (cr - 1), (cr - 1) / cr]
+    return min(abs(lam - o) for o in orbit)
+
+
+class ContourUnconverged(Exception):
+    """The contour oracle reached its node cap without settling."""
+
+
+def ellipse_rho(a, b, z):
+    """Elliptic coordinate of z relative to the segment [a, b] (>0 off it)."""
+    return abs(cmath.acos((2 * z - a - b) / (b - a)).imag)
+
+
+def cycle_integral(F, branch, a, b, sheet, weight=None, tol=1e-9, nmax=1 << 17):
+    """Contour oracle: i times the integral of weight(z) dz / (2 w) once around
+    the cut [a, b], by a trapezoid on an ellipse through no other branch point,
+    doubling the nodes from 256 until two sums agree to ``tol``; the contour
+    starts on ``sheet`` at t = 0 and sqrt(F) is continued along the nodes."""
+    others = list(branch)
+    for e in (a, b):
+        others.pop(int(np.argmin([abs(r - e) for r in others])))
+    rho_min = min((ellipse_rho(a, b, r) for r in others), default=2.0)
+    if rho_min < 1e-7:
+        raise BranchPointCoincidence("branch points collide with the cut")
+    r = min(1.2, 0.5 * rho_min)
+    mid, half = (a + b) / 2, (b - a) / 2
+    start = sheet(complex(mid + half * np.cos(0.0 - 1j * r)))
+    prev = None
+    n = 256
+    while n <= nmax:
+        t = 2 * np.pi * np.arange(n) / n
+        z = mid + half * np.cos(t - 1j * r)
+        dz = -half * np.sin(t - 1j * r) * 1j
+        w = continue_sqrt(np.polyval(F[::-1], z), start=start)
+        if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
+            raise BranchPointCoincidence("cycle contour crosses a branch cut")
+        wz = np.ones_like(z) if weight is None else weight(z)
+        val = complex(np.sum(wz / (2 * w) * dz) * (2 * np.pi / n))
+        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+            return val
+        prev = val
+        n *= 2
+    raise ContourUnconverged(f"{nmax} nodes")
+
+
+def contour_periods(base, beta):
+    """Contour oracle of ``elliptic_periods``: the same cycles, sheet and
+    normalization of tau, each period by ``cycle_integral``."""
+    F = base.curve_coeffs(beta)
+    branch = poly_roots(ComplexPoly(F))
+    rs = sorted(branch, key=_root_order)
+    (a, b), (c, *_) = _cut_pairs(rs) if len(rs) == 4 else (rs[:2], rs[2:])
+    sheet = _sheet(F, branch)
+    A, B = cycle_integral(F, branch, a, b, sheet), cycle_integral(F, branch, b, c, sheet)
+    tau = B / A
+    if tau.imag < 0:
+        tau, B = -tau, -B
+    return A, B, tau
+
+
+def _assert_periods_match_the_contour(cases):
+    """On each in-B0 case where the contour oracle converges, A, B and tau are
+    within 1e-9 relative of it (so their signs agree); returns the count checked."""
+    checked = 0
+    for base, beta in cases:
+        if not in_B0(base, beta):
+            continue
+        try:
+            want = contour_periods(base, beta)
+        except (BranchPointCoincidence, ContourUnconverged):
+            continue
+        got = elliptic_periods(base, beta)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * abs(w), (base, beta, got, want)
+        checked += 1
+    return checked
+
+
+def test_periods_match_the_contour_oracle_on_random_draws():
+    assert _assert_periods_match_the_contour(spectral_draws(random.Random(1717), 420)) > 400
+
+
+def test_periods_match_the_contour_oracle_on_a_real_axis_grid():
+    # F is real for real p0 and beta; the cuts and contour starts then lie on
+    # the real axis, where the sheet follows the +i eps rule
+    cases = [(build_base(p0, masses), s * 10.0 ** e) for p0 in (0.37, 2.0, -1.0, 3.0, 0.5 + 0.5j)
+             for masses in REAL_GRID_MASSES for e in range(-1, 5) for s in (1, -1)]
+    assert _assert_periods_match_the_contour(cases) > 380
+
+
+def test_periods_where_the_contour_crossed_a_cut():
+    # the first draw of seed 1: the A-cut runs from the far branch point
+    # (|z| ~ 3e4) to one near the punctures, and the other two lie near its end
+    # (elliptic coordinate below 0.02), where the contour's continuation of
+    # sqrt(F) misses a sheet flip; the coarse cycle needs 256 nodes, and tau
+    # passes the modular-lambda oracle
+    base, beta = next(spectral_draws(random.Random(1), 1))
+    with pytest.raises(BranchPointCoincidence, match="crosses a branch cut"):
+        contour_periods(base, beta)
+    _, _, tau = elliptic_periods(base, beta)
+    assert tau.imag > 0 and lambda_misfit(base, beta, tau) < 1e-6
+
+
+def test_coarse_node_cap_raises_non_convergence(monkeypatch):
+    from hitchin4 import spectral
+
+    base, beta = next(spectral_draws(random.Random(1), 1))
+    monkeypatch.setattr(spectral, "COARSE_NODE_CAP", 128)
+    with pytest.raises(NonConvergence, match="off the lattice"):
+        elliptic_periods(base, beta)
+    monkeypatch.setattr(spectral, "COARSE_NODE_CAP", 256)
+    assert elliptic_periods(base, beta)[2].imag > 0
+
+
 def test_cubic_periods_match_modular_lambda():
     import mpmath as mp
 
@@ -566,12 +704,7 @@ def test_lambda_matching_quartic():
     _, _, tau = elliptic_periods(base, BETA)
     assert tau.imag > 0
     # cross-ratio of the branch points, matched through the anharmonic orbit
-    F = base.curve_coeffs(BETA)
-    r = np.roots(F[::-1])
-    cr = ((r[0] - r[2]) * (r[1] - r[3])) / ((r[1] - r[2]) * (r[0] - r[3]))
-    lam = _lambda_of_tau(tau)
-    orbit = [cr, 1 - cr, 1 / cr, 1 / (1 - cr), cr / (cr - 1), (cr - 1) / cr]
-    assert min(abs(lam - o) for o in orbit) < 1e-6
+    assert lambda_misfit(base, BETA, tau) < 1e-6
 
 
 def test_period_refinement_stability():
@@ -593,7 +726,7 @@ def tau_cycle_integral(base, beta, cut):
     def weight(z):
         return 2 * np.polyval(F[::-1], z) / (z * (z - 1) * (z - base.p0))
 
-    return _cycle_integral(F, branch, a, b, _sheet(F, branch), weight=weight)
+    return cycle_integral(F, branch, a, b, _sheet(F, branch), weight=weight)
 
 
 def test_dZ_dbeta_equals_period_on_both_cycles():
@@ -609,7 +742,7 @@ def test_dZ_dbeta_equals_period_on_both_cycles():
         Zp = tau_cycle_integral(base, BETA + h, cut)
         Zm = tau_cycle_integral(base, BETA - h, cut)
         dZ = (Zp - Zm) / (2 * h)
-        per = _cycle_integral(F0, branch, cut[0], cut[1], _sheet(F0, branch))
+        per = cycle_integral(F0, branch, cut[0], cut[1], _sheet(F0, branch))
         assert abs(dZ - per) < 1e-5 * abs(per)
 
 
@@ -635,6 +768,21 @@ def test_elliptic_periods_find_roots_once_and_build_one_sheet(monkeypatch):
     monkeypatch.setattr(spectral, "_sheet", counted("sheet", spectral._sheet))
     elliptic_periods(generic_base(), BETA)
     assert calls == {"roots": 1, "sheet": 1}
+
+
+def test_scalar_and_array_evaluation_agree():
+    # a Python scalar takes a Horner loop in Python complex arithmetic and an
+    # array np.polyval; the two agree to rounding
+    r = random.Random(77)
+    for _ in range(50):
+        p = ComplexPoly([complex(r.gauss(0, 3), r.gauss(0, 3)) for _ in range(r.randint(1, 7))])
+        zs = [complex(r.gauss(0, 2), r.gauss(0, 2)) for _ in range(8)] + [0, 1, -2.5, 0.3j]
+        on_array = p(np.array(zs, dtype=complex))
+        for z, w in zip(zs, on_array):
+            got = p(z)
+            assert type(got) is complex
+            size = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+            assert abs(got - w) <= 1e-14 * size, (p, z, got, w)
 
 
 def test_np_roots_called_only_in_poly_roots():

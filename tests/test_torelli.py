@@ -20,7 +20,7 @@ from hitchin4 import torelli
 from hitchin4.chambers import ChamberLabel
 from hitchin4.core import DomainError, ExactMatrix, GaussianRational, int_matvec
 from hitchin4.coxeter import apply_to_masses, generator, target_generator
-from hitchin4.homology import hat_affine_apply, hat_linear_apply, word_to_auto
+from hitchin4.homology import hat_affine_apply, word_to_auto
 from hitchin4.torelli import (
     M_ROWS,
     PARALLEL_BASIS,
@@ -38,7 +38,7 @@ from hitchin4.torelli import (
     torelli_parallel,
 )
 
-from lattice_oracle import det
+from lattice_oracle import det, hat_linear_apply
 
 rng = random.Random(31337)
 
