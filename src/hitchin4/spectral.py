@@ -96,9 +96,7 @@ class ComplexPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        if not isinstance(z, (int, float, complex)):
-            return np.polyval(self.coeffs[::-1], z)
-        acc = 0j  # Horner on a Python scalar, as np.polyval but without its array set-up
+        acc = 0j  # Horner, elementwise on an array, in the order of np.polyval
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
@@ -577,9 +575,10 @@ def elliptic_periods(base: HitchinBase, beta: complex):
     branch = poly_roots(poly)
     rs = sorted(branch, key=_root_order)
     size = max(1.0, max(abs(r) for r in rs))
-    for i, x in enumerate(rs):  # periods ~ log d, d^2 ~ beta: eps/d^2 > ROOT_TOL for d < 1e-4
+    # a residual up to ROOT_TOL moves a near-double root by up to sqrt(ROOT_TOL) of its size
+    for i, x in enumerate(rs):
         for y in rs[i + 1:]:
-            if abs(x - y) < max(1e-8 * size, 1e-4 * max(1.0, abs(x), abs(y))):
+            if abs(x - y) < max(1e-8 * size, math.sqrt(ROOT_TOL) * max(1.0, abs(x), abs(y))):
                 raise SingularFiber(f"branch points coincide (distance {abs(x - y):.2e})")
     (a, b), (c, *d) = _cut_pairs(rs) if poly.degree == 4 else (rs[:2], rs[2:])
     root = cmath.sqrt(F[poly.degree])

@@ -78,19 +78,15 @@ def test_fraction_bodies_of_the_integer_kernel_stay_out_of_the_package():
 
 
 def test_residue_quadrature_stays_out_of_the_package():
-    # residues are +-m_p in closed form; the loop quadrature is a test oracle
-    for name in ("_loop_mean", "_closed_sheet"):
-        assert not hasattr(spectral, name)
-
-
-def test_period_contour_and_test_only_helpers_stay_out_of_the_package():
-    # periods are AGM lattice combinations; the contour is the test oracle, and
-    # helpers only the tests call live with them
-    for name in ("_cycle_integral", "_continue_sqrt", "_ellipse_rho"):
-        assert not hasattr(spectral, name)
-    for name in ("hat_linear_apply", "is_lattice_auto"):
-        assert not hasattr(homology, name)
-    assert not hasattr(spectral.HitchinBase, "quadratic_differential")
+    # residues are +-m_p in closed form and periods AGM lattice combinations;
+    # the loop quadrature and the period contour are test oracles, and helpers
+    # only the tests call live with them
+    for owner, name in ((spectral, "_loop_mean"), (spectral, "_closed_sheet"),
+                        (spectral, "_cycle_integral"), (spectral, "_continue_sqrt"),
+                        (spectral, "_ellipse_rho"), (homology, "hat_linear_apply"),
+                        (homology, "is_lattice_auto"),
+                        (spectral.HitchinBase, "quadratic_differential")):
+        assert not hasattr(owner, name), name
 
 
 def _subclasses(cls):

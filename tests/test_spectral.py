@@ -26,6 +26,7 @@ from hitchin4.spectral import (
     is_square_polynomial,
     poly_roots,
     predicted_root_shift,
+    ROOT_TOL,
     SingularFiber,
     singular_fibers,
     tau_asymptotics,
@@ -566,14 +567,15 @@ def _lambda_of_tau(tau: complex) -> complex:
     return complex((mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 4)
 
 
-def lambda_misfit(base, beta, tau):
+def lambda_misfit(base, beta, tau, relative=False):
     """Distance of lambda(tau) from the anharmonic orbit of the cross-ratio of
-    the branch points (the modular-lambda oracle)."""
+    the branch points (the modular-lambda oracle), relative to the orbit point
+    if ``relative``."""
     r = np.roots(base.curve_coeffs(beta)[::-1])
     cr = ((r[0] - r[2]) * (r[1] - r[3])) / ((r[1] - r[2]) * (r[0] - r[3]))
     lam = _lambda_of_tau(tau)
     orbit = [cr, 1 - cr, 1 / cr, 1 / (1 - cr), cr / (cr - 1), (cr - 1) / cr]
-    return min(abs(lam - o) for o in orbit)
+    return min(abs(lam - o) / (abs(o) if relative else 1.0) for o in orbit)
 
 
 class ContourUnconverged(Exception):
@@ -753,6 +755,36 @@ def test_singular_beta_rejected():
             elliptic_periods(base, bad)
 
 
+def _closest_pair_ratio(base, beta):
+    """Closest branch-point distance over the ``SingularFiber`` threshold
+    sqrt(ROOT_TOL) max(1, |x|, |y|) of the pair."""
+    rs = poly_roots(ComplexPoly(base.curve_coeffs(beta)))
+    return min(abs(x - y) / (math.sqrt(ROOT_TOL) * max(1.0, abs(x), abs(y)))
+               for i, x in enumerate(rs) for y in rs[i + 1:])
+
+
+def _beta_at_pair_ratio(base, singular, target):
+    """beta near a singular fiber whose closest pair sits at ``target`` times the
+    threshold; the pair distance grows like sqrt(beta - singular)."""
+    eps = 1e-6 * max(1.0, abs(singular))
+    for _ in range(5):
+        eps *= (target / _closest_pair_ratio(base, singular + eps)) ** 2
+    assert abs(_closest_pair_ratio(base, singular + eps) - target) < 1e-3 * target
+    return singular + eps
+
+
+def test_coincidence_threshold_is_the_root_resolution():
+    # a pair 3x the threshold is a smooth fiber whose tau passes the
+    # modular-lambda oracle; a pair at half of it raises SingularFiber
+    base = generic_base()
+    for singular in singular_fibers(base):
+        above = _beta_at_pair_ratio(base, singular, 3.0)
+        _, _, tau = elliptic_periods(base, above)
+        assert tau.imag > 0 and lambda_misfit(base, above, tau, relative=True) < 1e-9
+        with pytest.raises(SingularFiber, match="coincide"):
+            elliptic_periods(base, _beta_at_pair_ratio(base, singular, 0.5))
+
+
 def test_elliptic_periods_find_roots_once_and_build_one_sheet(monkeypatch):
     from hitchin4 import spectral
 
@@ -771,18 +803,18 @@ def test_elliptic_periods_find_roots_once_and_build_one_sheet(monkeypatch):
 
 
 def test_scalar_and_array_evaluation_agree():
-    # a Python scalar takes a Horner loop in Python complex arithmetic and an
-    # array np.polyval; the two agree to rounding
+    # one Horner loop evaluates a Python scalar and, elementwise, an array;
+    # both agree with np.polyval to rounding
     r = random.Random(77)
     for _ in range(50):
         p = ComplexPoly([complex(r.gauss(0, 3), r.gauss(0, 3)) for _ in range(r.randint(1, 7))])
         zs = [complex(r.gauss(0, 2), r.gauss(0, 2)) for _ in range(8)] + [0, 1, -2.5, 0.3j]
         on_array = p(np.array(zs, dtype=complex))
-        for z, w in zip(zs, on_array):
+        for z, w, want in zip(zs, on_array, np.polyval(p.coeffs[::-1], zs)):
             got = p(z)
             assert type(got) is complex
             size = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
-            assert abs(got - w) <= 1e-14 * size, (p, z, got, w)
+            assert max(abs(got - w), abs(got - want)) <= 1e-14 * size, (p, z, got, w, want)
 
 
 def test_np_roots_called_only_in_poly_roots():
