@@ -36,20 +36,6 @@ def _parse_exact(parse, tok: str):
         raise ValueError(f"zero denominator in {tok.strip()!r}") from None
 
 
-def _parse_fractions(s: str, n: int = 4) -> tuple[Fraction, ...]:
-    parts = [_parse_exact(Fraction, tok) for tok in s.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated rationals, got {len(parts)}")
-    return tuple(parts)
-
-
-def _parse_gaussians(s: str, n: int = 4) -> tuple[GaussianRational, ...]:
-    parts = [_parse_exact(GaussianRational.parse, tok) for tok in s.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated values, got {len(parts)}")
-    return tuple(parts)
-
-
 def _parse_complex(tok: str) -> complex:
     tok = tok.strip()
     try:
@@ -58,11 +44,19 @@ def _parse_complex(tok: str) -> complex:
         return complex(tok.replace("i", "j"))
 
 
-def _parse_complexes(s: str, n: int = 4) -> tuple[complex, ...]:
-    parts = [_parse_complex(tok) for tok in s.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated complex values, got {len(parts)}")
-    return tuple(parts)
+def _four(parse, what: str):
+    """Reader of four comma-separated values, each read by ``parse``."""
+    def read(s: str) -> tuple:
+        parts = [parse(tok) for tok in s.split(",")]
+        if len(parts) != 4:
+            raise ValueError(f"expected 4 comma-separated {what}, got {len(parts)}")
+        return tuple(parts)
+    return read
+
+
+_parse_fractions = _four(lambda tok: _parse_exact(Fraction, tok), "rationals")
+_parse_gaussians = _four(lambda tok: _parse_exact(GaussianRational.parse, tok), "values")
+_parse_complexes = _four(_parse_complex, "complex values")
 
 
 def _check_count(name: str, n: int, minimum: int) -> int:

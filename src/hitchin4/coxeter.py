@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd
 from operator import mul
 
-from .core import (DomainError, ExactMatrix, GaussianRational, as_gaussian, common_denominator,
-                   int_matmul, int_matvec)
+from .core import (BrokenIdentity, DomainError, ExactMatrix, GaussianRational, as_gaussian,
+                   common_denominator, int_matmul, int_matvec)
 
 COXETER_MATRIX = ((1, 3, 3, 3, 3),
                   (3, 1, 2, 2, 2),
@@ -187,6 +187,21 @@ def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
 # alcove walk
 # ---------------------------------------------------------------------------
 
+# Gram matrix n_i.n_j of the face normals, and the linear parts met by the
+# walk as integer rows over denominator 2, in order of first use (all in W_fin).
+_GRAM = tuple(tuple(sum(map(mul, n, m)) for m, _ in _FACES) for n, _ in _FACES)
+_LINEAR = [tuple(tuple(2 * (r == k) for k in range(4)) for r in range(4))]
+
+
+@lru_cache(maxsize=None)
+def _linear_step(k: int, i: int) -> int:
+    """Index in ``_LINEAR`` of r_i o _LINEAR[k]; filled by the walk, at most 5 * 192 entries."""
+    M = tuple(tuple(e // 2 for e in row) for row in int_matmul(generator(i).L, _LINEAR[k]))
+    if M not in _LINEAR:
+        _LINEAR.append(M)
+    return _LINEAR.index(M)
+
+
 def alcove_walk(alpha, max_steps: int = 100000):
     """Fold alpha into the closed model alcove.
 
@@ -198,33 +213,41 @@ def alcove_walk(alpha, max_steps: int = 100000):
     ``word_to_auto(g.inverse().word)`` (the walk word read backwards), and
     periods in that basis are its transpose applied to the parallel periods.
 
-    The walk steps on integer numerators b = N*alpha with N twice the lcm of
-    the denominators, so every b_i starts even.  With n in {+-1}^4 a face
-    functional n.b + c*N has the parity of sum(b), and the reflection step
-    b -> b - (n.b + c*N)/2 * n (a ``divmod`` by 2) changes sum(b) by a
-    multiple of the even sum(n), so every step divides exactly (checked;
-    ``ArithmeticError`` otherwise).
-    Each step crosses one wall, so the cost is linear in the distance from
-    the model alcove (about 10 steps per unit of |alpha|); g is composed
-    once at the end by ``compose_word``.  Raises ``WalkLimitExceeded`` after
-    ``max_steps`` reflections.
+    The walk keeps the five integer face values of b = N*alpha, N twice the
+    lcm of the denominators, so all start even.  Reflecting in face i by
+    q = half its value moves face j by -q*_GRAM[i][j]: five updates per wall
+    crossed, about 10 walls per unit of |alpha|.  alpha0 is b less the shifts
+    q*n_i, over N; g's linear part is read letter by letter from the memoised
+    ``_linear_step``, its translation from g(alpha0) == alpha.  A step or
+    translation that does not divide exactly raises ``BrokenIdentity``, and
+    ``max_steps`` reflections raise ``WalkLimitExceeded``.
     """
     N, b = common_denominator([Fraction(a) for a in alpha])
     N, b = 2 * N, [2 * v for v in b]
-    applied: list[int] = []
+    vals = [sum(map(mul, n, b)) + c * N for n, c in _FACES]
+    G, shifts, applied = _GRAM, [0] * 5, []
     for _ in range(max_steps):
-        vals = [sum(map(mul, n, b)) + c * N for n, c in _FACES]
-        viol = next((i for i, f in enumerate(vals) if f < 0), None)
-        if viol is None:
-            word = tuple(reversed(applied))
-            g = compose_word(word, [generator(i) for i in range(5)])
-            return g, tuple(Fraction(v, N) for v in b), 0 in vals
-        q, r = divmod(vals[viol], 2)
+        for viol, f in enumerate(vals):
+            if f < 0:
+                break
+        else:  # no face violated: b is in the closed model alcove
+            break
+        q, r = divmod(f, 2)
         if r:
-            raise ArithmeticError("alcove walk step is not integral")
-        b = [v - q * a for v, a in zip(b, _FACES[viol][0])]
+            raise BrokenIdentity("alcove walk step is not integral")
+        vals = [v - q * e for v, e in zip(vals, G[viol])]
+        shifts[viol] += q
         applied.append(viol)
-    raise WalkLimitExceeded(f"alcove walk did not reach the model alcove in {max_steps} steps")
+    else:
+        raise WalkLimitExceeded(f"alcove walk did not reach the model alcove in {max_steps} steps")
+    b0 = [v - sum(map(mul, shifts, col)) for v, col in zip(b, zip(*(n for n, _ in _FACES)))]
+    word = tuple(reversed(applied))
+    k = reduce(_linear_step, word, 0)
+    t = [divmod(2 * v - sum(map(mul, row, b0)), N) for row, v in zip(_LINEAR[k], b)]
+    if any(r for _, r in t):
+        raise BrokenIdentity("alcove walk translation is not integral")
+    g = AffineIsometry(*_reduced(_LINEAR[k], tuple(e for e, _ in t), 2), word)
+    return g, tuple(Fraction(v, N) for v in b0), 0 in vals
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from math import gcd
 
 import pytest
 
+from hitchin4 import coxeter
 from hitchin4.chambers import ParabolicData, enumerate_chambers, chamber_vertices
-from hitchin4.core import ExactMatrix, GaussianRational
+from hitchin4.core import BrokenIdentity, ExactMatrix, GaussianRational
 from hitchin4.coxeter import (
     COXETER_MATRIX,
     _FACES,
@@ -333,6 +334,62 @@ def test_alcove_walk_matches_fraction_reference():
     for alpha in [(0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 3, 1), (Fraction(1, 4),) * 4]:
         g, a0, on_wall = alcove_walk(alpha)
         assert (g.word, a0, on_wall) == _fraction_walk(alpha)
+
+
+def _walk_draws():
+    """600 seeded points shaped like the benchmark's walks (coordinates up to
+    0.25..20, denominators 1..60 or up to 1e9), the wall and vertex points
+    of the Fraction reference test, the model's vertices and one point at
+    |alpha| about 1000."""
+    r = random.Random(1808)
+    for _ in range(600):
+        size = 0.25 * 80 ** r.random()
+        yield tuple(_diff_rational(r, size) for _ in range(4))
+    yield from [(0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 3, 1), (Fraction(1, 4),) * 4]
+    yield from MODEL_VERTICES
+    yield (Fraction(1000), Fraction(-3, 7), Fraction(250, 3), Fraction(-1, 1_000_000_007))
+
+
+def test_alcove_walk_matches_compose_word():
+    # g is read from face values and a linear-step memo, not composed: it
+    # must be compose_word of its own word, field for field, and map alpha0
+    # back to alpha
+    for alpha in _walk_draws():
+        g, a0, on_wall = alcove_walk(alpha)
+        assert g == compose_word(g.word, GENS)
+        assert g(a0) == tuple(Fraction(a) for a in alpha)
+        assert in_model(a0, closed=True)
+        assert on_wall == any(face_value(i, a0) == 0 for i in range(5))
+
+
+def test_linear_step_memo_stays_in_W_fin():
+    for alpha in _walk_draws():
+        alcove_walk(alpha)
+    assert 0 < coxeter._linear_step.cache_info().currsize <= 5 * 192
+    over_two = {tuple(tuple(e * (2 // g.d) for e in row) for row in g.L)
+                for g in enumerate_W_fin()}
+    assert len(over_two) == 192
+    assert len(set(coxeter._LINEAR)) == len(coxeter._LINEAR) <= 192
+    assert set(coxeter._LINEAR) <= over_two
+
+
+def test_walk_exactness_checks_raise_broken_identity(monkeypatch):
+    # both checks fire only on a defect; force each by corrupting the data
+    # the walk steps on
+    with monkeypatch.context() as m:
+        # odd Gram entries make a later face value odd
+        m.setattr(coxeter, "_GRAM", tuple(tuple(e + (i != j) for j, e in enumerate(row))
+                                          for i, row in enumerate(coxeter._GRAM)))
+        with pytest.raises(BrokenIdentity, match="alcove walk step is not integral"):
+            alcove_walk((3, 0, 0, 0))
+    with monkeypatch.context() as m:
+        # an identity linear part cannot carry alpha0 to alpha by a
+        # half-integral translation here
+        m.setattr(coxeter, "_linear_step", lambda k, i: 0)
+        with pytest.raises(BrokenIdentity, match="alcove walk translation is not integral"):
+            alcove_walk((Fraction(1, 3), 0, 0, 0))
+    g, a0, _ = alcove_walk((Fraction(1, 3), 0, 0, 0))
+    assert g(a0) == (Fraction(1, 3), 0, 0, 0)
 
 
 def test_compose_word_matches_fraction_reference():
