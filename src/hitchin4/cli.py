@@ -39,9 +39,14 @@ def _parse_exact(parse, tok: str):
 def _parse_complex(tok: str) -> complex:
     tok = tok.strip()
     try:
-        return complex(GaussianRational.parse(tok))
+        z = complex(GaussianRational.parse(tok))
     except (ValueError, ZeroDivisionError):
-        return complex(tok.replace("i", "j"))
+        z = complex(tok.replace("i", "j"))
+    except OverflowError:  # a rational past the float range
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"complex value must be finite, got {tok!r}")
+    return z
 
 
 def _four(parse, what: str):

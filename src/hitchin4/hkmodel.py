@@ -13,6 +13,7 @@ phi_v a_w) pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ class HKParams:
     theta: float = 0.0
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             raise ValueError("lambda1, lambda2 must be positive")
 

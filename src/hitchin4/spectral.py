@@ -35,6 +35,7 @@ PUNCTURE_KEYS = ("0", "1", "p0", "inf")
 ROOT_TOL = 1e-8
 TRIM_TOL = 1e-12
 COARSE_NODE_CAP = 1 << 14
+BETA_NODES = 9
 
 
 class DegenerateP0(DomainError, ValueError):
@@ -96,7 +97,7 @@ class ComplexPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        acc = 0j  # Horner, elementwise on an array, in the order of np.polyval
+        acc = 0j  # Horner, elementwise on an array
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
@@ -213,11 +214,17 @@ class HitchinBase:
 
 
 def build_base(p0: complex, masses) -> HitchinBase:
-    p0 = complex(p0)
+    p0, masses = complex(p0), tuple(complex(m) for m in masses)
+    if not all(map(cmath.isfinite, (p0, *masses))):
+        raise ValueError(f"p0 = {p0} and masses {masses} must be finite")
     if min(abs(p0), abs(p0 - 1)) < 1e-12:
         raise DegenerateP0(f"p0 = {p0} collides with 0 or 1")
-    masses = tuple(complex(m) for m in masses)
-    f = f_m_coefficients(p0, masses)
+    try:
+        f = f_m_coefficients(p0, masses)
+    except OverflowError:  # a complex power past the float range
+        f = [cmath.inf]
+    if not all(map(cmath.isfinite, f)):
+        raise ValueError(f"f_m is not finite at p0 = {p0}, masses {masses}")
     return HitchinBase(p0, masses, tuple(f))
 
 
@@ -239,13 +246,13 @@ def quartic_discriminant(c) -> complex:
             - 4 * b ** 2 * cc ** 3 * e + b ** 2 * cc ** 2 * d ** 2)
 
 
-def beta_discriminant_poly(base: HitchinBase, nodes: int = 9) -> np.ndarray:
-    """Ascending coefficients of the degree-6 polynomial
-    beta -> disc_z(f_m + beta z(z-1)(z-p0)), fitted by interpolation."""
+def beta_discriminant_poly(base: HitchinBase) -> np.ndarray:
+    """Ascending coefficients of the degree-6 polynomial beta -> disc_z(f_m +
+    beta z(z-1)(z-p0)), fitted on ``BETA_NODES`` points of a circle."""
     c = _cubic_coeffs(base.p0)
     f = np.asarray(base.f_coeffs)
     scale = max(1.0, float(np.max(np.abs(f))))
-    bs = 2.0 * scale * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    bs = 2.0 * scale * np.exp(2j * np.pi * np.arange(BETA_NODES) / BETA_NODES)
     vals = np.array([quartic_discriminant(f + b * c) for b in bs])
     V = np.vander(bs, 7, increasing=True)
     coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
@@ -272,43 +279,23 @@ def singular_fibers(base: HitchinBase) -> list[complex]:
 # B^0 membership
 # ---------------------------------------------------------------------------
 
-def is_square_polynomial(coeffs) -> bool:
-    """Floating-point perfect-square test: even degree and every clustered
-    root of even multiplicity."""
-    p = ComplexPoly(coeffs)
-    if p.degree == 0:
-        return True
-    if p.degree % 2 == 1:
-        return False
-    roots = poly_roots(p)
-    tol = 1e-6 * (1.0 + float(np.max(np.abs(roots))))
-    clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda r: (r.real, r.imag)):
-        for cl in clusters:
-            if abs(r - np.mean(cl)) < tol:
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    return not any(len(cl) % 2 for cl in clusters)
-
-
 def in_B0(base: HitchinBase, beta: complex) -> bool:
     """True iff F = f_m + beta z(z-1)(z-p0) is not a perfect square and has
     no non-simple zero at a puncture (including infinity, where the order
-    of vanishing is 4 - deg F)."""
-    F = base.curve_coeffs(beta)
-    if ComplexPoly(F).degree <= 2:  # zero at infinity of order >= 2
+    of vanishing is 4 - deg F).  A quartic F is a square iff both
+    ``_cut_pairs`` cuts of its roots are shorter than 1e-6 (1 + max|root|)."""
+    F = ComplexPoly(base.curve_coeffs(beta))
+    if F.degree <= 2:  # zero at infinity of order >= 2
         return False
-    if is_square_polynomial(F):
-        return False
-    scale = max(1.0, float(np.max(np.abs(F))))
-    dF = np.polynomial.polynomial.polyder(F)
-    for p in (0.0, 1.0, base.p0):
-        if abs(np.polyval(F[::-1], p)) < 1e-10 * scale and \
-           abs(np.polyval(dF[::-1], p)) < 1e-8 * scale:
+    if F.degree == 4:
+        roots = poly_roots(F)
+        tol = 1e-6 * (1.0 + max(abs(r) for r in roots))
+        if all(abs(b - a) < tol for a, b in _cut_pairs(roots)):
             return False
-    return True
+    scale = max(1.0, max(abs(c) for c in F.coeffs))
+    dF = F.derivative()
+    return not any(abs(F(p)) < 1e-10 * scale and abs(dF(p)) < 1e-8 * scale
+                   for p in (0.0, 1.0, base.p0))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +320,10 @@ class SpectralFiberPoint:
         if self.stratum == "big":
             if self.u is None or self.w is None:
                 raise OffCurve("big stratum needs (u, w)")
-            F = self.base.curve_coeffs(self.beta)
+            F = ComplexPoly(self.base.curve_coeffs(self.beta))
             minf = self.base.masses[3]
-            val = np.polyval(F[::-1], self.u) - (minf * self.u ** 2 + self.w) ** 2
-            scale = max(1.0, float(np.max(np.abs(F))), abs(self.w) ** 2)
+            val = F(self.u) - (minf * self.u ** 2 + self.w) ** 2
+            scale = max(1.0, max(abs(c) for c in F.coeffs), abs(self.w) ** 2)
             if abs(val) > 1e-8 * scale:
                 raise OffCurve(f"cubic residual {abs(val):.3e} at (u, w)")
         elif self.stratum == "extra" and abs(self.base.masses[3]) < 1e-13:
@@ -384,13 +371,12 @@ def _flag_at(pt: SpectralFiberPoint, p: complex, wshift: complex):
         return np.inf
     # l'Hopital along the fiber: the limit of (wshift + w)/(u - p) is
     # w'(p) = F'(p)/(2 W) - 2 m_inf p with W = m_inf p^2 + w
-    F = pt.base.curve_coeffs(beta)
-    dF = np.polynomial.polynomial.polyder(F)
+    dF = ComplexPoly(base.curve_coeffs(beta)).derivative()
     minf = base.masses[3]
     W = minf * p ** 2 + w
     if abs(W) < 1e-12 * scale:
         raise UndefinedFlag(f"residue matrix vanishes at z = {p}")
-    return np.polyval(dF[::-1], p) / (2 * W) - 2 * minf * p
+    return dF(p) / (2 * W) - 2 * minf * p
 
 
 def flags(pt: SpectralFiberPoint):
@@ -434,17 +420,17 @@ def _left(a: complex, b: complex, x: complex) -> float:
     return ((b - a).conjugate() * (x - (a if abs(x - a) <= abs(x - b) else b))).imag
 
 
-def _sheet(F: np.ndarray, branch: Sequence[complex]):
+def _sheet(F: ComplexPoly, branch: Sequence[complex]):
     """z -> w_cut(z) times the crossing parity, the sheet of the module docstring
     (+i sqrt|F| at z* if F(z*) < 0).  For a real F, a root that is its own nearest
     conjugate and a z within 1e-9 |z| of the real axis count as real."""
-    real = not np.any(np.imag(F))
+    real = not any(c.imag for c in F.coeffs)
     rs = sorted((complex(r.real) if real and min(branch, key=lambda q: abs(q - r.conjugate())) is r
                  else r for r in branch), key=_root_order)
     cuts = _cut_pairs(rs) if len(rs) == 4 else list(zip(rs[::2], rs[1::2]))
     rays = rs[len(rs) // 2 * 2:]  # the odd root c of a cubic, cut along c + (-inf, 0]
     anchor = 3.0 * max(1.0, max(abs(r) for r in rs))
-    s = cmath.sqrt(F[len(rs)])  # signed below, so that continued(z*) is principal
+    s = cmath.sqrt(F.coeffs[len(rs)])  # signed below, so that continued(z*) is principal
 
     def continued(z: complex) -> complex:
         z = complex(z.real) if real and abs(z.imag) <= 1e-9 * abs(z) else z
@@ -459,7 +445,7 @@ def _sheet(F: np.ndarray, branch: Sequence[complex]):
                 w = -w
         return w
 
-    s *= _nearer(1.0, cmath.sqrt(complex(np.polyval(F[::-1], anchor))) / continued(anchor))
+    s *= _nearer(1.0, cmath.sqrt(F(anchor)) / continued(anchor))
     return continued
 
 
@@ -482,8 +468,8 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
     """
     if not any(base.masses):
         return {key: (0j, 0j) for key in PUNCTURE_KEYS}
-    F = base.curve_coeffs(beta)
-    branch = poly_roots(ComplexPoly(F))
+    F = ComplexPoly(base.curve_coeffs(beta))
+    branch = poly_roots(F)
     anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
     sheet = _sheet(F, branch)
     p0, mi = base.p0, base.masses[3]
@@ -503,7 +489,7 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
     if mi != 0:
         if len(branch) < 4:
             raise BranchPointCollision("trimmed far branch point near -beta/m_inf^2")
-        res = _nearer(mi, -np.sqrt(complex(np.polyval(F[::-1], anchor))) / anchor ** 2)
+        res = _nearer(mi, -cmath.sqrt(F(anchor)) / anchor ** 2)
         out["inf"] = (res, -res)
     return out
 
@@ -568,11 +554,10 @@ def elliptic_periods(base: HitchinBase, beta: complex):
     B-cycles, tau = B/A put in the upper half-plane by a sign flip of B.  The nodes
     double from 32 until the coarse cycles lie within 0.1 of integer combinations
     of the generators, of determinant +-1 (``NonConvergence`` past ``COARSE_NODE_CAP``)."""
-    F = base.curve_coeffs(beta)
-    poly = ComplexPoly(F)
-    if poly.degree < 3:
+    F = ComplexPoly(base.curve_coeffs(beta))
+    if F.degree < 3:
         raise SingularFiber("curve degenerates below genus one")
-    branch = poly_roots(poly)
+    branch = poly_roots(F)
     rs = sorted(branch, key=_root_order)
     size = max(1.0, max(abs(r) for r in rs))
     # a residual up to ROOT_TOL moves a near-double root by up to sqrt(ROOT_TOL) of its size
@@ -580,8 +565,8 @@ def elliptic_periods(base: HitchinBase, beta: complex):
         for y in rs[i + 1:]:
             if abs(x - y) < max(1e-8 * size, math.sqrt(ROOT_TOL) * max(1.0, abs(x), abs(y))):
                 raise SingularFiber(f"branch points coincide (distance {abs(x - y):.2e})")
-    (a, b), (c, *d) = _cut_pairs(rs) if poly.degree == 4 else (rs[:2], rs[2:])
-    root = cmath.sqrt(F[poly.degree])
+    (a, b), (c, *d) = _cut_pairs(rs) if F.degree == 4 else (rs[:2], rs[2:])
+    root = cmath.sqrt(F.coeffs[-1])
     w1, w2 = _lattice_generator(root, a, b, c, *d), _lattice_generator(root, b, c, a, *d)
     span = (w1.conjugate() * w2).imag
     if not span:
@@ -616,9 +601,8 @@ def elliptic_periods(base: HitchinBase, beta: complex):
 def predicted_root_shift(base: HitchinBase, p: complex) -> complex:
     """Closed-form coefficient of 1/beta in the branch-point shift near a
     finite puncture: -f(p) / c'(p) with c = z(z-1)(z-p0)."""
-    f = np.asarray(base.f_coeffs)
-    dc = np.polynomial.polynomial.polyder(_cubic_coeffs(base.p0))
-    return complex(np.polyval(f[::-1], p) * (-1.0) / np.polyval(dc[::-1], p))
+    dc = ComplexPoly(_cubic_coeffs(base.p0)).derivative()
+    return -ComplexPoly(base.f_coeffs)(p) / dc(p)
 
 
 def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
@@ -642,10 +626,6 @@ def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
             shifts[key].append(complex(roots[k]) - p)
     inv = np.array([1.0 / b for b in betas])
     design = np.column_stack([inv, inv ** 2])  # two-term fit removes 1/beta^2 bias
-    fitted = {}
-    for key in punctures:
-        s = np.array(shifts[key])
-        coeff, *_ = np.linalg.lstsq(design, s, rcond=None)
-        fitted[key] = complex(coeff[0])
-    predicted = {k: predicted_root_shift(base, p) for k, p in punctures.items()}
-    return {"fitted": fitted, "predicted": predicted}
+    return {"fitted": {k: complex(np.linalg.lstsq(design, np.array(s), rcond=None)[0][0])
+                       for k, s in shifts.items()},
+            "predicted": {k: predicted_root_shift(base, p) for k, p in punctures.items()}}

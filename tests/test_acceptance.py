@@ -249,7 +249,7 @@ def test_09_spectral_residues():
             plus, minus = res[key]
             assert abs(plus + minus) < 1e-9
             assert min(abs(plus - mp), abs(plus + mp)) < 1e-7
-        coef = spectral.beta_discriminant_poly(base, nodes=7)
+        coef = spectral.beta_discriminant_poly(base)
         assert abs(coef[5]) < 1e-7 * np.max(np.abs(coef))
         checked += 1
     _passed(9, "contour residues = +-m_p (1e-7) and beta^5 normalization x50")

@@ -1,5 +1,6 @@
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,8 @@ def test_hk_check_cli(capsys):
                          "--theta", "0.7", "--trials", "50")
     assert code == 0
     assert doc["result"]["pass"] is True
+    code, doc = run_json(capsys, "hk", "check", "--lambda2", "1e300", "--trials", "5")
+    assert code == 0 and doc["parameters"]["lambda2"] == 1e300  # large but finite
 
 
 def test_sweep_alpha_segment(capsys):
@@ -300,3 +303,46 @@ def test_beta_sweep_bounds_are_usage_errors(capsys):
     for sweep in ("1,10", "1,10,3,4"):
         assert sweep in _usage_error(capsys, ["spectral", "tau", *curve, "--sweep", sweep])
     assert "-2" in _usage_error(capsys, ["spectral", "tau", *curve, "--sweep", "1,10,-2"])
+
+
+def _quiet_usage_error(capsys, argv):
+    """``_usage_error`` with any warning (numpy's RuntimeWarning) raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "fibers", "--p0", "2", "--m", "1e200,1,1,1"],
+    ["spectral", "residues", "--p0", "2", "--m", "1e200,1,1,1"],
+    ["spectral", "tau", "--p0", "2", "--m", "1e200,1,1,1"],
+    ["spectral", "fibers", "--p0", "1e100", "--m", "1e200,1,1,1"],
+    ["spectral", "fibers", "--p0", "1e200"],
+    ["sweep", "--kind", "beta", "--m", "1e200,0,0,0"],
+], ids=lambda argv: " ".join(argv))
+def test_an_overflowing_f_m_is_a_usage_error(capsys, argv):
+    # f_m squares p0 and the masses, which overflows past 1e154; build_base
+    # names the inputs instead of a traceback from complex exponentiation
+    err = _quiet_usage_error(capsys, argv)
+    assert "f_m is not finite" in err and "e+200" in err
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["spectral", "tau", "--p0", "2", "--beta", "nan"], "nan"),
+    (["spectral", "fibers", "--p0", "nan"], "nan"),
+    (["spectral", "fibers", "--p0", "0.5+1e400i"], "0.5+1e400i"),
+    (["spectral", "fibers", "--p0", "1e400"], "1e400"),
+    (["spectral", "residues", "--p0", "2", "--m", "1,1e400,0,0"], "1e400"),
+    (["sweep", "--kind", "beta", "--p0", "nani"], "nani"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_finite_complex_values_are_usage_errors(capsys, argv, token):
+    err = _quiet_usage_error(capsys, argv)
+    assert f"complex value must be finite, got {token!r}" in err
+
+
+@pytest.mark.parametrize("argv", [["--lambda1", "nan"], ["--theta", "nan"],
+                                  ["--lambda2", "1e400"]], ids=" ".join)
+def test_hk_check_rejects_non_finite_parameters(capsys, argv):
+    # max(0.0, nan) is 0.0: these used to report "pass": true
+    err = _quiet_usage_error(capsys, ["hk", "check", *argv, "--trials", "5"])
+    assert f"{argv[0][2:]} must be finite" in err

@@ -41,6 +41,18 @@ def test_tangent_validation():
         PointTangent(np.eye(2), np.zeros((2, 2)))
 
 
+def test_params_must_be_finite():
+    # max(0.0, nan) is 0.0, so a NaN or infinite parameter would pass every identity check
+    for bad in ({"lambda1": float("nan")}, {"lambda2": float("inf")}, {"theta": float("nan")},
+                {"theta": float("-inf")}):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            HKParams(**bad)
+    with pytest.raises(ValueError, match="positive"):
+        HKParams(0.0, 1.0)
+    assert HKParams(1e300, 1e300, 1e300).lambda2 == 1e300  # large finite values stay valid
+
+
 def test_J_squares_to_minus_one_at_unit_params():
     p = HKParams(1.0, 1.0, 0.0)
     v = rand_tangent()

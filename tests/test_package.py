@@ -80,8 +80,10 @@ def test_fraction_bodies_of_the_integer_kernel_stay_out_of_the_package():
 def test_residue_quadrature_stays_out_of_the_package():
     # residues are +-m_p in closed form and periods AGM lattice combinations;
     # the loop quadrature and the period contour are test oracles, and helpers
-    # only the tests call live with them
+    # only the tests call live with them; in_B0 pairs roots by _cut_pairs, and
+    # the root-clustering square test is its oracle
     for owner, name in ((spectral, "_loop_mean"), (spectral, "_closed_sheet"),
+                        (spectral, "is_square_polynomial"),
                         (spectral, "_cycle_integral"), (spectral, "_continue_sqrt"),
                         (spectral, "_ellipse_rho"), (homology, "hat_linear_apply"),
                         (homology, "is_lattice_auto"),

@@ -23,7 +23,6 @@ from hitchin4.spectral import (
     flags,
     higgs_representative,
     in_B0,
-    is_square_polynomial,
     poly_roots,
     predicted_root_shift,
     ROOT_TOL,
@@ -85,7 +84,7 @@ def test_beta5_discriminant_coefficient_vanishes():
     for _ in range(5):
         p0 = complex(rng.normal(), rng.normal()) + 2.0
         m = rng.normal(size=4) + 1j * rng.normal(size=4)
-        coef = beta_discriminant_poly(build_base(p0, m), nodes=7)
+        coef = beta_discriminant_poly(build_base(p0, m))
         scale = np.max(np.abs(coef))
         assert abs(coef[5]) < 1e-7 * scale
 
@@ -93,6 +92,18 @@ def test_beta5_discriminant_coefficient_vanishes():
 def test_degenerate_p0():
     with pytest.raises(DegenerateP0):
         build_base(1.0, MASSES)
+
+
+def test_non_finite_bases_are_value_errors():
+    with pytest.raises(ValueError, match=r"p0 = \(nan\+0j\) and masses .* must be finite"):
+        build_base(complex("nan"), MASSES)
+    with pytest.raises(ValueError, match=r"\(1\+infj\)\) must be finite"):
+        build_base(P0, (1, 1, 1, complex(1, math.inf)))
+    # f_m squares p0 and the masses: past the float range it is not finite
+    for p0, masses in ((2.0, (1e200, 1, 1, 1)), (1e200, (0, 0, 0, 0)), (1e100, (1e150, 0, 0, 0))):
+        with pytest.raises(ValueError, match="f_m is not finite"):
+            build_base(p0, masses)
+    assert not any(build_base(1e100, (0, 0, 0, 0)).f_coeffs)  # a large p0 alone stays valid
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +153,27 @@ def test_singular_fibers_conjugation_symmetry():
 # B^0
 # ---------------------------------------------------------------------------
 
+def square_base(p0, q):
+    """Base and beta with F = q^2 for a quadratic q (ascending, q(0), q(1), q(p0)
+    and the leading coefficient nonzero): m_p = q(p)/c'(p), m_inf the leading
+    coefficient, and beta cancels the z^3 coefficient of f_m - q^2."""
+    Q = ComplexPoly(q)
+    base = build_base(p0, (Q(0) / p0, Q(1) / (1 - p0), Q(p0) / (p0 * (p0 - 1)), q[2]))
+    return base, (Q * Q).coeffs[3] - base.f_coeffs[3]
+
+
 def test_in_B0_cases():
     base = build_base(2.0, (0, 0, 0, 0))
-    assert in_B0(base, 1.0)       # cubic with simple zeros
+    assert in_B0(base, 1.0)       # F = z(z-1)(z-2): a cubic is never a square
     assert in_B0(generic_base(), BETA)
-    assert is_square_polynomial(np.array([1, 0, -2, 0, 1.0]))  # (z^2-1)^2
-    assert not is_square_polynomial(np.array([0, 2.0, -3.0, 1.0]))
+    # (z^2-1)^2: each nearest-neighbour cut joins the two roots of a double root
+    square = poly_roots(ComplexPoly([1, 0, -2, 0, 1]))
+    assert all(abs(b - a) < 1e-6 * (1 + max(map(abs, square))) for a, b in _cut_pairs(square))
+    # F = (z^2-4)^2 has no zero at a puncture, so only the square test rejects it
+    b4, beta = square_base(3.0, [-4, 0, 1])
+    assert np.allclose(b4.curve_coeffs(beta), [16, 0, -8, 0, 1], atol=1e-12)
+    assert not in_B0(b4, beta)
+    assert in_B0(b4, beta + 1e-3)
 
     # double zero at z = 0: masses with m_0 = 0, beta chosen so F'(0) = 0
     b2 = build_base(2.0, (0.0, 1.0, 0.5, 0.25))
@@ -155,6 +181,74 @@ def test_in_B0_cases():
     beta = -f[1] / b2.p0
     assert abs(np.polyval(b2.curve_coeffs(beta)[::-1], 0)) < 1e-12
     assert not in_B0(b2, beta)
+
+
+def is_square_polynomial(coeffs) -> bool:
+    """Oracle of the square test of ``in_B0``: even degree and every cluster of
+    roots of even size, each root joining the first cluster whose mean lies
+    within 1e-6 (1 + max|root|)."""
+    p = ComplexPoly(coeffs)
+    if p.degree == 0:
+        return True
+    if p.degree % 2 == 1:
+        return False
+    roots = poly_roots(p)
+    tol = 1e-6 * (1.0 + float(np.max(np.abs(roots))))
+    clusters: list[list[complex]] = []
+    for r in sorted(roots, key=lambda r: (r.real, r.imag)):
+        for cl in clusters:
+            if abs(r - np.mean(cl)) < tol:
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    return not any(len(cl) % 2 for cl in clusters)
+
+
+def clustered_in_B0(base, beta):
+    """Oracle of ``in_B0``: the square test by root clusters, the puncture
+    tests by numpy's evaluator."""
+    F = base.curve_coeffs(beta)
+    if ComplexPoly(F).degree <= 2 or is_square_polynomial(F):
+        return False
+    scale = max(1.0, float(np.max(np.abs(F))))
+    dF = np.polynomial.polynomial.polyder(F)
+    return not any(abs(np.polyval(F[::-1], p)) < 1e-10 * scale
+                   and abs(np.polyval(dF[::-1], p)) < 1e-8 * scale for p in (0.0, 1.0, base.p0))
+
+
+NEAR_SINGULAR_EPS = (0, 1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def test_in_B0_equals_the_clustering_oracle():
+    # seeded draws, then beta (1 + eps) at every singular fiber of random bases,
+    # at perfect squares F = q^2, whose double roots split by about sqrt(eps)
+    # through the 1e-6 pairing tolerance, and at double zeros at z = 0 (m_0 = 0)
+    r = random.Random(1919)
+
+    def near(pairs):
+        return [(base, beta * (1 + eps)) for base, beta in pairs for eps in NEAR_SINGULAR_EPS]
+
+    def zero_at_0(base):
+        base = build_base(base.p0, (0, *base.masses[1:]))
+        return base, -base.f_coeffs[1] / base.p0
+
+    draws = list(spectral_draws(r, 300))
+    singular = near((base, b) for base, _ in spectral_draws(r, 40) for b in singular_fibers(base))
+    squares = near(square_base(base.p0, [complex(r.gauss(0, 1), r.gauss(0, 1)) for _ in range(3)])
+                   for base, _ in spectral_draws(r, 40))
+    double_zero = near(zero_at_0(base) for base, _ in spectral_draws(r, 40))
+    got = {}
+    for name, cases in (("draws", draws), ("singular", singular), ("squares", squares),
+                        ("double_zero", double_zero)):
+        got[name] = [in_B0(base, beta) for base, beta in cases]
+        assert got[name] == [clustered_in_B0(base, beta) for base, beta in cases], name
+    assert all(got["draws"]) and all(got["singular"])  # an I1 fiber is in B0
+    # eps = 0 is out of B0 and eps >= 1e-6 in it; at eps = 1e-12 the double
+    # roots of some squares, not all, split past the tolerance
+    for name in ("squares", "double_zero"):
+        assert not any(got[name][0::5]) and all(got[name][3::5] + got[name][4::5]), name
+    assert 0 < got["squares"][1::5].count(True) < 40
 
 
 def test_in_B0_rejects_degeneration_at_infinity():
@@ -343,8 +437,8 @@ def stepped_sqrt(F, branch, path, max_steps=20_000):
     the last value is the continued one; each leg ends exactly at its vertex.
     Away from path[0], F is evaluated as lead * prod(x - root), which keeps its
     relative precision near a root."""
-    lead = F[len(branch)]
-    x, w, steps = path[0], cmath.sqrt(complex(np.polyval(F[::-1], path[0]))), 0
+    lead = F.coeffs[len(branch)]
+    x, w, steps = path[0], cmath.sqrt(F(path[0])), 0
     for target in path[1:]:
         while x != target:
             half, gap = min(abs(x - e) for e in branch) / 2, abs(target - x)
@@ -361,15 +455,15 @@ def stepped_sqrt(F, branch, path, max_steps=20_000):
 
 
 def stepped_sheet(F, branch):
-    """Stand-in for ``spectral._sheet``: z -> ``stepped_sqrt`` along the segment
-    from the anchor to z.  For a real F and a real z the segment runs along the
-    real axis through the real branch points, so it is moved 1e-12 anchor to
-    the right of its direction (the +i eps rule).  That is the same path while
-    no non-real branch point (|Im| above 1e-12 of its size) lies within
-    1e-9 anchor of the axis; otherwise the oracle does not apply
+    """Stand-in for ``spectral._sheet`` on the ``ComplexPoly`` F: z -> ``stepped_sqrt``
+    along the segment from the anchor to z.  For a real F and a real z the
+    segment runs along the real axis through the real branch points, so it is
+    moved 1e-12 anchor to the right of its direction (the +i eps rule).  That is
+    the same path while no non-real branch point (|Im| above 1e-12 of its size)
+    lies within 1e-9 anchor of the axis; otherwise the oracle does not apply
     (``OracleStalled``)."""
     anchor = 3.0 * max(1.0, max(abs(r) for r in branch))
-    shift = 0.0 if np.any(np.imag(F)) else 1e-12 * anchor
+    shift = 0.0 if any(c.imag for c in F.coeffs) else 1e-12 * anchor
     if any(1e-12 * abs(e) < abs(e.imag) < 1e3 * shift for e in branch):
         raise OracleStalled
 
@@ -397,7 +491,8 @@ def _loop_mean(F, branch, p0, center, radius, n):
     on the anchored sheet; raises BranchPointCollision unless the sheet closes."""
     th = 2 * np.pi * np.arange(n) / n
     z = center + radius * np.exp(1j * th)
-    w = continue_sqrt(np.polyval(F[::-1], z), start=stepped_sheet(F, branch)(complex(z[0])))
+    start = stepped_sheet(ComplexPoly(F), branch)(complex(z[0]))
+    w = continue_sqrt(np.polyval(F[::-1], z), start=start)
     if abs(w[0] - w[-1]) > abs(w[0] + w[-1]):
         raise BranchPointCollision("sheet failed to close around the loop")
     return np.mean(w / (z * (z - 1) * (z - p0)) * 1j * radius * np.exp(1j * th))
@@ -552,7 +647,7 @@ def test_sheet_is_principal_at_the_anchor_whatever_the_sign_of_a_zero():
     # principal root is +i sqrt|F(z*)|, also when the coefficients carry Im = -0.0
     for zero in (0.0, -0.0):
         F = np.array([complex(c, zero) for c in (-24, 50, -35, 10, -1)])
-        w = _sheet(F, poly_roots(ComplexPoly(F)))(12.0 + 0j)
+        w = _sheet(ComplexPoly(F), poly_roots(ComplexPoly(F)))(12.0 + 0j)
         assert w.imag > 0 and abs(w * w - np.polyval(F[::-1], 12.0)) < 1e-9 * abs(w * w)
 
 
@@ -626,7 +721,7 @@ def contour_periods(base, beta):
     branch = poly_roots(ComplexPoly(F))
     rs = sorted(branch, key=_root_order)
     (a, b), (c, *_) = _cut_pairs(rs) if len(rs) == 4 else (rs[:2], rs[2:])
-    sheet = _sheet(F, branch)
+    sheet = _sheet(ComplexPoly(F), branch)
     A, B = cycle_integral(F, branch, a, b, sheet), cycle_integral(F, branch, b, c, sheet)
     tau = B / A
     if tau.imag < 0:
@@ -728,7 +823,7 @@ def tau_cycle_integral(base, beta, cut):
     def weight(z):
         return 2 * np.polyval(F[::-1], z) / (z * (z - 1) * (z - base.p0))
 
-    return cycle_integral(F, branch, a, b, _sheet(F, branch), weight=weight)
+    return cycle_integral(F, branch, a, b, _sheet(ComplexPoly(F), branch), weight=weight)
 
 
 def test_dZ_dbeta_equals_period_on_both_cycles():
@@ -744,7 +839,7 @@ def test_dZ_dbeta_equals_period_on_both_cycles():
         Zp = tau_cycle_integral(base, BETA + h, cut)
         Zm = tau_cycle_integral(base, BETA - h, cut)
         dZ = (Zp - Zm) / (2 * h)
-        per = cycle_integral(F0, branch, cut[0], cut[1], _sheet(F0, branch))
+        per = cycle_integral(F0, branch, cut[0], cut[1], _sheet(ComplexPoly(F0), branch))
         assert abs(dZ - per) < 1e-5 * abs(per)
 
 
@@ -824,9 +919,11 @@ def test_np_roots_called_only_in_poly_roots():
     from hitchin4 import spectral
 
     package = Path(spectral.__file__).parent
-    count = sum(path.read_text().count("np.roots(") for path in package.rglob("*.py"))
-    assert count == 1
+    sources = [path.read_text() for path in package.rglob("*.py")]
+    assert sum(text.count("np.roots(") for text in sources) == 1
     assert "np.roots(" in inspect.getsource(spectral.poly_roots)
+    # ComplexPoly evaluates every polynomial: no numpy evaluator or derivative
+    assert sum(text.count("polyval") + text.count("polyder") for text in sources) == 0
 
 
 def test_tau_large_beta_decay():
