@@ -15,7 +15,6 @@ from importlib import import_module
 
 from .core import (
     DomainError,
-    ExactMatrix,
     GaussianRational,
     NonConvergence,
 )
@@ -49,7 +48,6 @@ from .coxeter import (
     apply_to_masses,
     enumerate_W_fin,
     generator,
-    mass_action,
     target_generator,
     vertex_orbit,
 )

@@ -37,11 +37,12 @@ def _parse_exact(parse, tok: str):
 
 
 def _parse_complex(tok: str) -> complex:
+    """A finite complex number; only a trailing ``i`` is the imaginary unit."""
     tok = tok.strip()
     try:
         z = complex(GaussianRational.parse(tok))
     except (ValueError, ZeroDivisionError):
-        z = complex(tok.replace("i", "j"))
+        z = complex(tok[:-1] + "j" if tok.endswith("i") else tok)
     except OverflowError:  # a rational past the float range
         z = complex(math.inf)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -185,11 +186,11 @@ def _cmd_coxeter(args) -> int:
 def _cmd_homology(args) -> int:
     word = [int(t) for t in args.word.split(",")] if args.word else []
     A = homology.word_to_auto(word)
-    hatA, hatB = homology.hat_reduction(A)
+    hat = homology.hat_reduction(A)  # hatA[i][j] = L[j][i] / d, hatB = t / d
     return _emit(_envelope("homology", {"action": "twist", "word": args.word}, {
         "matrix": [list(r) for r in A],
-        "hatA": [[_rstr(v) for v in row] for row in hatA.rows],
-        "hatB": [_rstr(v) for v in hatB],
+        "hatA": [[_rstr(Fraction(v, hat.d)) for v in col] for col in zip(*hat.L)],
+        "hatB": [_rstr(Fraction(v, hat.d)) for v in hat.t],
         "hatB_unit": "4*pi^2",
     }))
 

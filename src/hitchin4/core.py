@@ -1,6 +1,6 @@
 """Shared exact arithmetic: rationals over a common denominator, Gaussian
-rationals, small exact matrices and the integer matrix product, plus the
-``DomainError`` base class of every layer's domain errors.
+rationals and the integer matrix product, plus the ``DomainError`` base
+class of every layer's domain errors.
 
 Exact types are immutable and hashable; all operations are pure functions,
 safe to share across threads.  This module imports no numpy; the numeric
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 
 class DomainError(Exception):
@@ -185,61 +184,8 @@ def as_gaussian(v) -> GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# exact matrices
+# integer matrices
 # ---------------------------------------------------------------------------
-
-class ExactMatrix:
-    """Immutable dense matrix over an exact field (Fraction or GaussianRational)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable]):
-        def norm(e):
-            return Fraction(e) if isinstance(e, int) else e
-
-        self.rows = tuple(tuple(norm(e) for e in r) for r in rows)
-        if self.rows and any(len(r) != len(self.rows[0]) for r in self.rows):
-            raise ValueError("ragged rows")
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"ExactMatrix({[list(map(str, r)) for r in self.rows]})"
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            n, k = self.shape
-            k2, m = other.shape
-            if k != k2:
-                raise ValueError("shape mismatch")
-            cols = tuple(zip(*other.rows))
-            return ExactMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                           for col in cols) for row in self.rows))
-        return ExactMatrix(tuple(tuple(a * other for a in r) for r in self.rows))
-
-    __rmul__ = __mul__
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.rows)))
-
-    def apply(self, vec: Sequence) -> tuple:
-        n, k = self.shape
-        if len(vec) != k:
-            raise ValueError("length mismatch")
-        return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
-
 
 def int_matvec(A, v) -> tuple:
     """Product of an integer matrix (a sequence of rows) and a vector, as a

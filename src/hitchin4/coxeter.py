@@ -10,8 +10,8 @@ denotes the isometry that applies r_{i1} first, then r_{i2}, and so on.
 
 The companion target-space generators R_0..R_4 (reflections in the faces of
 the simplex spanned by 0 and the unit vectors, 4*pi^2 units) satisfy
-hat_reduction(word_to_auto(w)) == target word map of w, with the same
-leftmost-first reading.
+hat_reduction(word_to_auto(w)).same_map(target word map of w), with the
+same leftmost-first reading.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import chain
 from math import gcd
 from operator import mul
 
-from .core import (BrokenIdentity, DomainError, ExactMatrix, GaussianRational, as_gaussian,
+from .core import (BrokenIdentity, DomainError, GaussianRational, as_gaussian,
                    common_denominator, int_matmul, int_matvec)
 
 COXETER_MATRIX = ((1, 3, 3, 3, 3),
@@ -48,21 +48,12 @@ class AffineIsometry:
     its integer form: L a 4x4 integer matrix (rows), t an integer 4-vector and
     d > 0 with gcd(d, entries of L and t) == 1, so equal maps have equal
     fields.  Linear parts and translations of the affine D4 group lie in
-    (1/2)Z, so d is 1 or 2 on any word over r_0..r_4 or R_0..R_4.  ``linear``
-    and ``translation`` are read-only ``Fraction`` views."""
+    (1/2)Z, so d is 1 or 2 on any word over r_0..r_4 or R_0..R_4."""
 
     L: tuple[tuple[int, ...], ...]
     t: tuple[int, ...]
     d: int
     word: tuple[int, ...] = ()
-
-    @property
-    def linear(self) -> ExactMatrix:
-        return ExactMatrix(tuple(tuple(Fraction(e, self.d) for e in row) for row in self.L))
-
-    @property
-    def translation(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(e, self.d) for e in self.t)
 
     def __call__(self, x) -> tuple[Fraction, ...]:
         """(L x + t) / d on exact numbers x, computed on integer numerators
@@ -169,15 +160,9 @@ def target_generator(i: int) -> AffineIsometry:
     return AffineIsometry(L, (0, 0, 0, 0), 1, (i,))
 
 
-def mass_action(g: AffineIsometry) -> ExactMatrix:
-    """Linear part of g extended entrywise to Q(i); acts on mass vectors."""
-    return ExactMatrix(tuple(tuple(GaussianRational(e) for e in row)
-                             for row in g.linear.rows))
-
-
 def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
-    """``mass_action(g).apply(masses)``: the rational linear part L/d of g
-    applied to the real and the imaginary parts separately."""
+    """Action of g on a mass vector in Q(i)^4: the rational linear part L/d
+    of g applied to the real and the imaginary parts separately."""
     lin = AffineIsometry(g.L, (0, 0, 0, 0), g.d)
     ms = list(map(as_gaussian, masses))
     return tuple(map(GaussianRational, lin([m.re for m in ms]), lin([m.im for m in ms])))

@@ -9,9 +9,8 @@ tuples of Python ints, so entries never overflow.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .core import BrokenIdentity, ExactMatrix
+from .core import BrokenIdentity
+from .coxeter import AffineIsometry, _reduced
 
 I0 = ((-2, 1, 1, 1, 1),
       (1, -2, 0, 0, 0),
@@ -95,22 +94,20 @@ def classes_of_square_minus2(k_max: int) -> list[tuple[int, ...]]:
     return classes
 
 
-def hat_reduction(A) -> tuple[ExactMatrix, tuple[Fraction, ...]]:
+def hat_reduction(A) -> AffineIsometry:
     """Reduce a lattice automorphism to its affine action on 4-component
-    period vectors: hatA_ij = a_ij - a_0j / 2 (i,j = 1..4) and
-    hatB_j = a_0j / 2 in units of 4*pi^2.
+    period vectors: x -> hatA^T x + hatB with hatA_ij = a_ij - a_0j / 2
+    (i,j = 1..4) and hatB_j = a_0j / 2 in units of 4*pi^2.
 
-    The induced affine map is x -> hatA^T x + hatB; for a product A B the
-    induced maps compose as (map of B) after (map of A).
+    The map is returned as the integer form (L, t, 2), reduced, with
+    L_ji = 2 a_ij - a_0j and t_j = a_0j, and the empty word; for a product
+    A B the induced maps compose as (map of B) after (map of A).
     """
-    hatA = ExactMatrix(tuple(tuple(Fraction(A[i][j]) - Fraction(A[0][j], 2)
-                                   for j in range(1, 5)) for i in range(1, 5)))
-    hatB = tuple(Fraction(A[0][j], 2) for j in range(1, 5))
-    return hatA, hatB
+    top = tuple(A[0][1:])
+    L = tuple(tuple(2 * A[i][j] - top[j - 1] for i in range(1, 5)) for j in range(1, 5))
+    return AffineIsometry(*_reduced(L, top, 2))
 
 
-def hat_affine_apply(A, x) -> tuple[Fraction, ...]:
+def hat_affine_apply(A, x) -> tuple:
     """Apply the hat reduction of A to a 4-vector of x-periods (4*pi^2 units)."""
-    hatA, hatB = hat_reduction(A)
-    xt = hatA.transpose().apply(tuple(Fraction(v) for v in x))
-    return tuple(a + b for a, b in zip(xt, hatB))
+    return hat_reduction(A)(x)

@@ -209,8 +209,13 @@ class HitchinBase:
     f_coeffs: tuple[complex, complex, complex, complex, complex]
 
     def curve_coeffs(self, beta: complex) -> np.ndarray:
-        """Ascending coefficients of F = f_m + beta z(z-1)(z-p0)."""
-        return np.asarray(self.f_coeffs, dtype=complex) + beta * _cubic_coeffs(self.p0)
+        """Ascending coefficients of F = f_m + beta z(z-1)(z-p0); ``ValueError``
+        naming beta, and no numpy warning, if one is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = np.asarray(self.f_coeffs, dtype=complex) + beta * _cubic_coeffs(self.p0)
+        if not np.isfinite(F).all():
+            raise ValueError(f"F = f_m + beta z(z-1)(z-p0) is not finite at beta = {complex(beta)}")
+        return F
 
 
 def build_base(p0: complex, masses) -> HitchinBase:
@@ -252,9 +257,16 @@ def beta_discriminant_poly(base: HitchinBase) -> np.ndarray:
     c = _cubic_coeffs(base.p0)
     f = np.asarray(base.f_coeffs)
     scale = max(1.0, float(np.max(np.abs(f))))
-    bs = 2.0 * scale * np.exp(2j * np.pi * np.arange(BETA_NODES) / BETA_NODES)
-    vals = np.array([quartic_discriminant(f + b * c) for b in bs])
-    V = np.vander(bs, 7, increasing=True)
+    with np.errstate(all="ignore"):  # an overflow raises the ValueError below
+        bs = 2.0 * scale * np.exp(2j * np.pi * np.arange(BETA_NODES) / BETA_NODES)
+        try:
+            vals = np.array([quartic_discriminant(f + b * c) for b in bs])
+        except OverflowError:  # a complex power past the float range
+            vals = np.array([np.inf])
+        V = np.vander(bs, 7, increasing=True)
+    if not (np.isfinite(vals).all() and np.isfinite(V).all()):
+        raise ValueError(f"the beta-discriminant is not finite at p0 = {base.p0}, "
+                         f"masses {base.masses}")
     coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
     return coef
 

@@ -1,7 +1,8 @@
-"""Brute-force and slow reference oracles, shared by the test modules: exact
-row reduction (determinant and nullspace), the model alcove's faces derived
-from its vertices, the homology lattice's -2 classes and automorphism test,
-the linear part of the hat reduction, the SL(2,Z)
+"""Brute-force and slow reference oracles, shared by the test modules: a
+small exact matrix type with row reduction (determinant and nullspace), the
+``Fraction`` views of a Coxeter group element's integer form, the model
+alcove's faces derived from its vertices, the homology lattice's -2 classes
+and automorphism test, the linear part of the hat reduction, the SL(2,Z)
 conjugator of a monodromy factorization, and the ``Fraction`` reference of
 the chamber, genericity, Torelli and period-domain computations."""
 
@@ -9,12 +10,90 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from typing import Iterable, Sequence
 
 from hitchin4.chambers import OnWall, OutOfCube, ParabolicData, exterior_label, interior_label
-from hitchin4.core import ExactMatrix, GaussianRational, int_matmul, int_matvec
-from hitchin4.homology import FIBER_CLASS, I0, hat_reduction, intersection
+from hitchin4.core import GaussianRational, int_matmul, int_matvec
+from hitchin4.homology import FIBER_CLASS, I0, intersection
 from hitchin4.monodromy import mat_det, mat_mul
 from hitchin4.torelli import PARALLEL_BASIS, NonGeneric, PeriodVector
+
+
+# ---------------------------------------------------------------------------
+# exact matrices
+# ---------------------------------------------------------------------------
+
+class ExactMatrix:
+    """Immutable dense matrix over an exact field (Fraction or GaussianRational)."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[Iterable]):
+        def norm(e):
+            return Fraction(e) if isinstance(e, int) else e
+
+        self.rows = tuple(tuple(norm(e) for e in r) for r in rows)
+        if self.rows and any(len(r) != len(self.rows[0]) for r in self.rows):
+            raise ValueError("ragged rows")
+
+    @property
+    def shape(self):
+        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+
+    @staticmethod
+    def identity(n: int) -> "ExactMatrix":
+        return ExactMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+
+    def __eq__(self, other):
+        return isinstance(other, ExactMatrix) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"ExactMatrix({[list(map(str, r)) for r in self.rows]})"
+
+    def __mul__(self, other):
+        if isinstance(other, ExactMatrix):
+            n, k = self.shape
+            k2, m = other.shape
+            if k != k2:
+                raise ValueError("shape mismatch")
+            cols = tuple(zip(*other.rows))
+            return ExactMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
+                                           for col in cols) for row in self.rows))
+        return ExactMatrix(tuple(tuple(a * other for a in r) for r in self.rows))
+
+    __rmul__ = __mul__
+
+    def transpose(self) -> "ExactMatrix":
+        return ExactMatrix(tuple(zip(*self.rows)))
+
+    def apply(self, vec: Sequence) -> tuple:
+        n, k = self.shape
+        if len(vec) != k:
+            raise ValueError("length mismatch")
+        return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
+
+
+# ---------------------------------------------------------------------------
+# Fraction views of an integer form x -> (L x + t) / d
+# ---------------------------------------------------------------------------
+
+def linear(g) -> ExactMatrix:
+    """Linear part L/d of ``g`` (a ``coxeter.AffineIsometry``) over Fraction."""
+    return ExactMatrix(tuple(tuple(Fraction(e, g.d) for e in row) for row in g.L))
+
+
+def translation(g) -> tuple[Fraction, ...]:
+    """Translation t/d of ``g`` over Fraction."""
+    return tuple(Fraction(e, g.d) for e in g.t)
+
+
+def mass_action(g) -> ExactMatrix:
+    """Linear part of ``g`` extended entrywise to Q(i); acts on mass vectors."""
+    return ExactMatrix(tuple(tuple(GaussianRational(e) for e in row)
+                             for row in linear(g).rows))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +245,10 @@ def is_lattice_auto(A) -> bool:
 
 
 def hat_linear_apply(A, z) -> tuple:
-    """Apply the linear (z-period) part of the hat reduction: z -> hatA^T z."""
-    hatA, _ = hat_reduction(A)
+    """Apply the linear (z-period) part of the hat reduction, z -> hatA^T z,
+    with hatA_ij = a_ij - a_0j / 2 (i, j = 1..4) built from A's entries."""
+    hatA = ExactMatrix(tuple(tuple(Fraction(A[i][j]) - Fraction(A[0][j], 2)
+                                   for j in range(1, 5)) for i in range(1, 5)))
     return hatA.transpose().apply(tuple(z))
 
 

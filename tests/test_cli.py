@@ -334,10 +334,35 @@ def test_an_overflowing_f_m_is_a_usage_error(capsys, argv):
     (["spectral", "fibers", "--p0", "1e400"], "1e400"),
     (["spectral", "residues", "--p0", "2", "--m", "1,1e400,0,0"], "1e400"),
     (["sweep", "--kind", "beta", "--p0", "nani"], "nani"),
+    # only a trailing i is the imaginary unit, so inf is not read as jnf
+    (["spectral", "fibers", "--p0", "inf"], "inf"),
+    (["spectral", "fibers", "--p0=-inf"], "-inf"),
+    (["spectral", "fibers", "--p0", "1+infi"], "1+infi"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_complex_values_are_usage_errors(capsys, argv, token):
     err = _quiet_usage_error(capsys, argv)
     assert f"complex value must be finite, got {token!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "fibers", "--p0", "1e100", "--m", "1,0,0,0"],
+    ["spectral", "fibers", "--p0", "1e60", "--m", "1,1,1,1"],
+], ids=" ".join)
+def test_an_overflowing_beta_discriminant_is_a_usage_error(capsys, argv):
+    # f_m is finite, but its beta-discriminant, of degree six in the
+    # coefficients, is not: the error names p0 and the masses
+    err = _quiet_usage_error(capsys, argv)
+    assert "the beta-discriminant is not finite at p0 = " in err
+    assert f"({float(argv[3])}+0j), masses ((1+0j)," in err
+
+
+@pytest.mark.parametrize("action", ["tau", "residues"])
+def test_an_overflowing_curve_is_a_usage_error(capsys, action):
+    # beta = 1e308 is finite, but beta (1 + p0) is not: the error names beta
+    # instead of a numpy overflow warning and a false SingularFiber
+    err = _quiet_usage_error(capsys, ["spectral", action, "--p0", "2", "--m", "1,1,1,1",
+                                      "--beta", "1e308"])
+    assert "is not finite at beta = (1e+308+0j)" in err
 
 
 @pytest.mark.parametrize("argv", [["--lambda1", "nan"], ["--theta", "nan"],

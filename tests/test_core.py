@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hitchin4.core import (
-    ExactMatrix,
     GaussianRational,
     NonConvergence,
     rational_from_str,
@@ -14,7 +13,7 @@ from hitchin4.core import (
 )
 from hitchin4.spectral import ComplexPoly, poly_roots
 
-from lattice_oracle import det, nullspace
+from lattice_oracle import ExactMatrix, det, nullspace
 
 rng = random.Random(20260810)
 

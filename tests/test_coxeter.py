@@ -7,7 +7,7 @@ import pytest
 
 from hitchin4 import coxeter
 from hitchin4.chambers import ParabolicData, enumerate_chambers, chamber_vertices
-from hitchin4.core import BrokenIdentity, ExactMatrix, GaussianRational
+from hitchin4.core import BrokenIdentity, GaussianRational
 from hitchin4.coxeter import (
     COXETER_MATRIX,
     _FACES,
@@ -19,14 +19,14 @@ from hitchin4.coxeter import (
     compose_word,
     enumerate_W_fin,
     generator,
-    mass_action,
     target_generator,
     vertex_orbit,
 )
-from hitchin4.homology import hat_affine_apply, word_to_auto
+from hitchin4.homology import hat_affine_apply, hat_reduction, word_to_auto
 from hitchin4.torelli import torelli_parallel
 
 from lattice_oracle import (
+    ExactMatrix,
     FractionAffine,
     MODEL_FACES,
     MODEL_VERTICES,
@@ -34,6 +34,9 @@ from lattice_oracle import (
     face_value,
     hat_linear_apply,
     in_model,
+    linear,
+    mass_action,
+    translation,
 )
 
 rng = random.Random(777)
@@ -59,15 +62,15 @@ def test_generator_examples():
                         [-half, half, half, half],
                         [half, half, half, -half],
                         [half, half, -half, half]])
-    assert generator(2).linear == want
+    assert linear(generator(2)) == want
 
 
 def test_generators_are_exact_orthogonal_involutions():
     for g in GENS:
-        assert g.linear.transpose() * g.linear == ExactMatrix.identity(4)
+        assert linear(g).transpose() * linear(g) == ExactMatrix.identity(4)
         gg = g.after(g)
-        assert gg.linear == ExactMatrix.identity(4)
-        assert gg.translation == (0, 0, 0, 0)
+        assert linear(gg) == ExactMatrix.identity(4)
+        assert translation(gg) == (0, 0, 0, 0)
 
 
 def test_model_chamber_dihedral_angles():
@@ -103,7 +106,7 @@ def test_mass_action_examples():
     # r_1 acts on masses by its linear part only: the translation is dropped
     m = tuple(GaussianRational(Fraction(k + 1), Fraction(1, 2)) for k in range(4))
     got = apply_to_masses(generator(1), m)
-    lin = generator(1).linear
+    lin = linear(generator(1))
     want = tuple(
         GaussianRational(sum(Fraction(lin.rows[i][j]) * m[j].re for j in range(4)),
                          sum(Fraction(lin.rows[i][j]) * m[j].im for j in range(4)))
@@ -137,11 +140,11 @@ def test_mass_action_orthogonal_real():
 
 def test_target_generator_matrices():
     r1 = target_generator(1)
-    assert r1.linear == ExactMatrix([[-1, 0, 0, 0], [0, 1, 0, 0],
-                                     [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert r1.translation == (0, 0, 0, 0)
+    assert linear(r1) == ExactMatrix([[-1, 0, 0, 0], [0, 1, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert translation(r1) == (0, 0, 0, 0)
     r0 = target_generator(0)
-    assert r0.translation == (Fraction(1, 2),) * 4
+    assert translation(r0) == (Fraction(1, 2),) * 4
     # R_0 equals the hat reduction of the lattice twist A_0 as an affine map
     for _ in range(10):
         x = rand_point()
@@ -160,7 +163,16 @@ def test_hat_reduction_matches_target_words():
         assert hat_affine_apply(A, x) == tuple(y)
         tz = compose_word(w, TGENS)
         z = rand_point()
-        assert hat_linear_apply(A, z) == tz.linear.apply(z)
+        assert hat_linear_apply(A, z) == linear(tz).apply(z)
+
+
+def test_hat_reduction_is_the_target_word_map():
+    # the identity of the coxeter docstring, as integer forms, on seeded words
+    r = random.Random(2020)
+    for _ in range(2000):
+        w = [r.randrange(5) for _ in range(r.randint(0, 40))]
+        hat = hat_reduction(word_to_auto(w))
+        assert hat.same_map(compose_word(w, TGENS)) and hat.word == ()
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +224,11 @@ def test_alcove_walk_reaches_all_24_chambers():
 def test_W_fin_has_192_linear_elements():
     W = enumerate_W_fin()
     assert len(W) == 192
-    keys = {(g.linear, g.translation) for g in W}
+    keys = {(linear(g), translation(g)) for g in W}
     for g in W:
-        assert g.translation == (0, 0, 0, 0)
+        assert translation(g) == (0, 0, 0, 0)
         inv = g.inverse()
-        assert (inv.linear, inv.translation) in keys
+        assert (linear(inv), translation(inv)) in keys
 
 
 def test_vertex_orbits():
@@ -274,7 +286,7 @@ def test_W_fin_linear_parts_are_half_integral():
     # the integer walk and composition rest on this: the denominator of
     # every group element is 1 or 2
     for g in enumerate_W_fin():
-        for row in g.linear.rows:
+        for row in linear(g).rows:
             assert all((2 * e).denominator == 1 for e in row)
 
 
@@ -282,8 +294,13 @@ def test_W_fin_linear_parts_are_half_integral():
 # differential tests against the Fraction reference
 # ---------------------------------------------------------------------------
 
+def _fraction_affine(g):
+    """The Fraction reference of an ``AffineIsometry``, read off its integer form."""
+    return FractionAffine(linear(g), translation(g), g.word)
+
+
 def _fraction_after(a, b):
-    """Reference a o b: one Fraction matrix product per call."""
+    """Reference a o b of two ``FractionAffine``: one Fraction matrix product per call."""
     lin = a.linear * b.linear
     tr = tuple(x + y for x, y in zip(a.linear.apply(b.translation), a.translation))
     return FractionAffine(lin, tr, b.word + a.word)
@@ -292,7 +309,7 @@ def _fraction_after(a, b):
 def _fraction_compose_word(word, gens):
     g = FractionAffine(ExactMatrix.identity(4), (Fraction(0),) * 4)
     for i in word:
-        g = _fraction_after(gens[i], g)
+        g = _fraction_after(_fraction_affine(gens[i]), g)
     return g
 
 
@@ -316,8 +333,8 @@ def _diff_rational(r, size):
 
 
 def _same(g, h):
-    return (g.word == h.word and g.linear.rows == h.linear.rows
-            and g.translation == h.translation)
+    return (g.word == h.word and linear(g).rows == h.linear.rows
+            and translation(g) == h.translation)
 
 
 def test_alcove_walk_matches_fraction_reference():
@@ -402,8 +419,9 @@ def test_compose_word_matches_fraction_reference():
     for _ in range(40):
         a = compose_word([r.randrange(5) for _ in range(r.randint(0, 12))], GENS)
         b = r.choice(W)
-        assert _same(a.after(b), _fraction_after(a, b))
-        assert _same(b.after(a), _fraction_after(b, a))
+        fa, fb = _fraction_affine(a), _fraction_affine(b)
+        assert _same(a.after(b), _fraction_after(fa, fb))
+        assert _same(b.after(a), _fraction_after(fb, fa))
 
 
 def test_apply_to_masses_matches_mass_action():
@@ -526,6 +544,6 @@ def test_face_table_matches_the_vertex_derivation():
             assert (_face_table_value(i, v) > 0) == (i == j)
             assert _face_table_value(i, v) == face_value(i, v)
         want = face_reflection(i)
-        assert generator(i).linear == want.linear
-        assert generator(i).translation == want.translation
+        assert linear(generator(i)) == want.linear
+        assert translation(generator(i)) == want.translation
         assert generator(i).word == want.word == (i,)

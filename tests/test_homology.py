@@ -15,7 +15,8 @@ from hitchin4.homology import (
     word_to_auto,
 )
 
-from lattice_oracle import brute_force_minus2, hat_linear_apply, is_lattice_auto
+from lattice_oracle import (brute_force_minus2, hat_linear_apply, is_lattice_auto, linear,
+                            translation)
 
 rng = random.Random(99)
 
@@ -118,17 +119,22 @@ def test_minus2_family_check_fires_on_a_broken_form(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_hat_reduction_identity_and_A0():
+    # hatA is the transpose of the linear part, hatB the translation
     ident = word_to_auto([])
-    hatA, hatB = hat_reduction(ident)
-    assert hatA.rows == tuple(tuple(Fraction(int(i == j)) for j in range(4))
-                              for i in range(4))
-    assert hatB == (0, 0, 0, 0)
+    hat = hat_reduction(ident)
+    assert (hat.L, hat.t, hat.d, hat.word) == (tuple(E[i][1:] for i in range(1, 5)),
+                                               (0, 0, 0, 0), 1, ())
+    assert linear(hat).transpose().rows == tuple(tuple(Fraction(int(i == j)) for j in range(4))
+                                                 for i in range(4))
+    assert translation(hat) == (0, 0, 0, 0)
 
-    hatA, hatB = hat_reduction(dehn_twist_matrix(0))
+    hat = hat_reduction(dehn_twist_matrix(0))
+    assert (hat.L, hat.t, hat.d) == (tuple(tuple(2 * (i == j) - 1 for j in range(4))
+                                           for i in range(4)), (1, 1, 1, 1), 2)
     want = tuple(tuple(Fraction(1, 2) if i == j else Fraction(-1, 2) for j in range(4))
                  for i in range(4))
-    assert hatA.rows == want
-    assert hatB == (Fraction(1, 2),) * 4
+    assert linear(hat).transpose().rows == want
+    assert translation(hat) == (Fraction(1, 2),) * 4
 
 
 def test_hat_reduction_composes_contravariantly():

@@ -1,12 +1,14 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from hitchin4.core import BrokenIdentity, DomainError, NonConvergence
 from hitchin4.spectral import (
+    _cubic_coeffs,
     _cut_pairs,
     _root_order,
     _sheet,
@@ -104,6 +106,30 @@ def test_non_finite_bases_are_value_errors():
         with pytest.raises(ValueError, match="f_m is not finite"):
             build_base(p0, masses)
     assert not any(build_base(1e100, (0, 0, 0, 0)).f_coeffs)  # a large p0 alone stays valid
+
+
+def test_overflowing_curves_and_discriminants_are_value_errors():
+    base = build_base(2.0, (1, 1, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        # a finite beta whose F = f_m + beta z(z-1)(z-p0) is not finite
+        for beta in (1e308, complex(0, 1e308), complex(1e308, -1e308)):
+            with pytest.raises(ValueError, match="is not finite at beta = "):
+                base.curve_coeffs(beta)
+        for fn in (in_B0, tautological_residues, elliptic_periods):
+            with pytest.raises(ValueError, match=r"at beta = \(1e\+308\+0j\)"):
+                fn(base, 1e308)
+        # a finite f_m whose beta-discriminant is not
+        for p0, masses in ((1e100, (1, 0, 0, 0)), (1e60, (1, 1, 1, 1))):
+            with pytest.raises(ValueError, match=r"beta-discriminant is not finite at "
+                                                 r"p0 = \(1e\+\d+\+0j\), masses"):
+                singular_fibers(build_base(p0, masses))
+    # below the float range F is the numpy sum it always was, bit for bit
+    r = np.random.default_rng(2020)
+    for _ in range(200):
+        b = complex(*r.normal(size=2)) * 10.0 ** r.integers(-3, 300)
+        assert np.array_equal(base.curve_coeffs(b),
+                              np.asarray(base.f_coeffs) + b * _cubic_coeffs(base.p0))
 
 
 # ---------------------------------------------------------------------------
