@@ -36,13 +36,17 @@ def _parse_exact(parse, tok: str):
         raise ValueError(f"zero denominator in {tok.strip()!r}") from None
 
 
-def _parse_complex(tok: str) -> complex:
-    """A finite complex number; only a trailing ``i`` is the imaginary unit."""
+def _parse_complex(tok: str, option: str) -> complex:
+    """A finite complex number given to ``option``; only a trailing ``i`` is
+    the imaginary unit."""
     tok = tok.strip()
     try:
         z = complex(GaussianRational.parse(tok))
     except (ValueError, ZeroDivisionError):
-        z = complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+        try:
+            z = complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+        except ValueError:
+            raise ValueError(f"{option} is not a complex number: {tok!r}") from None
     except OverflowError:  # a rational past the float range
         z = complex(math.inf)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -62,17 +66,14 @@ def _four(parse, what: str):
 
 _parse_fractions = _four(lambda tok: _parse_exact(Fraction, tok), "rationals")
 _parse_gaussians = _four(lambda tok: _parse_exact(GaussianRational.parse, tok), "values")
-_parse_complexes = _four(_parse_complex, "complex values")
+_parse_masses = _four(lambda tok: _parse_complex(tok, "--m"), "complex values")
+_rstr = core.rational_to_str
 
 
 def _check_count(name: str, n: int, minimum: int) -> int:
     if n < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {n}")
     return n
-
-
-def _rstr(q: Fraction) -> str:
-    return core.rational_to_str(q)
 
 
 def _label_json(label: chambers.ChamberLabel) -> dict:
@@ -198,9 +199,7 @@ def _cmd_homology(args) -> int:
 def _cmd_spectral(args) -> int:
     from . import spectral
 
-    p0 = _parse_complex(args.p0)
-    masses = _parse_complexes(args.m)
-    base = spectral.build_base(p0, masses)
+    base = spectral.build_base(_parse_complex(args.p0, "--p0"), _parse_masses(args.m))
     if args.action == "fibers":
         roots = spectral.singular_fibers(base)
         return _emit(_envelope("spectral", {"action": "fibers", "p0": args.p0,
@@ -209,7 +208,7 @@ def _cmd_spectral(args) -> int:
             "singular_beta": [[b.real, b.imag] for b in roots],
         }))
     if args.action == "residues":
-        beta = _parse_complex(args.beta)
+        beta = _parse_complex(args.beta, "--beta")
         res = spectral.tautological_residues(base, beta)
         return _emit(_envelope("spectral", {"action": "residues", "p0": args.p0,
                                             "m": args.m, "beta": args.beta}, {
@@ -220,7 +219,7 @@ def _cmd_spectral(args) -> int:
         if len(fields) != 3:
             raise ValueError(f"--sweep needs bmin,bmax,n, got {args.sweep!r}")
         return _tau_sweep(base, fields[0], fields[1], int(fields[2]))
-    beta = _parse_complex(args.beta)
+    beta = _parse_complex(args.beta, "--beta")
     A, B, tau = spectral.elliptic_periods(base, beta)
     return _emit(_envelope("spectral", {"action": "tau", "p0": args.p0,
                                         "m": args.m, "beta": args.beta}, {
@@ -272,7 +271,7 @@ def _cmd_sweep(args) -> int:
     if args.kind == "beta":
         from . import spectral
 
-        base = spectral.build_base(_parse_complex(args.p0), _parse_complexes(args.m))
+        base = spectral.build_base(_parse_complex(args.p0, "--p0"), _parse_masses(args.m))
         return _tau_sweep(base, args.bmin, args.bmax, args.samples)
     a0 = _parse_fractions(args.start)
     a1 = _parse_fractions(args.stop)

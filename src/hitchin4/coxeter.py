@@ -16,7 +16,7 @@ same leftmost-first reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
@@ -26,10 +26,7 @@ from operator import mul
 from .core import (BrokenIdentity, DomainError, GaussianRational, as_gaussian,
                    common_denominator, int_matmul, int_matvec)
 
-COXETER_MATRIX = ((1, 3, 3, 3, 3),
-                  (3, 1, 2, 2, 2),
-                  (3, 2, 1, 2, 2),
-                  (3, 2, 2, 1, 2),
+COXETER_MATRIX = ((1, 3, 3, 3, 3), (3, 1, 2, 2, 2), (3, 2, 1, 2, 2), (3, 2, 2, 1, 2),
                   (3, 2, 2, 2, 1))
 
 
@@ -47,8 +44,7 @@ class AffineIsometry:
     """Exact affine map x -> (L x + t) / d with a generator word, held only as
     its integer form: L a 4x4 integer matrix (rows), t an integer 4-vector and
     d > 0 with gcd(d, entries of L and t) == 1, so equal maps have equal
-    fields.  Linear parts and translations of the affine D4 group lie in
-    (1/2)Z, so d is 1 or 2 on any word over r_0..r_4 or R_0..R_4."""
+    fields; d is 1 or 2 on every word that ``compose_word`` accepts."""
 
     L: tuple[tuple[int, ...], ...]
     t: tuple[int, ...]
@@ -66,8 +62,10 @@ class AffineIsometry:
                      for row, s in zip(self.L, self.t))
 
     def after(self, other: "AffineIsometry") -> "AffineIsometry":
-        """Composite applying ``other`` first: self o other."""
-        return AffineIsometry(*_fold((other, self)), other.word + self.word)
+        """Composite applying ``other`` first: self o other, one integer product."""
+        t = tuple(a + other.d * s for a, s in zip(int_matvec(self.L, other.t), self.t))
+        return AffineIsometry(*_reduced(int_matmul(self.L, other.L), t, self.d * other.d),
+                              other.word + self.word)
 
     def inverse(self) -> "AffineIsometry":
         Lt = tuple(zip(*self.L))  # orthogonal linear part: (L/d)^-1 = L^T/d, over d^2
@@ -80,10 +78,7 @@ class AffineIsometry:
 
     @staticmethod
     def identity() -> "AffineIsometry":
-        return AffineIsometry(*_IDENTITY, ())
-
-
-_IDENTITY = (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (0, 0, 0, 0), 1)
+        return compose_word((), ())
 
 
 def _reduced(L, t, d):
@@ -94,26 +89,61 @@ def _reduced(L, t, d):
     return tuple(tuple(e // k for e in row) for row in L), tuple(e // k for e in t), d // k
 
 
-def _fold(gs):
-    """Integer form of the composite of ``gs``, the first applied first."""
-    L, t, d = _IDENTITY
-    for g in gs:
-        L = int_matmul(g.L, L)
-        t = tuple(a + d * s for a, s in zip(int_matvec(g.L, t), g.t))
-        L, t, d = _reduced(L, t, d * g.d)
-    return L, t, d
+# The composition kernel holds a group element as (k, t2): linear part _LINEAR[k]
+# (integer rows over 2), translation t2 / 2.  Each generator form (L, t, d) is
+# registered once as (L, 2t, d), r_0..r_4 first: walk letter i is index i.
+_LINEAR = [tuple(tuple(2 * (r == k) for k in range(4)) for r in range(4))]
+_LINEAR_INDEX = {_LINEAR[0]: 0}
+_GENERATORS, _GENERATOR_INDEX = [], {}
+
+
+def _register(i: int, g: AffineIsometry) -> int:
+    """Index of g's form in ``_GENERATORS``, registered on first use;
+    ``ValueError`` naming letter i if g is outside ``compose_word``'s domain."""
+    j = _GENERATOR_INDEX.get((g.L, g.t, g.d))
+    if j is None:
+        square = tuple(tuple(g.d ** 2 * (r == c) for c in range(4)) for r in range(4))
+        if g.d not in (1, 2) or int_matmul(g.L, tuple(zip(*g.L))) != square \
+                or len(g.t) != 4 or len({e % g.d for e in g.t}) != 1:
+            raise ValueError(f"letter {i} is outside the domain: L L^T = d^2 I, "
+                             "d in {1, 2}, t/d in Z^4 or Z^4 + 1/2")
+        _GENERATORS.append(form := (g.L, tuple(2 * e for e in g.t), g.d))
+        j = _GENERATOR_INDEX.setdefault((g.L, g.t, g.d), _GENERATORS.index(form))
+    return j
+
+
+@lru_cache(maxsize=None)
+def _linear_step(k: int, j: int) -> int:
+    """Index in ``_LINEAR`` of generator j's linear part after _LINEAR[k]; exact and
+    finite, as the domain's L/d are the 1152 orthogonal matrices over (1/2)Z."""
+    L, _, d = _GENERATORS[j]
+    M = tuple(tuple(e // d for e in row) for row in int_matmul(L, _LINEAR[k]))
+    if M not in _LINEAR_INDEX:  # append, then index: a racing duplicate reads the first
+        _LINEAR.append(M)
+        _LINEAR_INDEX.setdefault(M, _LINEAR.index(M))
+    return _LINEAR_INDEX[M]
 
 
 def compose_word(word, gens) -> AffineIsometry:
-    """Isometry of a word, leftmost letter applied first, folded on the
-    letters' integer forms with one gcd reduction per letter.  Its word is the
-    concatenation of the letters' ``gens[i].word``.  Raises ``ValueError`` for
-    a letter outside ``0..len(gens)-1``."""
+    """Isometry of a word, leftmost letter applied first, with the letters'
+    ``gens[i].word`` concatenated: per letter one ``_linear_step`` read and one
+    matvec t2 <- (L t2 + 2t) / d checked exact (``BrokenIdentity``), then one
+    gcd.  Domain: each generator has L L^T = d^2 I, d in {1, 2} (L/d orthogonal
+    over (1/2)Z) and t/d in Z^4 or Z^4 + (1/2,1/2,1/2,1/2), as r_i and R_i do;
+    ``ValueError`` for another generator or a letter outside 0..len(gens)-1."""
     word = tuple(word)
     for i in word:
         if not 0 <= i < len(gens):
             raise ValueError(f"letter {i} outside 0..{len(gens) - 1}")
-    return AffineIsometry(*_fold(gens[i] for i in word),
+    js = [_register(i, g) for i, g in enumerate(gens)]
+    k, t = 0, (0, 0, 0, 0)
+    for i in word:
+        k = _linear_step(k, js[i])
+        L, s, d = _GENERATORS[js[i]]
+        t, r = zip(*[divmod(sum(map(mul, row, t)) + e, d) for row, e in zip(L, s)])
+        if any(r):
+            raise BrokenIdentity("word translation is not integral")
+    return AffineIsometry(*_reduced(_LINEAR[k], t, 2),
                           tuple(chain.from_iterable(gens[i].word for i in word)))
 
 
@@ -127,11 +157,9 @@ def compose_word(word, gens) -> AffineIsometry:
 # on every face.  The functionals are the five x-periods of the model
 # chamber's parallel basis: f_0 is L_1 = x_0 and f_1..f_4 are K_{}, K_{12},
 # K_{13}, K_{14} = x_1..x_4, which ``torelli`` reads from this table.
-_FACES = (((-1, 1, 1, 1), 0),
-          ((-1, -1, -1, -1), 1),
-          ((1, 1, -1, -1), 0),
-          ((1, -1, 1, -1), 0),
-          ((1, -1, -1, 1), 0))
+_FACES = (((-1, 1, 1, 1), 0), ((-1, -1, -1, -1), 1), ((1, 1, -1, -1), 0),
+          ((1, -1, 1, -1), 0), ((1, -1, -1, 1), 0))
+_GRAM = tuple(tuple(sum(map(mul, n, m)) for m, _ in _FACES) for n, _ in _FACES)
 
 
 @lru_cache(maxsize=None)
@@ -153,59 +181,49 @@ def target_generator(i: int) -> AffineIsometry:
     R_1..R_4 are coordinate sign flips."""
     if not 0 <= i <= 4:
         raise ValueError("index must be in 0..4")
-    if i == 0:
-        L = tuple(tuple(2 * (r == c) - 1 for c in range(4)) for r in range(4))
-        return AffineIsometry(L, (1, 1, 1, 1), 2, (0,))
+    if i == 0:  # F_0, the plane x_1 + ... + x_4 = 1, is the plane of f_1
+        return replace(generator(1), word=(0,))
     L = tuple(tuple(-1 if r == c == i - 1 else int(r == c) for c in range(4)) for r in range(4))
     return AffineIsometry(L, (0, 0, 0, 0), 1, (i,))
 
 
+for _i, _g in enumerate([*map(generator, range(5)), *map(target_generator, range(5))]):
+    _register(_i % 5, _g)
+
+
 def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
     """Action of g on a mass vector in Q(i)^4: the rational linear part L/d
-    of g applied to the real and the imaginary parts separately."""
-    lin = AffineIsometry(g.L, (0, 0, 0, 0), g.d)
+    of g applied to the real and imaginary numerators over one common
+    denominator; ``ValueError`` unless there are four masses."""
     ms = list(map(as_gaussian, masses))
-    return tuple(map(GaussianRational, lin([m.re for m in ms]), lin([m.im for m in ms])))
+    if len(ms) != 4:
+        raise ValueError("length mismatch")
+    N, b = common_denominator([m.re for m in ms] + [m.im for m in ms])
+    return tuple(GaussianRational(Fraction(sum(map(mul, row, b[:4])), g.d * N),
+                                  Fraction(sum(map(mul, row, b[4:])), g.d * N)) for row in g.L)
 
 
 # ---------------------------------------------------------------------------
 # alcove walk
 # ---------------------------------------------------------------------------
 
-# Gram matrix n_i.n_j of the face normals, and the linear parts met by the
-# walk as integer rows over denominator 2, in order of first use (all in W_fin).
-_GRAM = tuple(tuple(sum(map(mul, n, m)) for m, _ in _FACES) for n, _ in _FACES)
-_LINEAR = [tuple(tuple(2 * (r == k) for k in range(4)) for r in range(4))]
-
-
-@lru_cache(maxsize=None)
-def _linear_step(k: int, i: int) -> int:
-    """Index in ``_LINEAR`` of r_i o _LINEAR[k]; filled by the walk, at most 5 * 192 entries."""
-    M = tuple(tuple(e // 2 for e in row) for row in int_matmul(generator(i).L, _LINEAR[k]))
-    if M not in _LINEAR:
-        _LINEAR.append(M)
-    return _LINEAR.index(M)
-
-
 def alcove_walk(alpha, max_steps: int = 100000):
     """Fold alpha into the closed model alcove.
 
     Returns (g, alpha0, on_wall): g.word applies leftmost-first, alpha0 is in
     the closed model chamber, g(alpha0) == alpha exactly, and on_wall flags a
-    boundary landing.  When several face functionals are violated the lowest
-    index face is reflected first (deterministic; any order terminates).
-    The chamber basis of the alcove ``g*model`` is the model basis times
+    boundary landing; the lowest violated face is reflected first.  The
+    chamber basis of the alcove ``g*model`` is the model basis times
     ``word_to_auto(g.inverse().word)`` (the walk word read backwards), and
     periods in that basis are its transpose applied to the parallel periods.
 
-    The walk keeps the five integer face values of b = N*alpha, N twice the
-    lcm of the denominators, so all start even.  Reflecting in face i by
-    q = half its value moves face j by -q*_GRAM[i][j]: five updates per wall
-    crossed, about 10 walls per unit of |alpha|.  alpha0 is b less the shifts
-    q*n_i, over N; g's linear part is read letter by letter from the memoised
-    ``_linear_step``, its translation from g(alpha0) == alpha.  A step or
-    translation that does not divide exactly raises ``BrokenIdentity``, and
-    ``max_steps`` reflections raise ``WalkLimitExceeded``.
+    The walk keeps the five integer face values of b = N*alpha (N twice the
+    lcm of the denominators: all start even).  Reflecting in face i by q = half
+    its value moves face j by -q*_GRAM[i][j], about 10 walls per unit of
+    |alpha|.  alpha0 is b less the shifts q*n_i, over N; g's linear part is read
+    from the kernel's ``_linear_step``, its translation from g(alpha0) == alpha.
+    An inexact step or translation raises ``BrokenIdentity``, and ``max_steps``
+    reflections raise ``WalkLimitExceeded``.
     """
     N, b = common_denominator([Fraction(a) for a in alpha])
     N, b = 2 * N, [2 * v for v in b]
@@ -241,42 +259,24 @@ def alcove_walk(alpha, max_steps: int = 100000):
 
 @lru_cache(maxsize=1)
 def enumerate_W_fin() -> tuple[AffineIsometry, ...]:
-    """Closure of {r_0, r_2, r_3, r_4}: the 192-element finite D4 Coxeter
-    group fixing the origin (all elements linear)."""
-    gens = [generator(i) for i in (0, 2, 3, 4)]
-    frontier = [AffineIsometry.identity()]
-    seen = {(frontier[0].L, frontier[0].t, frontier[0].d): frontier[0]}
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                c = h.after(g)
-                key = (c.L, c.t, c.d)
-                if key not in seen:
-                    seen[key] = c
-                    new.append(c)
-        frontier = new
-    return tuple(seen.values())
-
-
-_ORBIT_OF_PAIR = {
-    frozenset({0b0011, 0b1100}): "12/34",
-    frozenset({0b0101, 0b1010}): "13/24",
-    frozenset({0b1001, 0b0110}): "14/23",
-    frozenset({0b0000, 0b1111}): "0/1234",
-}
+    """Closure of {r_0, r_2, r_3, r_4}, breadth first on ``_linear_step``: the
+    192 linear elements of the finite D4 Coxeter group, each with its first word."""
+    words, queue = {0: ()}, [0]
+    for k in queue:
+        for i in (0, 2, 3, 4):
+            c = _linear_step(k, i)
+            if c not in words:
+                words[c] = words[k] + (i,)
+                queue.append(c)
+    return tuple(AffineIsometry(*_reduced(_LINEAR[k], (0, 0, 0, 0), 2), w)
+                 for k, w in words.items())
 
 
 def vertex_orbit(v) -> str:
     """Orbit label of a cube vertex under the Coxeter action: one of
-    12/34, 13/24, 14/23, 0/1234, odd."""
+    12/34, 13/24, 14/23, 0/1234, odd (a vertex and its complement share one)."""
     v = tuple(Fraction(a) for a in v)
-    mask = 0
-    for i, a in enumerate(v):
-        if a == Fraction(1, 2):
-            mask |= 1 << i
-        elif a != 0:
-            raise NotAVertex(f"{v} is not a vertex of [0,1/2]^4")
-    if bin(mask).count("1") % 2 == 1:
-        return "odd"
-    return _ORBIT_OF_PAIR[frozenset({mask, mask ^ 0b1111})]
+    if len(v) != 4 or any(a not in (0, Fraction(1, 2)) for a in v):
+        raise NotAVertex(f"{v} is not a vertex of [0,1/2]^4")
+    mask = sum(1 << i for i, a in enumerate(v) if a)  # min(mask, complement) keys the pair
+    return {0: "0/1234", 3: "12/34", 5: "13/24", 6: "14/23"}.get(min(mask, mask ^ 0b1111), "odd")

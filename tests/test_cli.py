@@ -371,3 +371,15 @@ def test_hk_check_rejects_non_finite_parameters(capsys, argv):
     # max(0.0, nan) is 0.0: these used to report "pass": true
     err = _quiet_usage_error(capsys, ["hk", "check", *argv, "--trials", "5"])
     assert f"{argv[0][2:]} must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "fibers", "--p0", "abc"],
+    ["spectral", "fibers", "--p0", "2", "--m", "1,1,1,ii"],
+], ids=" ".join)
+def test_a_malformed_complex_value_names_the_option_and_the_token(capsys, argv):
+    err = _quiet_usage_error(capsys, argv)
+    option, value = argv[-2:]
+    bad = value.split(",")[-1]  # the last token is the malformed one
+    assert f"{option} is not a complex number: {bad!r}" in err
+    assert "malformed string" not in err

@@ -236,8 +236,10 @@ def test_vertex_orbits():
     assert vertex_orbit((half, half, 0, 0)) == vertex_orbit((0, 0, half, half)) == "12/34"
     assert vertex_orbit((0, 0, 0, 0)) == vertex_orbit((half, half, half, half)) == "0/1234"
     assert vertex_orbit((half, 0, 0, 0)) == "odd"
-    with pytest.raises(NotAVertex):
-        vertex_orbit((Fraction(1, 4), 0, 0, 0))
+    # a vertex has four coordinates, each 0 or 1/2
+    for bad in ((Fraction(1, 4), 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0), (half, half, 0, 0, 0)):
+        with pytest.raises(NotAVertex):
+            vertex_orbit(bad)
 
 
 def test_vertex_orbits_realized_by_group_elements():
@@ -306,10 +308,18 @@ def _fraction_after(a, b):
     return FractionAffine(lin, tr, b.word + a.word)
 
 
-def _fraction_compose_word(word, gens):
+def _fraction_prefixes(word, gens):
+    """The Fraction reference of every prefix of ``word``, shortest first: one
+    Fraction matrix product per letter."""
     g = FractionAffine(ExactMatrix.identity(4), (Fraction(0),) * 4)
+    yield g
     for i in word:
         g = _fraction_after(_fraction_affine(gens[i]), g)
+        yield g
+
+
+def _fraction_compose_word(word, gens):
+    *_, g = _fraction_prefixes(word, gens)
     return g
 
 
@@ -382,7 +392,10 @@ def test_alcove_walk_matches_compose_word():
 def test_linear_step_memo_stays_in_W_fin():
     for alpha in _walk_draws():
         alcove_walk(alpha)
-    assert 0 < coxeter._linear_step.cache_info().currsize <= 5 * 192
+    # one memo serves every registered generator form: r_0..r_4 and the four
+    # R_i that are not r_1
+    assert len(coxeter._GENERATORS) == 9
+    assert 0 < coxeter._linear_step.cache_info().currsize <= 9 * 192
     over_two = {tuple(tuple(e * (2 // g.d) for e in row) for row in g.L)
                 for g in enumerate_W_fin()}
     assert len(over_two) == 192
@@ -422,6 +435,70 @@ def test_compose_word_matches_fraction_reference():
         fa, fb = _fraction_affine(a), _fraction_affine(b)
         assert _same(a.after(b), _fraction_after(fa, fb))
         assert _same(b.after(a), _fraction_after(fb, fa))
+
+
+def test_compose_word_on_long_mixed_words_matches_fraction_reference():
+    # 1,944 words of length 0..80 over r_0..r_4 and R_0..R_4 together: every
+    # prefix and every suffix of 12 seeded words of length 80, each composed
+    # on its own and compared field for field with its Fraction reference
+    r = random.Random(8080)
+    gens = GENS + TGENS
+    checked = 0
+    for _ in range(12):
+        w = [r.randrange(10) for _ in range(80)]
+        for n, ref in enumerate(_fraction_prefixes(w, gens)):
+            assert _same(compose_word(w[:n], gens), ref)
+            checked += 1
+        ref = FractionAffine(ExactMatrix.identity(4), (Fraction(0),) * 4)
+        for m in range(80, -1, -1):  # suffix w[m:], built by one product on the right
+            if m < 80:
+                ref = _fraction_after(ref, _fraction_affine(gens[w[m]]))
+            assert _same(compose_word(w[m:], gens), ref)
+            checked += 1
+    assert checked == 1944
+    # every linear part met lies in the 192-element W_fin
+    assert len(coxeter._LINEAR) <= 192
+
+
+def test_compose_word_fills_the_step_table_once_per_new_entry(monkeypatch):
+    # int_matmul runs only when a (linear index, generator) entry is filled,
+    # never once per letter
+    calls = []
+    real = coxeter.int_matmul
+    monkeypatch.setattr(coxeter, "int_matmul", lambda A, B: calls.append(1) or real(A, B))
+    coxeter._linear_step.cache_clear()
+    r = random.Random(606)
+    words = [[r.randrange(10) for _ in range(r.randint(0, 80))] for _ in range(300)]
+    for w in words:
+        compose_word(w, GENS + TGENS)
+    letters = sum(map(len, words))
+    filled = coxeter._linear_step.cache_info().misses
+    assert len(calls) == filled <= 9 * 192 < letters
+    for w in words:
+        compose_word(w, GENS + TGENS)
+    assert len(calls) == filled and len(coxeter._LINEAR) <= 192
+
+
+def test_compose_word_rejects_generators_outside_the_domain():
+    before = (len(coxeter._LINEAR), len(coxeter._GENERATORS))
+    shear = AffineIsometry(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (0, 0, 0, 0), 1)
+    third = AffineIsometry(((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)), (1, 0, 0, 0), 3)
+    # orthogonal over 2, but the translation (1/2, 0, 0, 0) is in neither Z^4 nor Z^4 + 1/2
+    off = AffineIsometry(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), (1, 0, 0, 0), 2)
+    for bad in (shear, third, off):
+        for word in ([2, 5, 0], []):
+            with pytest.raises(ValueError, match="letter 5 is outside the domain"):
+                compose_word(word, GENS + [bad])
+    assert (len(coxeter._LINEAR), len(coxeter._GENERATORS)) == before
+
+
+def test_compose_word_exactness_check_raises_broken_identity(monkeypatch):
+    # the translation step divides exactly on the domain; corrupt r_0's
+    # registered translation to an odd one to force the check
+    L, s, d = coxeter._GENERATORS[0]
+    monkeypatch.setattr(coxeter, "_GENERATORS", [(L, (1, 0, 0, 0), d)] + coxeter._GENERATORS[1:])
+    with pytest.raises(BrokenIdentity, match="word translation is not integral"):
+        compose_word([0], GENS)
 
 
 def test_apply_to_masses_matches_mass_action():
