@@ -206,6 +206,21 @@ def classify_chamber(alpha) -> ChamberLabel:
     return _INTERIOR[k]
 
 
+def chamber_sweep(start, stop, samples: int):
+    """Rows (t, alpha, label) at ``samples`` equally spaced t in [0, 1] (one
+    sample is t = 0) on the segment alpha = start + t (stop - start), with the
+    ``DomainError`` of ``classify_chamber`` in place of the label where it
+    raises one."""
+    for k in range(samples):
+        t = Fraction(k, samples - 1) if samples > 1 else Fraction(0)
+        alpha = tuple(x + t * (y - x) for x, y in zip(start, stop))
+        try:
+            label = classify_chamber(alpha)
+        except DomainError as exc:
+            label = exc
+        yield t, alpha, label
+
+
 def chamber_vertices(label: ChamberLabel) -> list[tuple[Fraction, ...]]:
     """Vertices spanning the chamber: barycenter (interior) or v_{I0}
     (exterior), plus the four cube vertices v_I for I in the partition set."""

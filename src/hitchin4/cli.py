@@ -3,10 +3,15 @@
 Every invocation prints a JSON envelope (or CSV for sweeps) on stdout that
 echoes the parsed parameters, so identical inputs give byte-identical
 output.  Exit codes: 0 success, 2 domain error (any ``hitchin4.DomainError``),
-1 usage error.  Only the spectral, hk and beta-sweep commands load numpy.
+1 usage error, whose message names the option and the token of a malformed
+value.  Only the spectral, hk and beta-sweep commands load numpy.
 
 Rationals are written "p/q"; complex values as "a+bi" with rational or
 decimal parts; Gaussian rationals serialize as {"re": "p/q", "im": "p/q"}.
+
+One table, ``_COMMANDS``, gives each subcommand's options, each with the
+reader of its kind, and its handler per action.  Handlers only parse, call
+one library function and print; ``main`` reports errors and prints for all.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ import io
 import json
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
-from . import chambers, core, coxeter, homology, monodromy, torelli
+from . import chambers, coxeter, homology, monodromy, torelli
 from .core import DomainError, GaussianRational
+from .core import rational_to_str as _rstr
 
 
 class _Parser(argparse.ArgumentParser):
@@ -28,17 +35,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"usage error: {message}\n{self.format_usage()}")
 
 
-def _parse_exact(parse, tok: str):
-    """``parse(tok)``, with a zero denominator reported as a usage error."""
-    try:
-        return parse(tok)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {tok.strip()!r}") from None
+# Readers: a ValueError says what is wrong with a token; ``_Values`` adds the option.
+
+def _token(convert, what: str, ok=None):
+    """Reader of one token by ``convert``, whose value must pass ``ok`` if given."""
+    def read(tok: str):
+        try:
+            value = convert(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"has a zero denominator: {tok!r}") from None
+        except ValueError:
+            raise ValueError(f"is not {what}: {tok!r}") from None
+        if ok and not ok(value):
+            raise ValueError(f"is not {what}: {tok!r}")
+        return value
+    return read
 
 
-def _parse_complex(tok: str, option: str) -> complex:
-    """A finite complex number given to ``option``; only a trailing ``i`` is
-    the imaginary unit."""
+_rational = _token(Fraction, "a rational")
+_gaussian = _token(GaussianRational.parse, "a Gaussian rational")
+_integer = _token(int, "an integer")
+_count = _token(int, "an integer >= 0", lambda n: n >= 0)
+_real = _token(float, "a number")
+_bound = _token(float, "a finite beta bound > 0", lambda b: math.isfinite(b) and b > 0)
+
+
+def _complex(tok: str) -> complex:
+    """A finite complex number; only a trailing ``i`` is the imaginary unit."""
     tok = tok.strip()
     try:
         z = complex(GaussianRational.parse(tok))
@@ -46,373 +69,259 @@ def _parse_complex(tok: str, option: str) -> complex:
         try:
             z = complex(tok[:-1] + "j" if tok.endswith("i") else tok)
         except ValueError:
-            raise ValueError(f"{option} is not a complex number: {tok!r}") from None
+            raise ValueError(f"is not a complex number: {tok!r}") from None
     except OverflowError:  # a rational past the float range
         z = complex(math.inf)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"complex value must be finite, got {tok!r}")
+        raise ValueError(f"is not finite: complex value must be finite, got {tok!r}")
     return z
 
 
-def _four(parse, what: str):
-    """Reader of four comma-separated values, each read by ``parse``."""
-    def read(s: str) -> tuple:
-        parts = [parse(tok) for tok in s.split(",")]
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 comma-separated {what}, got {len(parts)}")
-        return tuple(parts)
-    return read
+def _list(read, n: int | None = None):
+    """Reader of comma-separated tokens, each read by ``read``, none in an empty
+    string; ``n`` of them if given."""
+    def read_all(raw: str) -> tuple:
+        values = tuple(map(read, raw.split(","))) if raw else ()
+        if n is not None and len(values) != n:
+            raise ValueError(f"needs {n} comma-separated values, got {len(values)}: {raw!r}")
+        return values
+    return read_all
 
 
-_parse_fractions = _four(lambda tok: _parse_exact(Fraction, tok), "rationals")
-_parse_gaussians = _four(lambda tok: _parse_exact(GaussianRational.parse, tok), "values")
-_parse_masses = _four(lambda tok: _parse_complex(tok, "--m"), "complex values")
-_rstr = core.rational_to_str
+_RATIONALS = _list(_rational, 4)
+_GAUSSIANS = _list(_gaussian, 4)
+_COMPLEXES = _list(_complex, 4)
+_LETTERS = _list(_integer)
+_GENERATORS = tuple(map(coxeter.generator, range(5)))
 
 
-def _check_count(name: str, n: int, minimum: int) -> int:
-    if n < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {n}")
-    return n
+def _beta_range(raw: str):
+    """(bmin, bmax, n) of ``--sweep bmin,bmax,n``, or None without a sweep."""
+    if raw:
+        bmin, bmax, n = _list(str, 3)(raw)
+        return _bound(bmin), _bound(bmax), _count(n)
 
 
-def _label_json(label: chambers.ChamberLabel) -> dict:
-    out = {
-        "kind": label.kind,
-        "type": label.ctype,
-        "distinguished": label.index,
-        "subsets": list(label.subsets),
-        "vertices": [[_rstr(c) for c in v] for v in chambers.chamber_vertices(label)],
-    }
-    if label.i0 is not None:
-        out["i0"] = label.i0
-    return out
+# An option, or the positional "action": its reader (None keeps the string),
+# its default (None: required), its choices, whether the envelope echoes it.
+_Opt = namedtuple("_Opt", "flag read default choices echo help",
+                  defaults=(None, None, None, True, None))
 
 
-def _period_json(pv: torelli.PeriodVector) -> dict:
-    return {
-        "x": [_rstr(v) for v in pv.x],
-        "z": [z.to_json() for z in pv.z],
-        "x_unit": "4*pi^2",
-        "z_unit": "2*pi",
-        "basis": str(pv.basis),
-    }
+class _Values:
+    """The options of one invocation, each read on first use.  A reader's
+    ``ValueError`` is raised again naming the option, and each echoed option
+    read joins ``echo``: its string, or its value if that is a number."""
+
+    def __init__(self, args, options):
+        self._args, self.echo = args, {}
+        self._options = {o.flag.lstrip("-").replace("-", "_"): o for o in options}
+
+    def __getattr__(self, name: str):
+        o = self._options[name]
+        raw = getattr(self._args, name)
+        try:
+            value = o.read(raw) if o.read else raw
+        except ValueError as exc:
+            raise ValueError(f"{o.flag} {exc}") from None
+        if o.echo:
+            self.echo[name] = value if isinstance(value, (int, float)) else raw
+        setattr(self, name, value)
+        return value
 
 
-def _emit(payload: dict) -> int:
-    print(json.dumps(payload, sort_keys=True, default=str))
-    return 0
+# Handlers: a dict is the JSON result, a list of rows (header first) a CSV.
+
+def _chamber(v) -> dict:
+    label = chambers.classify_chamber(v.alpha)
+    out = {"kind": label.kind, "type": label.ctype, "distinguished": label.index,
+           "subsets": list(label.subsets),
+           "vertices": [[_rstr(c) for c in p] for p in chambers.chamber_vertices(label)]}
+    return out if label.i0 is None else {**out, "i0": label.i0}
 
 
-def _envelope(sub: str, params: dict, result) -> dict:
-    return {"subcommand": sub, "parameters": params, "result": result}
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
-def _cmd_chamber(args) -> int:
-    alpha = _parse_fractions(args.alpha)
-    label = chambers.classify_chamber(alpha)
-    return _emit(_envelope("chamber", {"alpha": args.alpha}, _label_json(label)))
-
-
-def _cmd_generic(args) -> int:
-    data = chambers.ParabolicData(_parse_fractions(args.alpha), _parse_gaussians(args.m))
+def _generic(v) -> dict:
+    data = chambers.ParabolicData(v.alpha, v.m)
     chambers.check_cube(data.alpha)
     violated = chambers.genericity_violations(data)
-    return _emit(_envelope("generic", {"alpha": args.alpha, "m": args.m},
-                           {"generic": not violated, "violated": violated}))
+    return {"generic": not violated, "violated": violated}
 
 
-def _cmd_periods(args) -> int:
-    alpha = _parse_fractions(args.alpha)
-    masses = _parse_gaussians(args.m)
-    data = chambers.ParabolicData(alpha, masses)
-    pv = torelli.torelli_parallel(data) if args.basis == "parallel" \
-        else torelli.torelli_chamber(data)
-    return _emit(_envelope("periods",
-                           {"alpha": args.alpha, "m": args.m, "basis": args.basis},
-                           _period_json(pv)))
+def _periods(v) -> dict:
+    period_map = torelli.torelli_parallel if v.basis == "parallel" else torelli.torelli_chamber
+    pv = period_map(chambers.ParabolicData(v.alpha, v.m))
+    return {"x": [_rstr(x) for x in pv.x], "z": [z.to_json() for z in pv.z],
+            "x_unit": "4*pi^2", "z_unit": "2*pi", "basis": str(pv.basis)}
 
 
-def _pv_from_args(args) -> torelli.PeriodVector:
-    xs = [_parse_exact(Fraction, tok) for tok in args.x.split(",")]
-    zs = [_parse_exact(GaussianRational.parse, tok) for tok in args.z.split(",")]
-    if len(xs) == 4 and len(zs) == 4:
-        return torelli.PeriodVector.from_outer(xs, zs, torelli.PARALLEL_BASIS)
-    if len(xs) == 5 and len(zs) == 5:
-        return torelli.PeriodVector(tuple(xs), tuple(zs), torelli.PARALLEL_BASIS)
+def _period_vector(v) -> torelli.PeriodVector:
+    if len(v.x) == len(v.z) == 4:
+        return torelli.PeriodVector.from_outer(v.x, v.z, torelli.PARALLEL_BASIS)
+    if len(v.x) == len(v.z) == 5:
+        return torelli.PeriodVector(v.x, v.z, torelli.PARALLEL_BASIS)
     raise ValueError("x and z must both have 4 (outer) or 5 components")
 
 
-def _cmd_invert(args) -> int:
-    pv = _pv_from_args(args)
-    data = torelli.inverse_torelli(pv)
-    return _emit(_envelope("invert", {"x": args.x, "z": args.z}, {
-        "alpha": [_rstr(a) for a in data.alpha],
-        "m": [m.to_json() for m in data.masses],
-    }))
+def _invert(v) -> dict:
+    data = torelli.inverse_torelli(_period_vector(v))
+    return {"alpha": [_rstr(a) for a in data.alpha], "m": [m.to_json() for m in data.masses]}
 
 
-def _cmd_domain(args) -> int:
-    pv = _pv_from_args(args)
-    ok, witness = torelli.in_period_domain(pv)
-    return _emit(_envelope("domain", {"x": args.x, "z": args.z},
-                           {"in_domain": ok, "witness": witness}))
+def _domain(v) -> dict:
+    ok, witness = torelli.in_period_domain(_period_vector(v))
+    return {"in_domain": ok, "witness": witness}
 
 
-def _cmd_coxeter(args) -> int:
-    if args.action == "walk":
-        alpha = _parse_fractions(args.alpha)
-        g, alpha0, on_wall = coxeter.alcove_walk(alpha)
-        return _emit(_envelope("coxeter", {"action": "walk", "alpha": args.alpha}, {
-            "word": list(g.word),
-            "alpha0": [_rstr(a) for a in alpha0],
-            "on_wall": on_wall,
-        }))
-    word = [int(t) for t in args.word.split(",")] if args.word else []
-    alpha = _parse_fractions(args.alpha)
-    masses = _parse_gaussians(args.m)
-    g = coxeter.compose_word(word, [coxeter.generator(i) for i in range(5)])
-    return _emit(_envelope("coxeter",
-                           {"action": "apply", "word": args.word,
-                            "alpha": args.alpha, "m": args.m}, {
-        "alpha": [_rstr(a) for a in g(alpha)],
-        "m": [m.to_json() for m in coxeter.apply_to_masses(g, masses)],
-    }))
+def _walk(v) -> dict:
+    g, alpha0, on_wall = coxeter.alcove_walk(v.alpha)
+    return {"word": list(g.word), "alpha0": [_rstr(a) for a in alpha0], "on_wall": on_wall}
 
 
-def _cmd_homology(args) -> int:
-    word = [int(t) for t in args.word.split(",")] if args.word else []
-    A = homology.word_to_auto(word)
-    hat = homology.hat_reduction(A)  # hatA[i][j] = L[j][i] / d, hatB = t / d
-    return _emit(_envelope("homology", {"action": "twist", "word": args.word}, {
-        "matrix": [list(r) for r in A],
-        "hatA": [[_rstr(Fraction(v, hat.d)) for v in col] for col in zip(*hat.L)],
-        "hatB": [_rstr(Fraction(v, hat.d)) for v in hat.t],
-        "hatB_unit": "4*pi^2",
-    }))
+def _apply(v) -> dict:
+    return {"alpha": [_rstr(a) for a in v.word(v.alpha)],
+            "m": [m.to_json() for m in coxeter.apply_to_masses(v.word, v.m)]}
 
 
-def _cmd_spectral(args) -> int:
+def _twist(v) -> dict:
+    hat = homology.hat_reduction(v.word)  # hatA[i][j] = L[j][i] / d, hatB = t / d
+    return {"matrix": [list(r) for r in v.word],
+            "hatA": [[_rstr(Fraction(x, hat.d)) for x in col] for col in zip(*hat.L)],
+            "hatB": [_rstr(Fraction(x, hat.d)) for x in hat.t], "hatB_unit": "4*pi^2"}
+
+
+def _curve(v):
+    """The spectral module (numpy loads here) and the base of ``--p0`` and ``--m``."""
     from . import spectral
-
-    base = spectral.build_base(_parse_complex(args.p0, "--p0"), _parse_masses(args.m))
-    if args.action == "fibers":
-        roots = spectral.singular_fibers(base)
-        return _emit(_envelope("spectral", {"action": "fibers", "p0": args.p0,
-                                            "m": args.m}, {
-            "f_coeffs": [[c.real, c.imag] for c in base.f_coeffs],
-            "singular_beta": [[b.real, b.imag] for b in roots],
-        }))
-    if args.action == "residues":
-        beta = _parse_complex(args.beta, "--beta")
-        res = spectral.tautological_residues(base, beta)
-        return _emit(_envelope("spectral", {"action": "residues", "p0": args.p0,
-                                            "m": args.m, "beta": args.beta}, {
-            k: [[r.real, r.imag] for r in pair] for k, pair in res.items()
-        }))
-    if args.sweep:
-        fields = args.sweep.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"--sweep needs bmin,bmax,n, got {args.sweep!r}")
-        return _tau_sweep(base, fields[0], fields[1], int(fields[2]))
-    beta = _parse_complex(args.beta, "--beta")
-    A, B, tau = spectral.elliptic_periods(base, beta)
-    return _emit(_envelope("spectral", {"action": "tau", "p0": args.p0,
-                                        "m": args.m, "beta": args.beta}, {
-        "A": [A.real, A.imag], "B": [B.real, B.imag],
-        "tau": [tau.real, tau.imag],
-    }))
+    return spectral, spectral.build_base(v.p0, v.m)
 
 
-def _cmd_monodromy(args) -> int:
-    raw = args.factors.strip()
-    try:
-        factors = json.loads(raw)
-    except json.JSONDecodeError:
-        try:
-            factors = json.loads(f"[{raw}]")  # bare comma-joined matrices
-        except json.JSONDecodeError:
-            factors = None
-    if not (isinstance(factors, list) and all(_is_int_2x2(M) for M in factors)):
-        raise ValueError(f"--factors must be a list of 2x2 integer matrices, got {raw!r}")
-    f = monodromy.Factorization(tuple(tuple(tuple(row) for row in M) for M in factors))
-    moves, normal = monodromy.normalize(f, max_depth=args.max_depth)
-    return _emit(_envelope("monodromy", {"action": "normalize",
-                                         "factors": args.factors}, {
-        "moves": [{"i": i, "dir": d} for i, d in moves],
-        "normal": [[list(r) for r in M] for M in normal.factors],
-    }))
+def _tau_csv(spectral, base, bmin: float, bmax: float, samples: int) -> list:
+    return [("beta", "re_tau", "im_tau"), *(
+        [f"{b:.12g}", "error", type(tau).__name__] if isinstance(tau, DomainError)
+        else [f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"]
+        for b, tau in spectral.tau_sweep(base, bmin, bmax, samples))]
 
 
-def _is_int_2x2(M) -> bool:
-    return (isinstance(M, list) and len(M) == 2
-            and all(isinstance(row, list) and len(row) == 2 for row in M)
-            and all(type(x) is int for row in M for x in row))
+def _fibers(v) -> dict:
+    spectral, base = _curve(v)
+    return {"f_coeffs": [[c.real, c.imag] for c in base.f_coeffs],
+            "singular_beta": [[b.real, b.imag] for b in spectral.singular_fibers(base)]}
 
 
-def _cmd_hk(args) -> int:
+def _residues(v) -> dict:
+    spectral, base = _curve(v)
+    return {k: [[r.real, r.imag] for r in pair]
+            for k, pair in spectral.tautological_residues(base, v.beta).items()}
+
+
+def _tau(v):
+    spectral, base = _curve(v)
+    if v.sweep:
+        return _tau_csv(spectral, base, *v.sweep)
+    A, B, tau = spectral.elliptic_periods(base, v.beta)
+    return {"A": [A.real, A.imag], "B": [B.real, B.imag], "tau": [tau.real, tau.imag]}
+
+
+def _normalize(v) -> dict:
+    moves, normal = monodromy.normalize(v.factors, max_depth=v.max_depth)
+    return {"moves": [{"i": i, "dir": d} for i, d in moves],
+            "normal": [[list(r) for r in M] for M in normal.factors]}
+
+
+def _hk(v) -> dict:
     from . import hkmodel
-
-    _check_count("trial count", args.trials, 1)
-    p = hkmodel.HKParams(args.lambda1, args.lambda2, args.theta)
-    worst = hkmodel.identity_deviations(p, args.trials, args.seed)
-    passed = all(x < 1e-10 for x in worst.values())
-    return _emit(_envelope("hk", {"lambda1": args.lambda1, "lambda2": args.lambda2,
-                                  "theta": args.theta, "trials": args.trials,
-                                  "seed": args.seed},
-                           {"pass": passed, "max_deviation": worst}))
+    p = hkmodel.HKParams(v.lambda1, v.lambda2, v.theta)
+    worst = hkmodel.identity_deviations(p, v.trials, v.seed)
+    return {"pass": hkmodel.identities_hold(worst), "max_deviation": worst}
 
 
-def _cmd_sweep(args) -> int:
-    if args.kind == "beta":
-        from . import spectral
-
-        base = spectral.build_base(_parse_complex(args.p0, "--p0"), _parse_masses(args.m))
-        return _tau_sweep(base, args.bmin, args.bmax, args.samples)
-    a0 = _parse_fractions(args.start)
-    a1 = _parse_fractions(args.stop)
-    n = _check_count("sample count", args.samples, 0)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "alpha", "chamber"])
-    for k in range(n):
-        t = Fraction(k, n - 1) if n > 1 else Fraction(0)
-        a = tuple(x + t * (y - x) for x, y in zip(a0, a1))
-        astr = ";".join(_rstr(v) for v in a)
-        try:
-            label = chambers.classify_chamber(a)
-            w.writerow([_rstr(t), astr, label.short()])
-        except DomainError as exc:
-            w.writerow([_rstr(t), astr, f"error:{type(exc).__name__}"])
-    sys.stdout.write(buf.getvalue())
-    return 0
+def _sweep(v):
+    if v.kind == "beta":
+        return _tau_csv(*_curve(v), v.bmin, v.bmax, v.samples)
+    return [("t", "alpha", "chamber"), *(
+        [_rstr(t), ";".join(map(_rstr, alpha)),
+         f"error:{type(label).__name__}" if isinstance(label, DomainError) else label.short()]
+        for t, alpha, label in chambers.chamber_sweep(v.start, v.stop, v.samples))]
 
 
-def _tau_sweep(base, bmin: str, bmax: str, samples: int) -> int:
-    """CSV of tau at ``samples`` real beta, log-spaced from bmin to bmax, on
-    a ``spectral.HitchinBase``; a beta whose periods fail gets an error row
-    naming the domain error."""
-    import numpy as np
+_ALPHA = _Opt("--alpha", _RATIONALS)
+_MASSES = _Opt("--m", _GAUSSIANS, "0,0,0,0")
+_PERIODS = (_Opt("--x", _list(_rational)), _Opt("--z", _list(_gaussian)))
+_CURVE = (_Opt("--p0", _complex), _Opt("--m", _COMPLEXES, "0,0,0,0"))
 
-    from . import spectral
+# name: (help, handler or {action: handler}, options)
+_COMMANDS = {
+    "chamber": ("classify a weight vector", _chamber, (_ALPHA,)),
+    "generic": ("Nakajima genericity test", _generic, (_ALPHA, _MASSES)),
+    "periods": ("Torelli period vector", _periods, (
+        _ALPHA, _MASSES, _Opt("--basis", None, "chamber", ("chamber", "parallel")))),
+    "invert": ("invert the parallel-basis period map", _invert, _PERIODS),
+    "domain": ("period-domain membership", {"check": _domain}, (
+        _Opt("action", default="check", echo=False), *_PERIODS)),
+    "coxeter": ("alcove walk / group action", {"walk": _walk, "apply": _apply}, (
+        _Opt("action"), _ALPHA, _MASSES,
+        _Opt("--word", lambda raw: coxeter.compose_word(_LETTERS(raw), _GENERATORS), ""))),
+    "homology": ("Dehn-twist word to lattice matrix", {"twist": _twist}, (
+        _Opt("action"), _Opt("--word", lambda raw: homology.word_to_auto(_LETTERS(raw)), ""))),
+    "spectral": ("spectral-curve diagnostics",
+                 {"fibers": _fibers, "residues": _residues, "tau": _tau}, (
+        _Opt("action"), *_CURVE, _Opt("--beta", _complex, "1"),
+        _Opt("--sweep", _beta_range, "", echo=False, help="bmin,bmax,n for a CSV tau sweep"))),
+    "monodromy": ("normalize a Hurwitz factorization", {"normalize": _normalize}, (
+        _Opt("action"),
+        _Opt("--factors", monodromy.parse_factors, help="JSON list of six 2x2 matrices"),
+        _Opt("--max-depth", _integer, "24", echo=False))),
+    "hk": ("hyperkahler model identity checks", {"check": _hk}, (
+        _Opt("action", echo=False), _Opt("--lambda1", _real, "1.0"),
+        _Opt("--lambda2", _real, "1.0"), _Opt("--theta", _real, "0.0"),
+        _Opt("--trials", _integer, "1000"), _Opt("--seed", _count, "0"))),
+    "sweep": ("CSV sweeps over weights or beta", _sweep, (
+        _Opt("--kind", choices=("alpha", "beta")),
+        _Opt("--start", _RATIONALS, "", help="alpha sweep: start weights"),
+        _Opt("--stop", _RATIONALS, "", help="alpha sweep: end weights"),
+        _Opt("--samples", _count, "11"), _Opt("--p0", _complex, "2"),
+        _Opt("--m", _COMPLEXES, "1,0,0,0"), _Opt("--bmin", _bound, "10"),
+        _Opt("--bmax", _bound, "10000"))),
+}
 
-    bounds = []
-    for tok in (bmin, bmax):
-        b = float(tok)
-        if not (math.isfinite(b) and b > 0):
-            raise ValueError(f"beta bound must be finite and > 0, got {tok!r}")
-        bounds.append(b)
-    _check_count("sample count", samples, 0)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["beta", "re_tau", "im_tau"])
-    for b in np.logspace(np.log10(bounds[0]), np.log10(bounds[1]), samples):
-        try:
-            _, _, tau = spectral.elliptic_periods(base, complex(b))
-            w.writerow([f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"])
-        except DomainError as exc:
-            w.writerow([f"{b:.12g}", "error", type(exc).__name__])
-    sys.stdout.write(buf.getvalue())
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="hitchin4", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    q = sub.add_parser("chamber", help="classify a weight vector")
-    q.add_argument("--alpha", required=True)
-    q.set_defaults(fn=_cmd_chamber)
-
-    q = sub.add_parser("generic", help="Nakajima genericity test")
-    q.add_argument("--alpha", required=True)
-    q.add_argument("--m", default="0,0,0,0")
-    q.set_defaults(fn=_cmd_generic)
-
-    q = sub.add_parser("periods", help="Torelli period vector")
-    q.add_argument("--alpha", required=True)
-    q.add_argument("--m", default="0,0,0,0")
-    q.add_argument("--basis", choices=("chamber", "parallel"), default="chamber")
-    q.set_defaults(fn=_cmd_periods)
-
-    q = sub.add_parser("invert", help="invert the parallel-basis period map")
-    q.add_argument("--x", required=True)
-    q.add_argument("--z", required=True)
-    q.set_defaults(fn=_cmd_invert)
-
-    q = sub.add_parser("domain", help="period-domain membership")
-    q.add_argument("action", nargs="?", choices=("check",), default="check")
-    q.add_argument("--x", required=True)
-    q.add_argument("--z", required=True)
-    q.set_defaults(fn=_cmd_domain)
-
-    q = sub.add_parser("coxeter", help="alcove walk / group action")
-    q.add_argument("action", choices=("walk", "apply"))
-    q.add_argument("--alpha", required=True)
-    q.add_argument("--m", default="0,0,0,0")
-    q.add_argument("--word", default="")
-    q.set_defaults(fn=_cmd_coxeter)
-
-    q = sub.add_parser("homology", help="Dehn-twist word to lattice matrix")
-    q.add_argument("action", choices=("twist",))
-    q.add_argument("--word", default="")
-    q.set_defaults(fn=_cmd_homology)
-
-    q = sub.add_parser("spectral", help="spectral-curve diagnostics")
-    q.add_argument("action", choices=("fibers", "residues", "tau"))
-    q.add_argument("--p0", required=True)
-    q.add_argument("--m", default="0,0,0,0")
-    q.add_argument("--beta", default="1")
-    q.add_argument("--sweep", default="", help="bmin,bmax,n for a CSV tau sweep")
-    q.set_defaults(fn=_cmd_spectral)
-
-    q = sub.add_parser("monodromy", help="normalize a Hurwitz factorization")
-    q.add_argument("action", choices=("normalize",))
-    q.add_argument("--factors", required=True, help="JSON list of six 2x2 matrices")
-    q.add_argument("--max-depth", type=int, default=24)
-    q.set_defaults(fn=_cmd_monodromy)
-
-    q = sub.add_parser("hk", help="hyperkahler model identity checks")
-    q.add_argument("action", choices=("check",))
-    q.add_argument("--lambda1", type=float, default=1.0)
-    q.add_argument("--lambda2", type=float, default=1.0)
-    q.add_argument("--theta", type=float, default=0.0)
-    q.add_argument("--trials", type=int, default=1000)
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(fn=_cmd_hk)
-
-    q = sub.add_parser("sweep", help="CSV sweeps over weights or beta")
-    q.add_argument("--kind", choices=("alpha", "beta"), required=True)
-    q.add_argument("--start", default="", help="alpha sweep: start weights")
-    q.add_argument("--stop", default="", help="alpha sweep: end weights")
-    q.add_argument("--samples", type=int, default=11)
-    q.add_argument("--p0", default="2")
-    q.add_argument("--m", default="1,0,0,0")
-    q.add_argument("--bmin", default="10")
-    q.add_argument("--bmax", default="10000")
-    q.set_defaults(fn=_cmd_sweep)
+    for name, (help_, handlers, options) in _COMMANDS.items():
+        q = sub.add_parser(name, help=help_)
+        for o in options:
+            if o.flag == "action":
+                q.add_argument("action", choices=tuple(handlers), default=o.default,
+                               nargs="?" if o.default else None)
+            else:
+                q.add_argument(o.flag, required=o.default is None, default=o.default,
+                               choices=o.choices, help=o.help)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handlers, options = _COMMANDS[args.cmd]
+    values = _Values(args, options)
     try:
-        return args.fn(args)
+        result = (handlers[values.action] if isinstance(handlers, dict) else handlers)(values)
+        if isinstance(result, dict):
+            out = json.dumps({"subcommand": args.cmd, "parameters": values.echo,
+                              "result": result}, sort_keys=True, default=str) + "\n"
+        else:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(result)
+            out = buf.getvalue()
     except DomainError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
         return 2
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+IDENTITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class HKParams:
@@ -120,7 +122,9 @@ def moment_residues(alpha_p, m_p, n_p, p: HKParams) -> tuple[np.ndarray, np.ndar
 def identity_deviations(p: HKParams, trials: int, seed: int) -> dict:
     """Largest deviations from S^2 = -1, g(Sv, Sw) = g(v, w) and the closed
     form of Omega_{I,theta} (the last two relative to max(1, g(v,v), g(w,w)))
-    over ``trials`` random tangent pairs drawn from ``default_rng(seed)``."""
+    over ``trials`` >= 1 random tangent pairs drawn from ``default_rng(seed)``."""
+    if trials < 1:
+        raise ValueError(f"trial count must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
 
     def rand_tangent():
@@ -147,3 +151,8 @@ def identity_deviations(p: HKParams, trials: int, seed: int) -> dict:
         worst["omega_vs_closed_form"] = max(worst["omega_vs_closed_form"],
                                             abs(om - cf) / scale)
     return worst
+
+
+def identities_hold(worst: dict) -> bool:
+    """True iff every deviation of ``identity_deviations`` is below ``IDENTITY_TOL``."""
+    return all(x < IDENTITY_TOL for x in worst.values())

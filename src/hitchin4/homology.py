@@ -50,7 +50,7 @@ def word_to_auto(word) -> LatticeAuto:
     A = [[int(r == c) for c in range(5)] for r in range(5)]
     for i in word:
         if not 0 <= i <= 4:
-            raise ValueError("index must be in 0..4")
+            raise ValueError(f"letter {i} outside 0..4")
         twist = I0[i]
         for row in A:
             a = row[i]

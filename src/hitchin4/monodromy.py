@@ -22,6 +22,7 @@ checks that identity by multiplication before it returns.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -119,6 +120,29 @@ class Factorization:
                 raise NotParabolic(f"factor {i + 1} is not an I1 twist")
             vs.append(v)
         return tuple(vs)
+
+
+def parse_factors(text: str) -> Factorization:
+    """The factorization written as a JSON list of 2x2 integer matrices, or
+    as those matrices joined by commas without the outer brackets; any other
+    text is a ``ValueError`` that quotes it."""
+    raw = text.strip()
+    try:
+        factors = json.loads(raw)
+    except json.JSONDecodeError:
+        try:
+            factors = json.loads(f"[{raw}]")
+        except json.JSONDecodeError:
+            factors = None
+    if not (isinstance(factors, list) and all(map(_is_int_2x2, factors))):
+        raise ValueError(f"is not a list of 2x2 integer matrices: {raw!r}")
+    return Factorization(tuple(tuple(tuple(row) for row in M) for M in factors))
+
+
+def _is_int_2x2(M) -> bool:
+    return (isinstance(M, list) and len(M) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in M)
+            and all(type(x) is int for row in M for x in row))
 
 
 def canonical_factorization() -> Factorization:

@@ -606,6 +606,21 @@ def elliptic_periods(base: HitchinBase, beta: complex):
     return A, B, tau
 
 
+def tau_sweep(base: HitchinBase, bmin: float, bmax: float, samples: int):
+    """Rows (beta, tau) at ``samples`` real beta log-spaced from bmin to bmax,
+    with the ``DomainError`` of ``elliptic_periods`` in place of tau where it
+    raises one; ``ValueError`` for a bound that is not finite and positive."""
+    for b in (bmin, bmax):
+        if not (math.isfinite(b) and b > 0):
+            raise ValueError(f"beta bound must be finite and > 0, got {b}")
+    for beta in np.logspace(np.log10(bmin), np.log10(bmax), samples):
+        try:
+            tau = elliptic_periods(base, complex(beta))[2]
+        except DomainError as exc:
+            tau = exc
+        yield beta, tau
+
+
 # ---------------------------------------------------------------------------
 # large-beta asymptotics
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from hitchin4.chambers import (
     OutOfCube,
     ParabolicData,
     adjacent,
+    chamber_sweep,
     chamber_vertices,
     classify_chamber,
     enumerate_chambers,
@@ -22,7 +25,7 @@ from hitchin4.chambers import (
     wall_K,
     wall_L,
 )
-from hitchin4.core import GaussianRational
+from hitchin4.core import GaussianRational, rational_to_str
 
 rng = random.Random(4321)
 
@@ -105,6 +108,34 @@ def test_chamber_census_and_centroid_roundtrip():
         verts = chamber_vertices(lab)
         centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(4))
         assert classify_chamber(centroid) == lab
+
+
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cli.json"
+
+
+def _golden_alpha_sweep():
+    """The ``sweep --kind alpha`` entry of the golden CLI outputs: (argv, CSV rows)."""
+    entry, = [g for g in json.loads(GOLDEN_CLI.read_text()) if g["argv"][:3] == [
+        "sweep", "--kind", "alpha"]]
+    return entry["argv"], [line.split(",") for line in entry["stdout"].splitlines()[1:]]
+
+
+def _label_text(label):
+    return f"error:{type(label).__name__}" if isinstance(label, Exception) else label.short()
+
+
+def test_chamber_sweep_rows():
+    argv, golden = _golden_alpha_sweep()
+    start, stop = (tuple(map(Fraction, argv[argv.index(k) + 1].split(",")))
+                   for k in ("--start", "--stop"))
+    rows = chamber_sweep(start, stop, int(argv[argv.index("--samples") + 1]))
+    assert [[rational_to_str(t), ";".join(map(rational_to_str, alpha)), _label_text(label)]
+            for t, alpha, label in rows] == golden
+    # 5 samples hit the L wall at t = 3/4
+    assert [_label_text(label) for *_, label in chamber_sweep(start, stop, 5)] == [
+        "B1_1", "B1_1", "B1_1", "error:OnWall", "E1_1"]
+    assert list(chamber_sweep(start, stop, 0)) == []
+    assert list(chamber_sweep(start, stop, 1)) == [(0, start, classify_chamber(start))]
 
 
 def test_chamber_vertices_examples():

@@ -1,11 +1,12 @@
 import ast
 import json
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
-from hitchin4.cli import main
+from hitchin4.cli import _COMMANDS, main
 from hitchin4.monodromy import canonical_factorization, hurwitz_move
 
 
@@ -383,3 +384,48 @@ def test_a_malformed_complex_value_names_the_option_and_the_token(capsys, argv):
     bad = value.split(",")[-1]  # the last token is the malformed one
     assert f"{option} is not a complex number: {bad!r}" in err
     assert "malformed string" not in err
+
+
+ALPHA = "3/10,1/5,1/5,1/5"
+
+
+MALFORMED = [
+    (["sweep", "--kind", "beta", "--bmin", "abc"], "--bmin", "'abc'"),
+    (["spectral", "tau", "--p0", "2", "--sweep", "1,10,x"], "--sweep", "'x'"),
+    (["coxeter", "apply", "--word", "0,a", "--alpha", ALPHA], "--word", "'a'"),
+    (["homology", "twist", "--word", "1,,2"], "--word", "''"),
+    (["coxeter", "apply", "--word", ",", "--alpha", ALPHA], "--word", "''"),
+    (["chamber", "--alpha", "x,1,1,1"], "--alpha", "'x'"),
+    (["generic", "--alpha", ALPHA, "--m", "1,z,0,0"], "--m", "'z'"),
+    (["invert", "--x", "a,1,1,1", "--z", "0,0,0,0"], "--x", "'a'"),
+    (["sweep", "--kind", "alpha"], "--start", "''"),
+    (["domain", "--x", ",", "--z", ","], "--x", "''"),
+    (["hk", "check", "--seed", "-1", "--trials", "1"], "--seed", "'-1'"),
+    (["homology", "twist", "--word", "9"], "--word", "letter 9 "),
+]
+
+
+@pytest.mark.parametrize("argv, option, token", MALFORMED,
+                         ids=[" ".join(argv) for argv, *_ in MALFORMED])
+def test_a_malformed_value_names_the_option_and_the_token(capsys, argv, option, token):
+    err = _usage_error(capsys, argv)
+    assert option in err and token in err
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_help_lists_every_option_the_readme_shows(capsys, command):
+    # the README's example lines for the command: each option, the action and
+    # each word-valued choice must appear in --help
+    shown = set()
+    for line in re.findall(rf"^hitchin4 {command} .*$", README, re.M):
+        words = line.replace("'", " ").split()[2:]
+        shown |= {w for w in words if w.startswith("--") or re.fullmatch("[a-z]+", w)}
+    assert shown, command
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert all(re.search(rf"(?<![\w-]){re.escape(w)}\b", out) for w in shown), (shown, out)

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 from hitchin4.core import GaussianRational
 from hitchin4.hkmodel import (
+    IDENTITY_TOL,
     HKParams,
     PointTangent,
     apply_structure,
     holomorphic_pairing_closed_form,
+    identities_hold,
+    identity_deviations,
     metric,
     moment_residues,
     omega,
@@ -166,3 +169,16 @@ def test_moment_residue_plugins():
     M0, _ = moment_residues(Fraction(1, 3), GaussianRational(1),
                             GaussianRational(0), p)
     assert np.allclose(Mpi, -M0)
+
+
+def test_identity_verdict():
+    # the README example passes; a deviation at or above 1e-10 fails
+    worst = identity_deviations(HKParams(1.0, 2.0, 0.7), 1000, 0)
+    assert IDENTITY_TOL == 1e-10 and identities_hold(worst)
+    for key in worst:
+        for dev in (IDENTITY_TOL, 1.5e-10):
+            assert not identities_hold({**worst, key: dev})
+    assert identities_hold({**worst, "quaternionic": 0.99e-10})
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=f"trial count must be >= 1, got {trials}"):
+            identity_deviations(HKParams(), trials, 0)

@@ -167,5 +167,5 @@ def test_word_to_auto_matches_twist_matrix_product():
 
 def test_word_to_auto_rejects_letters_outside_0_4():
     for bad in (5, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"letter {bad} outside 0..4"):
             word_to_auto([0, bad])

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -18,6 +20,7 @@ from hitchin4.monodromy import (
     mat_inv,
     mat_mul,
     normalize,
+    parse_factors,
     vanishing_cycle_match,
     _certificate,
 )
@@ -184,6 +187,17 @@ def test_normalize_validates_input():
     bad = (((1, 2), (0, 1)),) + canonical_factorization().factors[1:]
     with pytest.raises(NotParabolic):
         normalize(Factorization(bad))
+
+
+def test_parse_factors():
+    f = canonical_factorization()
+    text = json.dumps(f.factors)
+    # a JSON list, the bare comma-joined matrices, surrounding blanks
+    assert parse_factors(text) == parse_factors(text[1:-1]) == parse_factors(f" {text} ") == f
+    for bad in ("[[1]]", "[1,2]", '"x"', "[[[1,0],[0]]]", "[[[1,0],[0,1.5]]]", "x",
+                "[[[true,0],[0,1]]]", "{}"):
+        with pytest.raises(ValueError, match=f"2x2 integer matrices: {re.escape(repr(bad))}"):
+            parse_factors(bad)
 
 
 def test_normalize_rejects_negative_depth():

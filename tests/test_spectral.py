@@ -31,6 +31,7 @@ from hitchin4.spectral import (
     SingularFiber,
     singular_fibers,
     tau_asymptotics,
+    tau_sweep,
     tautological_residues,
 )
 
@@ -874,6 +875,21 @@ def test_singular_beta_rejected():
     for bad in singular_fibers(base):
         with pytest.raises((SingularFiber, BranchPointCoincidence)):
             elliptic_periods(base, bad)
+    # a beta sweep puts the error in place of tau on this base's real singular fiber
+    real = build_base(2.0, (1, 0, 0, 1))
+    bad, = [b.real for b in singular_fibers(real) if abs(b.imag) < 1e-9 and b.real > 0]
+    (beta, tau), = tau_sweep(real, bad, bad, 1)
+    assert beta == pytest.approx(bad) and isinstance(tau, (SingularFiber, BranchPointCoincidence))
+
+
+def test_tau_sweep_rows_and_bounds():
+    base = generic_base()
+    rows = list(tau_sweep(base, 10.0, 1000.0, 3))
+    assert [b for b, _ in rows] == pytest.approx([10.0, 100.0, 1000.0])
+    assert all(tau == elliptic_periods(base, complex(b))[2] for b, tau in rows)
+    for lo, hi in ((0.0, 10.0), (10.0, -1.0), (math.nan, 10.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="beta bound must be finite and > 0"):
+            list(tau_sweep(base, lo, hi, 3))
 
 
 def _closest_pair_ratio(base, beta):
