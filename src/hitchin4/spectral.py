@@ -10,14 +10,13 @@ residual-checked ``poly_roots`` of a ``ComplexPoly``, whose construction is
 the one degree trim (``TRIM_TOL``).  Residues (+-m_p) and periods (integer
 combinations of AGM lattice generators) are closed forms that take only their
 sign from ``_sheet``, the principal sqrt(F) at z* = 3 max(1, |branch point|)
-continued along the segment [z*, z].  That is w_cut(z) (-1)^(number of cuts
-the segment crosses): w_cut = s sqrt(lead) g(z; a, b) g(z; c, d), with
-g(z; a, b) = (z - mu) sqrt(1 - (h/(z - mu))^2), mu = (a+b)/2, h = (b-a)/2, is
-single-valued off the ``_cut_pairs`` cuts [a, b], [c, d], s makes it principal
-at z*, and a cubic F has the cuts [a, b] and c + (-inf, 0] (the principal
-sqrt(z - c)).  A branch point on the segment counts as lying on its left, as
-if the segment were moved by -i eps (z - z*): +i eps on a leftward stretch of
-the real axis, where real beta and p0 put branch points."""
+continued along the segment [z*, z].  That is the product
+s sqrt(lead) prod_e sqrt(v_e) sqrt((z - e)/v_e) over the branch points e, with
+v_e = (z* - e)/|z* - e| and s = +-1 making it principal at z*: the cut of each
+factor is the ray from e pointing away from z*, which a segment from z* never
+crosses.  On a ray (the segment then passes through e) the factor takes its
+Im > 0 side, as if the segment were moved by -i eps (z - z*): +i eps on a
+leftward stretch of the real axis, where real beta and p0 put branch points."""
 
 from __future__ import annotations
 
@@ -415,47 +414,26 @@ def flags(pt: SpectralFiberPoint):
 # the square-root sheet and residues
 # ---------------------------------------------------------------------------
 
-def _g(z: complex, a: complex, b: complex, side: complex) -> complex:
-    """g(z; a, b) of the module docstring as (z - mu) sqrt((z-a)(z-b)/(z-mu)^2),
-    exact near a and b; on the cut [a, b], where the root's argument is
-    -(1 - t^2)/t^2 with t = (z-mu)/h real, its limit from the direction ``side``."""
-    x, h = z - (a + b) / 2, (b - a) / 2
-    q = (z - a) * (z - b) / (x * x) if x else -1.0
-    if q.imag or q.real >= 0:
-        return x * cmath.sqrt(q)
-    r = abs((x / h).real) * math.sqrt(-q.real) if x else 1.0  # sqrt(1 - t^2)
-    return (1j if (side / h).imag > 0 else -1j) * h * r
-
-
-def _left(a: complex, b: complex, x: complex) -> float:
-    """> 0 iff x lies left of the line from a to b, measured from the nearer of a, b."""
-    return ((b - a).conjugate() * (x - (a if abs(x - a) <= abs(x - b) else b))).imag
+def _anchor(branch: Sequence[complex]) -> float:
+    """z* = 3 max(1, |branch point|), where ``_sheet`` is the principal sqrt(F)."""
+    return 3.0 * max(1.0, max(abs(r) for r in branch))
 
 
 def _sheet(F: ComplexPoly, branch: Sequence[complex]):
-    """z -> w_cut(z) times the crossing parity, the sheet of the module docstring
-    (+i sqrt|F| at z* if F(z*) < 0).  For a real F, a root that is its own nearest
-    conjugate and a z within 1e-9 |z| of the real axis count as real."""
+    """z -> s sqrt(lead) prod_e sqrt(v_e) sqrt((z - e)/v_e), the sheet of the module
+    docstring (+i sqrt|F| at z* if F(z*) < 0).  For a real F, a root that is its own
+    nearest conjugate and a z within 1e-9 |z| of the real axis count as real."""
     real = not any(c.imag for c in F.coeffs)
-    rs = sorted((complex(r.real) if real and min(branch, key=lambda q: abs(q - r.conjugate())) is r
-                 else r for r in branch), key=_root_order)
-    cuts = _cut_pairs(rs) if len(rs) == 4 else list(zip(rs[::2], rs[1::2]))
-    rays = rs[len(rs) // 2 * 2:]  # the odd root c of a cubic, cut along c + (-inf, 0]
-    anchor = 3.0 * max(1.0, max(abs(r) for r in rs))
-    s = cmath.sqrt(F.coeffs[len(rs)])  # signed below, so that continued(z*) is principal
+    rs = [complex(r.real) if real and min(branch, key=lambda q: abs(q - r.conjugate())) is r
+          else r for r in branch]
+    anchor = _anchor(branch)
+    vs = [(anchor - e) / abs(anchor - e) for e in rs]
+    s = cmath.sqrt(F.coeffs[-1]) * math.prod(map(cmath.sqrt, vs))  # signed below
 
     def continued(z: complex) -> complex:
         z = complex(z.real) if real and abs(z.imag) <= 1e-9 * abs(z) else z
-        d = z - anchor
-        w = s * math.prod(_g(z, a, b, -1j * d) for a, b in cuts)
-        for c in rays:  # principal sqrt(z - c); on the ray, from the side of -i d
-            w *= cmath.sqrt(z - c) if (z - c).imag or (z - c).real >= 0 else \
-                (1j if d.real < 0 else -1j) * math.sqrt(c.real - z.real)
-        for a, b in cuts + [(c, c - 4 * (anchor + abs(z))) for c in rays]:  # one flip per crossing
-            if (_left(anchor, z, a) >= 0) != (_left(anchor, z, b) >= 0) and \
-                    (_left(a, b, anchor) > 0) != (_left(a, b, z) > 0):
-                w = -w
-        return w
+        # + 0j puts a point on a cut, where Im is +-0.0, on its Im > 0 side
+        return s * math.prod(cmath.sqrt((z - e) / v + 0j) for e, v in zip(rs, vs))
 
     s *= _nearer(1.0, cmath.sqrt(F(anchor)) / continued(anchor))
     return continued
@@ -482,7 +460,7 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
         return {key: (0j, 0j) for key in PUNCTURE_KEYS}
     F = ComplexPoly(base.curve_coeffs(beta))
     branch = poly_roots(F)
-    anchor = 3.0 * max(1.0, float(np.max(np.abs(branch))))
+    anchor = _anchor(branch)
     sheet = _sheet(F, branch)
     p0, mi = base.p0, base.masses[3]
     punctures = [0.0, 1.0, p0]
@@ -598,7 +576,7 @@ def elliptic_periods(base: HitchinBase, beta: complex):
             raise NonConvergence(f"coarse periods off the lattice (gap {gap:.2f}) at {n} nodes")
         n *= 2
     A, B = (sign * (k1 * w1 + k2 * w2) for (sign, _), (k1, k2) in zip(cycles, k))
-    if abs(A) < 1e-14:
+    if abs(A) < 1e-14 * (abs(w1) + abs(w2)):
         raise SingularFiber("vanishing A-period")
     tau = B / A
     if tau.imag < 0:

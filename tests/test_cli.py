@@ -1,6 +1,6 @@
-import ast
 import json
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -208,23 +208,23 @@ def test_walk_step_limit_exit_2(capsys):
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.append(str(PERFBENCH))
+import clicold  # noqa: E402  the golden CLI inputs and their comparisons
+
+GOLDEN = json.loads(Path(clicold.GOLDEN_PATH).read_text())
 
 
-def _golden_entries(comparison):
-    """Entries of perfbench/golden/cli.json that perfbench/clicold.py checks
-    by ``comparison``; INPUTS[k] there holds (group, comparison, argv) of
-    entry k."""
-    golden = json.loads((PERFBENCH / "golden" / "cli.json").read_text())
-    tree = ast.parse((PERFBENCH / "clicold.py").read_text())
-    inputs = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "INPUTS" for t in node.targets))
-    how = [item.elts[1].value for item in inputs.elts]
-    assert len(how) == len(golden)
-    return [g for g, h in zip(golden, how) if h == comparison]
+def _golden_entries(*comparisons):
+    """(entry, comparison) for the entries of perfbench/golden/cli.json that
+    perfbench/clicold.py checks by one of ``comparisons``; INPUTS[k] there
+    holds (group, comparison, argv) of entry k."""
+    assert [g["argv"] for g in GOLDEN] == [argv for _, _, argv in clicold.INPUTS]
+    return [(g, how) for g, (_, how, _) in zip(GOLDEN, clicold.INPUTS) if how in comparisons]
 
 
-GOLDEN_EXACT = _golden_entries("exact")
-GOLDEN_ERRORS = _golden_entries("error_name")
+GOLDEN_EXACT = [g for g, _ in _golden_entries("exact")]
+GOLDEN_ERRORS = [g for g, _ in _golden_entries("error_name")]
+GOLDEN_NUMERIC = _golden_entries("fibers", "residues", "tau_csv", "hk")
 
 
 @pytest.mark.parametrize("entry", GOLDEN_EXACT, ids=[" ".join(g["argv"][:2])
@@ -246,8 +246,18 @@ def test_golden_cli_domain_errors(capsys, entry):
     assert json.loads(out)["error"] == json.loads(entry["stdout"])["error"]
 
 
+@pytest.mark.parametrize("entry,how", GOLDEN_NUMERIC, ids=[" ".join(g["argv"][:2])
+                                                           for g, _ in GOLDEN_NUMERIC])
+def test_golden_cli_numeric_output(capsys, entry, how):
+    # every residue sign and tau, field by field within the benchmark's tolerances
+    code = main(list(entry["argv"]))
+    assert code == entry["exit"]
+    assert clicold.COMPARE[how](entry["stdout"], capsys.readouterr().out)
+
+
 def test_golden_cli_covers_every_exact_command():
     assert len(GOLDEN_EXACT) >= 13 and len(GOLDEN_ERRORS) == 6
+    assert len(GOLDEN_EXACT) + len(GOLDEN_ERRORS) + len(GOLDEN_NUMERIC) == len(GOLDEN)
     assert {g["argv"][0] for g in GOLDEN_EXACT} >= {"chamber", "generic", "periods", "invert",
                                                      "domain", "coxeter", "homology",
                                                      "monodromy", "sweep"}

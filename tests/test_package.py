@@ -87,8 +87,10 @@ def test_residue_quadrature_stays_out_of_the_package():
     # residues are +-m_p in closed form and periods AGM lattice combinations;
     # the loop quadrature and the period contour are test oracles, and helpers
     # only the tests call live with them; in_B0 pairs roots by _cut_pairs, and
-    # the root-clustering square test is its oracle
+    # the root-clustering square test is its oracle; the sheet is a product of
+    # per-branch-point roots, with no cut function or crossing count
     for owner, name in ((spectral, "_loop_mean"), (spectral, "_closed_sheet"),
+                        (spectral, "_g"), (spectral, "_left"),
                         (spectral, "is_square_polynomial"),
                         (spectral, "_cycle_integral"), (spectral, "_continue_sqrt"),
                         (spectral, "_ellipse_rho"), (homology, "hat_linear_apply"),

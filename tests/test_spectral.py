@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -560,16 +561,19 @@ def _assert_signed_masses(res, base, oracle=None):
             assert plus == want, (key, plus, oracle[key])
 
 
-def spectral_draws(r, n):
+def spectral_draws(r, n, top=4, cubic=False):
     """n draws shaped like the spectral-numeric benchmark: p0 at least 0.3 from
-    0 and 1, normal masses, |beta| log-uniform over 0.1 to 1e4, random phase."""
+    0 and 1, normal masses, |beta| log-uniform over 0.1 to 10^top, random phase;
+    m_inf = 0, so F is a cubic, if ``cubic``."""
     for _ in range(n):
         while True:
             p0 = complex(r.uniform(-2, 3), r.uniform(-1.5, 1.5))
             if min(abs(p0), abs(p0 - 1)) >= 0.3:
                 break
         masses = tuple(complex(r.gauss(0, 0.9), r.gauss(0, 0.9)) for _ in range(4))
-        yield build_base(p0, masses), 10 ** r.uniform(-1, 4) * cmath.exp(2j * math.pi * r.random())
+        if cubic:
+            masses = masses[:3] + (0,)
+        yield build_base(p0, masses), 10 ** r.uniform(-1, top) * cmath.exp(2j * math.pi * r.random())
 
 
 def test_residues_are_the_signed_masses_of_the_quadrature_oracle():
@@ -634,15 +638,19 @@ def _outputs_on(sheet, base, beta, monkeypatch):
 
 def test_residue_and_period_signs_equal_the_stepped_oracle(monkeypatch):
     # A, B and tau read the sheet only at the contour starts, so equal signs
-    # make the periods bit-identical; |beta| from 0.1 to 1e4
-    checked = 0
-    for base, beta in spectral_draws(random.Random(1616), 400):
-        if not in_B0(base, beta):
-            continue
-        assert _outputs(base, beta) == _outputs_on(stepped_sheet, base, beta, monkeypatch), \
-            (base, beta)
-        checked += 1
-    assert checked > 390
+    # make the periods bit-identical; |beta| from 0.1 to 1e4, then cubic F
+    # (m_inf = 0) and quartic F at |beta| from 0.1 to 1e8
+    checked = Counter()
+    for kind, draws in (("quartic", spectral_draws(random.Random(1616), 400)),
+                        ("cubic", spectral_draws(random.Random(1818), 400, top=8, cubic=True)),
+                        ("quartic 1e8", spectral_draws(random.Random(1919), 400, top=8))):
+        for base, beta in draws:
+            if not in_B0(base, beta):
+                continue
+            assert _outputs(base, beta) == _outputs_on(stepped_sheet, base, beta, monkeypatch), \
+                (base, beta)
+            checked[kind] += 1
+    assert min(checked.values()) > 390, checked
 
 
 REAL_GRID_MASSES = ((1, 0, 0, 0), (0.5, 0.25, 0.125, 1), (1, 1, 1, 1), (0.3, -0.7, 1.2, 0.5),
@@ -978,6 +986,17 @@ def test_tau_large_beta_decay():
     errs = [abs(t - tinf) for t in taus]
     slope = np.polyfit(np.log(betas), np.log(errs), 1)[0]
     assert abs(slope + 1) < 0.1
+
+
+def test_small_a_periods_are_not_vanishing():
+    # |A| falls like |beta|^(-1/2), to 2.6e-15 at beta = 1e30 on this base, so
+    # the vanishing-A test is relative to the lattice generators; at 1e300 the
+    # np.roots cross-ratio of the lambda oracle breaks down, so tau is compared
+    # with its value at 1e30
+    base = build_base(2.0, (1, 1, 1, 1))
+    A, _, tau = elliptic_periods(base, 1e30)
+    assert abs(A) < 1e-14 and lambda_misfit(base, 1e30, tau, relative=True) < 1e-9
+    assert abs(elliptic_periods(base, 1e300)[2] - tau) < 1e-9
 
 
 # ---------------------------------------------------------------------------
