@@ -101,31 +101,6 @@ class ComplexPoly:
             acc = acc * z + c
         return acc
 
-    def __eq__(self, other):
-        return isinstance(other, ComplexPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"ComplexPoly({list(self.coeffs)})"
-
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return ComplexPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexPoly):
-            return ComplexPoly(np.convolve(self.coeffs, other.coeffs))
-        return ComplexPoly([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def derivative(self) -> "ComplexPoly":
         if self.degree == 0:
             return ComplexPoly([0j])
@@ -143,35 +118,19 @@ class ComplexPoly:
 
 
 def poly_roots(p: ComplexPoly) -> list[complex]:
-    """All roots (with multiplicity) via companion matrix plus Newton polish.
+    """All roots (with multiplicity): the eigenvalues of the companion matrix.
 
     Residual guarantee: |p(root)| < 1e-8 * (1+|root|)^deg * max|coeff|;
-    raises NonConvergence if the polish cannot reach it.
+    raises NonConvergence at a root that misses it.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
-    roots = np.roots(p.coeffs[::-1])
-    dp = p.derivative()
+    roots = [complex(r) for r in np.roots(p.coeffs[::-1])]
     scale = max(abs(c) for c in p.coeffs)
-    polished = []
     for r in roots:
-        r = complex(r)
-        for _ in range(60):
-            fr = complex(p(r))
-            if abs(fr) <= 0.1 * ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
-                break
-            dfr = complex(dp(r))
-            if dfr == 0:
-                break
-            step = fr / dfr
-            if abs(step) > 1 + abs(r):
-                break
-            r = r - step
-        polished.append(r)
-    for r in polished:
         if abs(complex(p(r))) >= ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
             raise NonConvergence(f"root residual too large at {r}")
-    return polished
+    return roots
 
 
 def f_m_coefficients(p0: complex, masses) -> np.ndarray:
@@ -342,72 +301,56 @@ class SpectralFiberPoint:
 
 
 def higgs_representative(pt: SpectralFiberPoint):
-    """Trace-free Higgs matrix phi = N(z) / (z(z-1)(z-p0)) dz as a 2x2 of
-    ascending coefficient arrays N plus the common denominator."""
-    base, beta = pt.base, pt.beta
-    F = base.curve_coeffs(beta)
-    minf = base.masses[3]
-    den = ComplexPoly(_cubic_coeffs(base.p0)[:4])
-    if pt.stratum == "small":
-        N = ((ComplexPoly([0]), ComplexPoly(F)),
-             (ComplexPoly([1]), ComplexPoly([0])))
-        return N, den
-    if pt.stratum == "extra":
-        a = (F[3]) / (2 * minf)  # f3 + beta is already folded into F
-        diag = ComplexPoly([0, a, minf])
-        upper = ComplexPoly(F) - diag * diag
-        if upper.degree > 2:
-            raise BrokenIdentity("extra-point upper entry must be quadratic")
-        N = ((-1 * diag, upper), (ComplexPoly([1]), diag))
-        return N, den
-    diag = ComplexPoly([pt.w, 0, minf])
-    num = ComplexPoly(F) - diag * diag
-    if abs(num(pt.u)) > 1e-6 * max(1.0, float(np.max(np.abs(num.coeffs)))):
-        raise OffCurve("upper-right division by (z - u) is not exact")
-    upper = num.deflate(pt.u)
-    N = ((-1 * diag, upper), (ComplexPoly([-pt.u, 1]), diag))
-    return N, den
-
-
-def _flag_at(pt: SpectralFiberPoint, p: complex, wshift: complex):
-    """Projective flag coordinate at a finite puncture p for a big-stratum
-    point: generic value (wshift + w)/(u - p), polar values by l'Hopital."""
-    base, beta, u, w = pt.base, pt.beta, pt.u, pt.w
-    num = wshift + w
-    den = u - p
-    scale = 1.0 + abs(w) + abs(u)
-    if abs(den) > 1e-9 * scale:
-        return num / den
-    if abs(num) > 1e-9 * scale:
-        return np.inf
-    # l'Hopital along the fiber: the limit of (wshift + w)/(u - p) is
-    # w'(p) = F'(p)/(2 W) - 2 m_inf p with W = m_inf p^2 + w
-    dF = ComplexPoly(base.curve_coeffs(beta)).derivative()
-    minf = base.masses[3]
-    W = minf * p ** 2 + w
-    if abs(W) < 1e-12 * scale:
-        raise UndefinedFlag(f"residue matrix vanishes at z = {p}")
-    return dF(p) / (2 * W) - 2 * minf * p
+    """Trace-free Higgs matrix phi = N(z) / c(z) dz, c = z(z-1)(z-p0), as
+    N = ((-D, U), (L, D)) of ``ComplexPoly`` entries plus c, with
+    U L = F - D^2 so that det N = -F:
+      big:   D = w + m_inf z^2,    L = z - u, U = (F - D^2)/(z - u);
+      extra: D = a z + m_inf z^2,  L = 1,     U = F - D^2 (quadratic),
+             a = F_3/(2 m_inf);
+      small: D = 0,                L = 1,     U = F."""
+    F, minf = pt.base.curve_coeffs(pt.beta), pt.base.masses[3]
+    if pt.stratum == "big":
+        d, lower = [pt.w, 0, minf], [-pt.u, 1]
+    elif pt.stratum == "extra":
+        d, lower = [0, F[3] / (2 * minf), minf], [1]
+    else:
+        d, lower = [0], [1]
+    upper = ComplexPoly(F - np.convolve(d, d))
+    if pt.stratum == "big":
+        if abs(upper(pt.u)) > 1e-6 * max(1.0, max(abs(c) for c in upper.coeffs)):
+            raise OffCurve("upper-right division by (z - u) is not exact")
+        upper = upper.deflate(pt.u)
+    elif pt.stratum == "extra" and upper.degree > 2:
+        raise BrokenIdentity("extra-point upper entry must be quadratic")
+    N = ((ComplexPoly(np.negative(d)), upper), (ComplexPoly(lower), ComplexPoly(d)))
+    return N, ComplexPoly(_cubic_coeffs(pt.base.p0)[:4])
 
 
 def flags(pt: SpectralFiberPoint):
     """Projective flag coordinates (F_0, F_1, F_p0, F_inf); np.inf encodes
-    the direction (1:0).  Each finite flag is the eigenvector direction of
-    Res phi at the puncture with eigenvalue m_p."""
-    base = pt.base
-    p0 = base.p0
-    m0, m1, mp, mi = base.masses
-    if pt.stratum == "small":
-        return (m0 * p0, m1 * (1 - p0), mp * p0 * (p0 - 1), -mi)
-    if pt.stratum == "extra":
-        f3beta = base.curve_coeffs(pt.beta)[3]
-        F1 = -(f3beta + 2 * mi * (mi + m1 * (p0 - 1))) / (2 * mi)
-        Fp = -(f3beta * p0 + 2 * mi * mp * (p0 - 1) * p0 + 2 * mi ** 2 * p0 ** 2) / (2 * mi)
-        return (m0 * p0, F1, Fp, np.inf)
-    F0 = _flag_at(pt, 0.0, -m0 * p0)
-    F1 = _flag_at(pt, 1.0, m1 * (p0 - 1) + mi)
-    Fp = _flag_at(pt, p0, -mp * p0 * (p0 - 1) + mi * p0 ** 2)
-    return (F0, F1, Fp, np.inf)
+    the direction (1:0).  The flag at a finite puncture p is the direction
+    (x:y) of the eigenvector of N(p)/c'(p) (``higgs_representative``) with
+    eigenvalue m_p: with lambda = m_p c'(p) it is (lambda - D(p))/L(p), and
+    where L(p) = 0 it is (1:0) unless lambda = D(p), then U(p)/(lambda + D(p))
+    (the l'Hopital limit; ``UndefinedFlag`` if that denominator vanishes too).
+    "= 0" is below 1e-9 (1e-12 in the last test) of 1 + |D(0)| + |L(0)|, which
+    is 1 + |w| + |u| on the big stratum.  The flag at infinity is -m_inf on
+    the small stratum and (1:0) on the others."""
+    ((_, U), (L, D)), _ = higgs_representative(pt)
+    p0, (m0, m1, mp, mi) = pt.base.p0, pt.base.masses
+    scale = 1.0 + abs(D.coeffs[0]) + abs(L.coeffs[0])
+    out = []
+    for p, lam in ((0.0, m0 * p0), (1.0, m1 * (1 - p0)), (p0, mp * p0 * (p0 - 1))):
+        Dp, Lp = D(p), L(p)
+        if abs(Lp) > 1e-9 * scale:
+            out.append((lam - Dp) / Lp)
+        elif abs(lam - Dp) > 1e-9 * scale:
+            out.append(np.inf)
+        elif abs(lam + Dp) < 1e-12 * scale:
+            raise UndefinedFlag(f"residue matrix vanishes at z = {p}")
+        else:
+            out.append(U(p) / (lam + Dp))
+    return (*out, -mi if pt.stratum == "small" else np.inf)
 
 
 # ---------------------------------------------------------------------------

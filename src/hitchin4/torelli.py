@@ -185,30 +185,16 @@ _PERIOD_PLANES = (("H_k", (1, 1, 1, 1), True, {}),) + tuple(
 # ---------------------------------------------------------------------------
 
 def _puncture_sphere_order(label: ChamberLabel) -> list[int]:
-    """Sphere label J(p) for each puncture p = 1..4.
-
-    For exterior chambers and the B types, J(p) = I0 xor {p} with I0 the
-    (adjacent) exterior odd set; A-type chambers have no adjacent exterior
-    chamber and use the complement-omission convention.
-    """
-    i = label.index
-    i0 = {"B1": 1 << (i - 1), "B2": FULL ^ (1 << (i - 1))}.get(label.ctype, label.i0)
-    if i0 is not None:
-        return [i0 ^ (1 << p) for p in range(4)]
-    # A types: the 0/4-subset pairs with the distinguished index; an A1 pair
-    # (avoiding i) pairs with the index it omits inside {1..4}\{i}, an A2
-    # pair {i, p} pairs with p (the complementary convention).
-    order = []
-    for p in range(1, 5):
-        if p == i:
-            cand = [s for s in label.subsets if subset_size(s) in (0, 4)]
-        else:
-            cand = [s for s in label.subsets if subset_size(s) == 2
-                    and bool(s >> (p - 1) & 1) == (label.ctype == "A2")]
-        if len(cand) != 1:
-            raise BrokenIdentity("puncture-sphere correspondence not unique")
-        order.append(cand[0])
-    return order
+    """Sphere label J(p) for each puncture p = 1..4: the 0/4-subset of the
+    partition set for the distinguished index, and for any other p the
+    2-subset that contains p (types A2, B1, E1) or avoids p (A1, B2, E2)."""
+    contains = label.ctype in ("A2", "B1", "E1")
+    cands = [[s for s in label.subsets if subset_size(s) in (0, 4)] if p == label.index else
+             [s for s in label.subsets if subset_size(s) == 2 and bool(s >> p - 1 & 1) == contains]
+             for p in range(1, 5)]
+    if any(len(c) != 1 for c in cands):
+        raise BrokenIdentity("puncture-sphere correspondence not unique")
+    return [s for s, in cands]
 
 
 def intersection_table(label: ChamberLabel) -> tuple[tuple[int, ...], ...]:

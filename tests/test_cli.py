@@ -137,6 +137,17 @@ def test_spectral_tau_sweep_csv(capsys):
     assert code == 0 and out == "beta,re_tau,im_tau\n"
 
 
+def test_spectral_tau_at_one_beta(capsys):
+    # without --sweep, tau prints A, B and tau of elliptic_periods as JSON
+    from hitchin4.spectral import build_base, elliptic_periods
+
+    code, doc = run_json(capsys, "spectral", "tau", "--p0", "0.37",
+                         "--m", "0.5,0.25,0.125,1", "--beta", "50")
+    assert code == 0
+    want = elliptic_periods(build_base(0.37, (0.5, 0.25, 0.125, 1)), 50)
+    assert [complex(*doc["result"][k]) for k in ("A", "B", "tau")] == list(want)
+
+
 def test_monodromy_normalize_cli(capsys):
     factors = json.dumps([[[1, 0], [-1, 1]], [[1, 1], [0, 1]]] * 3)
     code, doc = run_json(capsys, "monodromy", "normalize", "--factors", factors)

@@ -88,8 +88,11 @@ def test_residue_quadrature_stays_out_of_the_package():
     # the loop quadrature and the period contour are test oracles, and helpers
     # only the tests call live with them; in_B0 pairs roots by _cut_pairs, and
     # the root-clustering square test is its oracle; the sheet is a product of
-    # per-branch-point roots, with no cut function or crossing count
+    # per-branch-point roots, with no cut function or crossing count; every
+    # finite flag is read from the one Higgs matrix, which numpy builds, so
+    # ComplexPoly has no arithmetic
     for owner, name in ((spectral, "_loop_mean"), (spectral, "_closed_sheet"),
+                        (spectral, "_flag_at"),
                         (spectral, "_g"), (spectral, "_left"),
                         (spectral, "is_square_polynomial"),
                         (spectral, "_cycle_integral"), (spectral, "_continue_sqrt"),
@@ -97,6 +100,8 @@ def test_residue_quadrature_stays_out_of_the_package():
                         (homology, "is_lattice_auto"),
                         (spectral.HitchinBase, "quadratic_differential")):
         assert not hasattr(owner, name), name
+    arithmetic = {"__add__", "__sub__", "__mul__", "__rmul__", "__eq__", "__repr__"}
+    assert not arithmetic & set(vars(spectral.ComplexPoly))
 
 
 def _subclasses(cls):

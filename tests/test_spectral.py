@@ -187,7 +187,7 @@ def square_base(p0, q):
     coefficient, and beta cancels the z^3 coefficient of f_m - q^2."""
     Q = ComplexPoly(q)
     base = build_base(p0, (Q(0) / p0, Q(1) / (1 - p0), Q(p0) / (p0 * (p0 - 1)), q[2]))
-    return base, (Q * Q).coeffs[3] - base.f_coeffs[3]
+    return base, np.convolve(q, q)[3] - base.f_coeffs[3]
 
 
 def test_in_B0_cases():
@@ -389,10 +389,10 @@ def test_polar_section_flag_lhopital():
 
 
 def test_flags_are_residue_eigenvectors():
+    # big-stratum points over random u, then the small and the extra point
     base = generic_base()
-    for _ in range(10):
-        u = complex(rng.normal(), rng.normal())
-        pt = on_curve_point(base, BETA, u)
+    points = [on_curve_point(base, BETA, complex(rng.normal(), rng.normal())) for _ in range(10)]
+    for pt in points + [SpectralFiberPoint(base, BETA, stratum=s) for s in ("small", "extra")]:
         fl = flags(pt)
         for p, mp, F in zip((0.0, 1.0, base.p0), base.masses[:3], fl[:3]):
             R = residue_matrix(pt, p)
