@@ -21,6 +21,7 @@ leftward stretch of the real axis, where real beta and p0 put branch points."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -246,22 +247,37 @@ def singular_fibers(base: HitchinBase) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# B^0 membership
+# the fiber over beta and B^0 membership
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def _fiber(base: HitchinBase, beta: complex):
+    """(F, roots, cuts) of F = f_m + beta z(z-1)(z-p0), the last one kept: roots by
+    ``poly_roots``, sorted by (Re, Im) rounded to 12 decimals (none for a constant F);
+    cuts [a, b], [c, d] of four roots the pairing of least total length (ties to the
+    first in that order), of three roots [r0, r1], [r2]."""
+    F = ComplexPoly(base.curve_coeffs(beta))
+    rs = tuple(sorted(poly_roots(F), key=lambda r: (round(r.real, 12), round(r.imag, 12)))
+               if F.degree else ())
+    cuts = (rs[:2], rs[2:])
+    if len(rs) == 4:
+        pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+        lengths = [abs(rs[i] - rs[j]) + abs(rs[k] - rs[l]) for (i, j), (k, l) in pairings]
+        cuts = tuple((rs[i], rs[j]) for i, j in pairings[int(np.argmin(lengths))])
+    return F, rs, cuts
+
 
 def in_B0(base: HitchinBase, beta: complex) -> bool:
     """True iff F = f_m + beta z(z-1)(z-p0) is not a perfect square and has
     no non-simple zero at a puncture (including infinity, where the order
     of vanishing is 4 - deg F).  A quartic F is a square iff both
-    ``_cut_pairs`` cuts of its roots are shorter than 1e-6 (1 + max|root|)."""
-    F = ComplexPoly(base.curve_coeffs(beta))
+    ``_fiber`` cuts of its roots are shorter than 1e-6 (1 + max|root|)."""
+    F, roots, cuts = _fiber(base, beta)
     if F.degree <= 2:  # zero at infinity of order >= 2
         return False
-    if F.degree == 4:
-        roots = poly_roots(F)
-        tol = 1e-6 * (1.0 + max(abs(r) for r in roots))
-        if all(abs(b - a) < tol for a, b in _cut_pairs(roots)):
-            return False
+    tol = 1e-6 * (1.0 + max(abs(r) for r in roots))
+    if F.degree == 4 and all(abs(b - a) < tol for a, b in cuts):
+        return False
     scale = max(1.0, max(abs(c) for c in F.coeffs))
     dF = F.derivative()
     return not any(abs(F(p)) < 1e-10 * scale and abs(dF(p)) < 1e-8 * scale
@@ -330,9 +346,9 @@ def flags(pt: SpectralFiberPoint):
     """Projective flag coordinates (F_0, F_1, F_p0, F_inf); np.inf encodes
     the direction (1:0).  The flag at a finite puncture p is the direction
     (x:y) of the eigenvector of N(p)/c'(p) (``higgs_representative``) with
-    eigenvalue m_p: with lambda = m_p c'(p) it is (lambda - D(p))/L(p), and
-    where L(p) = 0 it is (1:0) unless lambda = D(p), then U(p)/(lambda + D(p))
-    (the l'Hopital limit; ``UndefinedFlag`` if that denominator vanishes too).
+    eigenvalue m_p, lambda = m_p c'(p): it is U(p)/(lambda + D(p)) where L(p) = 0
+    or |lambda + D(p)| > |lambda - D(p)|, else (lambda - D(p))/L(p); but (1:0) where
+    L(p) = 0 != lambda - D(p), and ``UndefinedFlag`` if lambda + D(p) vanishes too.
     "= 0" is below 1e-9 (1e-12 in the last test) of 1 + |D(0)| + |L(0)|, which
     is 1 + |w| + |u| on the big stratum.  The flag at infinity is -m_inf on
     the small stratum and (1:0) on the others."""
@@ -343,7 +359,7 @@ def flags(pt: SpectralFiberPoint):
     for p, lam in ((0.0, m0 * p0), (1.0, m1 * (1 - p0)), (p0, mp * p0 * (p0 - 1))):
         Dp, Lp = D(p), L(p)
         if abs(Lp) > 1e-9 * scale:
-            out.append((lam - Dp) / Lp)
+            out.append(U(p) / (lam + Dp) if abs(lam + Dp) > abs(lam - Dp) else (lam - Dp) / Lp)
         elif abs(lam - Dp) > 1e-9 * scale:
             out.append(np.inf)
         elif abs(lam + Dp) < 1e-12 * scale:
@@ -401,8 +417,7 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
     """
     if not any(base.masses):
         return {key: (0j, 0j) for key in PUNCTURE_KEYS}
-    F = ComplexPoly(base.curve_coeffs(beta))
-    branch = poly_roots(F)
+    F, branch, _ = _fiber(base, beta)
     anchor = _anchor(branch)
     sheet = _sheet(F, branch)
     p0, mi = base.p0, base.masses[3]
@@ -430,20 +445,6 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
 # ---------------------------------------------------------------------------
 # elliptic periods
 # ---------------------------------------------------------------------------
-
-def _root_order(r: complex):
-    return (round(r.real, 12), round(r.imag, 12))
-
-
-def _cut_pairs(roots):
-    """The two cuts [a, b], [c, d] of the deterministic nearest-neighbour
-    pairing of four branch points (minimal total cut length; ties broken by
-    the sorted order)."""
-    rs = sorted((complex(r) for r in roots), key=_root_order)
-    pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-    lengths = [abs(rs[i] - rs[j]) + abs(rs[k] - rs[l]) for (i, j), (k, l) in pairings]
-    return [(rs[i], rs[j]) for i, j in pairings[int(np.argmin(lengths))]]
-
 
 def _lattice_generator(root: complex, p: complex, q: complex, r: complex, *s: complex) -> complex:
     """pi / (root M(sqrt((p-r)(q-s)), sqrt((p-s)(q-r)))) (a cubic has no s), M the AGM
@@ -487,18 +488,16 @@ def elliptic_periods(base: HitchinBase, beta: complex):
     B-cycles, tau = B/A put in the upper half-plane by a sign flip of B.  The nodes
     double from 32 until the coarse cycles lie within 0.1 of integer combinations
     of the generators, of determinant +-1 (``NonConvergence`` past ``COARSE_NODE_CAP``)."""
-    F = ComplexPoly(base.curve_coeffs(beta))
+    F, branch, cuts = _fiber(base, beta)
     if F.degree < 3:
         raise SingularFiber("curve degenerates below genus one")
-    branch = poly_roots(F)
-    rs = sorted(branch, key=_root_order)
-    size = max(1.0, max(abs(r) for r in rs))
+    size = max(1.0, max(abs(r) for r in branch))
     # a residual up to ROOT_TOL moves a near-double root by up to sqrt(ROOT_TOL) of its size
-    for i, x in enumerate(rs):
-        for y in rs[i + 1:]:
+    for i, x in enumerate(branch):
+        for y in branch[i + 1:]:
             if abs(x - y) < max(1e-8 * size, math.sqrt(ROOT_TOL) * max(1.0, abs(x), abs(y))):
                 raise SingularFiber(f"branch points coincide (distance {abs(x - y):.2e})")
-    (a, b), (c, *d) = _cut_pairs(rs) if F.degree == 4 else (rs[:2], rs[2:])
+    (a, b), (c, *d) = cuts
     root = cmath.sqrt(F.coeffs[-1])
     w1, w2 = _lattice_generator(root, a, b, c, *d), _lattice_generator(root, b, c, a, *d)
     span = (w1.conjugate() * w2).imag
@@ -554,11 +553,10 @@ def predicted_root_shift(base: HitchinBase, p: complex) -> complex:
 
 
 def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
-    """Track the branch-point drift near each finite puncture over large
-    |beta| samples and fit the 1/beta coefficient of each shift.
-
-    Returns {"fitted": {key: coeff}, "predicted": {key: coeff}} for keys
-    "0", "1", "p0"."""
+    """Track the branch-point drift near each finite puncture (its nearest root,
+    ties to the upper one) over large |beta| samples and fit the 1/beta
+    coefficient of each shift: {"fitted": {key: coeff}, "predicted": {key:
+    coeff}} for keys "0", "1", "p0"."""
     betas = [complex(b) for b in beta_samples]
     if len(betas) < 2:
         raise ValueError("need at least two beta samples")
@@ -566,12 +564,14 @@ def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
     sep = min(abs(x - y) for x in punctures.values() for y in punctures.values() if x != y)
     shifts = {k: [] for k in punctures}
     for b in betas:
-        roots = np.array(poly_roots(ComplexPoly(base.curve_coeffs(b))))
+        roots = _fiber(base, b)[1]
+        if not roots:
+            raise ValueError("degree must be >= 1")
         for key, p in punctures.items():
-            k = int(np.argmin(np.abs(roots - p)))
-            if abs(roots[k] - p) > 0.45 * sep:
+            near = min(roots, key=lambda r: (abs(r - p), -r.imag))
+            if abs(near - p) > 0.45 * sep:
                 raise RootTrackingLost(f"no root near puncture {key} at beta={b}")
-            shifts[key].append(complex(roots[k]) - p)
+            shifts[key].append(near - p)
     inv = np.array([1.0 / b for b in betas])
     design = np.column_stack([inv, inv ** 2])  # two-term fit removes 1/beta^2 bias
     return {"fitted": {k: complex(np.linalg.lstsq(design, np.array(s), rcond=None)[0][0])

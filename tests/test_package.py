@@ -86,7 +86,7 @@ def test_fraction_bodies_of_the_integer_kernel_stay_out_of_the_package():
 def test_residue_quadrature_stays_out_of_the_package():
     # residues are +-m_p in closed form and periods AGM lattice combinations;
     # the loop quadrature and the period contour are test oracles, and helpers
-    # only the tests call live with them; in_B0 pairs roots by _cut_pairs, and
+    # only the tests call live with them; in_B0 pairs roots by _fiber's cuts, and
     # the root-clustering square test is its oracle; the sheet is a product of
     # per-branch-point roots, with no cut function or crossing count; every
     # finite flag is read from the one Higgs matrix, which numpy builds, so
@@ -102,6 +102,21 @@ def test_residue_quadrature_stays_out_of_the_package():
         assert not hasattr(owner, name), name
     arithmetic = {"__add__", "__sub__", "__mul__", "__rmul__", "__eq__", "__repr__"}
     assert not arithmetic & set(vars(spectral.ComplexPoly))
+
+
+def test_the_roots_of_a_fiber_are_found_in_one_place():
+    # F, its ordered roots and its cuts come from spectral._fiber alone: the
+    # root order and the pairing have no helpers, and poly_roots is called only
+    # there and on the beta-discriminant of singular_fibers
+    import inspect
+
+    for name in ("_root_order", "_cut_pairs"):
+        assert not hasattr(spectral, name), name
+    sources = [path.read_text() for path in (SRC / "hitchin4").rglob("*.py")]
+    calls = sum(text.count("poly_roots(") - text.count("def poly_roots(") for text in sources)
+    assert calls == 2
+    for fn in (spectral._fiber, spectral.singular_fibers):
+        assert inspect.getsource(fn).count("poly_roots(") == 1, fn.__name__
 
 
 def _subclasses(cls):

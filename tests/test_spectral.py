@@ -10,8 +10,7 @@ import pytest
 from hitchin4.core import BrokenIdentity, DomainError, NonConvergence
 from hitchin4.spectral import (
     _cubic_coeffs,
-    _cut_pairs,
-    _root_order,
+    _fiber,
     _sheet,
     BranchPointCoincidence,
     BranchPointCollision,
@@ -182,9 +181,9 @@ def test_singular_fibers_conjugation_symmetry():
 # ---------------------------------------------------------------------------
 
 def square_base(p0, q):
-    """Base and beta with F = q^2 for a quadratic q (ascending, q(0), q(1), q(p0)
-    and the leading coefficient nonzero): m_p = q(p)/c'(p), m_inf the leading
-    coefficient, and beta cancels the z^3 coefficient of f_m - q^2."""
+    """Base and beta with F = q^2 for a quadratic q (ascending, the leading
+    coefficient nonzero): m_p = q(p)/c'(p), m_inf the leading coefficient, and
+    beta cancels the z^3 coefficient of f_m - q^2."""
     Q = ComplexPoly(q)
     base = build_base(p0, (Q(0) / p0, Q(1) / (1 - p0), Q(p0) / (p0 * (p0 - 1)), q[2]))
     return base, np.convolve(q, q)[3] - base.f_coeffs[3]
@@ -195,8 +194,10 @@ def test_in_B0_cases():
     assert in_B0(base, 1.0)       # F = z(z-1)(z-2): a cubic is never a square
     assert in_B0(generic_base(), BETA)
     # (z^2-1)^2: each nearest-neighbour cut joins the two roots of a double root
-    square = poly_roots(ComplexPoly([1, 0, -2, 0, 1]))
-    assert all(abs(b - a) < 1e-6 * (1 + max(map(abs, square))) for a, b in _cut_pairs(square))
+    b1, beta = square_base(2.0, [-1, 0, 1])
+    _, square, cuts = _fiber(b1, beta)
+    assert np.allclose(b1.curve_coeffs(beta), [1, 0, -2, 0, 1], atol=1e-12)
+    assert all(abs(b - a) < 1e-6 * (1 + max(map(abs, square))) for a, b in cuts)
     # F = (z^2-4)^2 has no zero at a puncture, so only the square test rejects it
     b4, beta = square_base(3.0, [-4, 0, 1])
     assert np.allclose(b4.curve_coeffs(beta), [16, 0, -8, 0, 1], atol=1e-12)
@@ -398,6 +399,43 @@ def test_flags_are_residue_eigenvectors():
             R = residue_matrix(pt, p)
             v = np.array([F, 1.0])
             assert np.linalg.norm(R @ v - mp * v) < 1e-8 * (1 + np.linalg.norm(v))
+
+
+def eigenline_50_digits(pt, p, m, dc):
+    """Oracle: x/y of the eigenvector of N(p)/c'(p), at 50 digits, for its eigenvalue
+    nearest m, with N built from the float F, u and w of a big-stratum point and U
+    the quotient of F - D^2 by (z - u), its remainder dropped, as in the library."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        F = [mp.mpc(c) for c in pt.base.curve_coeffs(pt.beta)]
+        d = (mp.mpc(pt.w), 0, mp.mpc(pt.base.masses[3]))
+        G = [F[k] - sum(d[j] * d[k - j] for j in range(max(0, k - 2), min(k, 2) + 1))
+             for k in range(5)]
+        u, p = mp.mpc(pt.u), mp.mpc(p)
+        U, acc = 0, G[4]
+        for k in range(3, -1, -1):  # synthetic division by (z - u), Horner at p
+            U, acc = U * p + acc, G[k] + acc * u
+        D, L, dc = d[0] + d[2] * p ** 2, p - u, mp.mpc(dc)
+        lam = mp.sqrt(D ** 2 + U * L)
+        lam = lam if abs(lam / dc - m) <= abs(lam / dc + m) else -lam
+        return complex((lam - D) / L if abs(L) >= abs(lam + D) else U / (lam + D))
+
+
+def test_flags_near_a_puncture_are_the_eigenline_to_1e_11():
+    # at |u - p| = 1e-6, on the sheet where D(p) ~ m_p c'(p), the lower row
+    # (lambda - D(p))/L(p) cancels, so the flag at p is read from the upper row
+    r = random.Random(2525)
+    worst = []
+    for base, beta in spectral_draws(r, 300):
+        dcs = (base.p0, 1 - base.p0, base.p0 * (base.p0 - 1))
+        for i, (p, m, dc) in enumerate(zip((0.0, 1.0, base.p0), base.masses, dcs)):
+            u = p + 1e-6 * cmath.exp(2j * math.pi * r.random())
+            for sign in (1, -1):
+                pt = on_curve_point(base, beta, u, sign)
+                want = eigenline_50_digits(pt, p, m, dc)
+                worst.append(abs(flags(pt)[i] - want) / abs(want))
+    assert len(worst) == 1800 and max(worst) < 1e-11, max(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +791,7 @@ def contour_periods(base, beta):
     """Contour oracle of ``elliptic_periods``: the same cycles, sheet and
     normalization of tau, each period by ``cycle_integral``."""
     F = base.curve_coeffs(beta)
-    branch = poly_roots(ComplexPoly(F))
-    rs = sorted(branch, key=_root_order)
-    (a, b), (c, *_) = _cut_pairs(rs) if len(rs) == 4 else (rs[:2], rs[2:])
+    _, branch, ((a, b), (c, *_)) = _fiber(base, beta)
     sheet = _sheet(ComplexPoly(F), branch)
     A, B = cycle_integral(F, branch, a, b, sheet), cycle_integral(F, branch, b, c, sheet)
     tau = B / A
@@ -945,6 +981,19 @@ def test_elliptic_periods_find_roots_once_and_build_one_sheet(monkeypatch):
     monkeypatch.setattr(spectral, "_sheet", counted("sheet", spectral._sheet))
     elliptic_periods(generic_base(), BETA)
     assert calls == {"roots": 1, "sheet": 1}
+
+
+def test_one_fiber_finds_the_roots_once_for_every_answer(monkeypatch):
+    # in_B0, the residues and the periods of one (base, beta) read one fiber
+    from hitchin4 import spectral
+
+    calls = []
+    monkeypatch.setattr(spectral, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+    base = generic_base()
+    assert in_B0(base, BETA)
+    tautological_residues(base, BETA)
+    elliptic_periods(base, BETA)
+    assert len(calls) == 1
 
 
 def test_scalar_and_array_evaluation_agree():
