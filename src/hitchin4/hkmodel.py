@@ -8,11 +8,13 @@ antiholomorphic connection coefficient and the Higgs coefficient).  Signs
 are fixed so that g(v, v) > 0 and omega_S(v, w) = g(S v, w); with those
 conventions the holomorphic pairing satisfies Omega_theta = omega_J_theta
 + i omega_K_theta and equals -2 e^{-i theta} l1 sqrt(l2) Tr(phi_w a_v -
-phi_v a_w) pointwise.
+phi_v a_w) pointwise.  The 2x2 algebra runs on Python complex scalars (and
+``np.vdot``), with no matrix product or array reduction per tangent vector.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,47 +39,48 @@ class HKParams:
 
 @dataclass(frozen=True)
 class PointTangent:
+    """Components are trace-free when |Tr M| <= 1e-12 (1 + max |M_ij|)."""
     a: np.ndarray
     phi: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        phi = np.asarray(self.phi, dtype=complex)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "phi", phi)
-        for M in (a, phi):
+        for name in ("a", "phi"):
+            M = np.asarray(getattr(self, name), dtype=complex)
+            object.__setattr__(self, name, M)
             if M.shape != (2, 2):
                 raise ValueError("components must be 2x2")
-            if abs(np.trace(M)) > 1e-12 * (1 + np.abs(M).max()):
+            (x, y), (z, t) = M.tolist()
+            if abs(x + t) > 1e-12 * (1 + max(abs(x), abs(y), abs(z), abs(t))):
                 raise ValueError("components must be trace-free")
 
 
-def _adj(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+def _image(a: np.ndarray, phi: np.ndarray) -> PointTangent:
+    """(a, phi) unchecked: I, J, K keep Tr = 0, but J, K scale Tr by 1/sqrt(l2)
+    or sqrt(l2) while the 1 of the constructor's bound stays fixed."""
+    v = object.__new__(PointTangent)
+    v.__dict__.update(a=a, phi=phi)
+    return v
 
 
 def apply_structure(S: str, v: PointTangent, p: HKParams) -> PointTangent:
     """Apply a complex structure: "I" multiplies by i; "J"/"K" are the
     theta-rotated structures J_theta + i K_theta = e^{i theta} (J + i K)."""
     if S == "I":
-        return PointTangent(1j * v.a, 1j * v.phi)
-    ph = np.exp(1j * p.theta)
-    s = np.sqrt(p.lambda2)
-    if S == "J":
-        return PointTangent(ph / s * _adj(v.phi), -ph * s * _adj(v.a))
-    if S == "K":
-        return PointTangent(1j * ph / s * _adj(v.phi), -1j * ph * s * _adj(v.a))
-    raise ValueError("structure must be 'I', 'J' or 'K'")
+        return _image(1j * v.a, 1j * v.phi)
+    if S not in ("J", "K"):
+        raise ValueError("structure must be 'I', 'J' or 'K'")
+    ph, s = cmath.exp(1j * p.theta) * (1j if S == "K" else 1), math.sqrt(p.lambda2)
+    return _image(ph / s * v.phi.conj().T, -ph * s * v.a.conj().T)
 
 
 def hermitian_pairing(v: PointTangent, w: PointTangent, p: HKParams) -> complex:
-    """h(v, w) = 2 l1 Tr(l2 a_v a_w^* + phi_v phi_w^*) (unit area element)."""
-    return 2 * p.lambda1 * (p.lambda2 * np.trace(v.a @ _adj(w.a))
-                            + np.trace(v.phi @ _adj(w.phi)))
+    """h(v, w) = 2 l1 Tr(l2 a_v a_w^* + phi_v phi_w^*), Tr(A B^*) = vdot(B, A)."""
+    return 2 * p.lambda1 * (p.lambda2 * complex(np.vdot(w.a, v.a))
+                            + complex(np.vdot(w.phi, v.phi)))
 
 
 def metric(v: PointTangent, w: PointTangent, p: HKParams) -> float:
-    return float(hermitian_pairing(v, w, p).real)
+    return hermitian_pairing(v, w, p).real
 
 
 def omega(S: str, v: PointTangent, w: PointTangent, p: HKParams) -> float:
@@ -88,19 +91,22 @@ def omega(S: str, v: PointTangent, w: PointTangent, p: HKParams) -> float:
 def pairings(v: PointTangent, w: PointTangent, p: HKParams) -> dict:
     """Metric, omega_I and the holomorphic pairing Omega_{I,theta} =
     omega_J + i omega_K of two tangent vectors."""
-    return {
-        "g": metric(v, w, p),
-        "omegaI": omega("I", v, w, p),
-        "OmegaItheta": omega("J", v, w, p) + 1j * omega("K", v, w, p),
-    }
+    return {"g": metric(v, w, p), "omegaI": omega("I", v, w, p),
+            "OmegaItheta": omega("J", v, w, p) + 1j * omega("K", v, w, p)}
+
+
+def _trace_of_product(A: np.ndarray, B: np.ndarray) -> complex:
+    """Tr(A B) = sum A_ij B_ji over the four entries."""
+    (a, b), (c, d), (e, f), (g, h) = A.tolist() + B.tolist()
+    return a * e + b * g + c * f + d * h
 
 
 def holomorphic_pairing_closed_form(v: PointTangent, w: PointTangent,
                                     p: HKParams) -> complex:
     """-2 e^{-i theta} l1 sqrt(l2) Tr(phi_w a_v - phi_v a_w); agrees with
     pairings()['OmegaItheta'] to rounding."""
-    return (-2 * np.exp(-1j * p.theta) * p.lambda1 * np.sqrt(p.lambda2)
-            * (np.trace(w.phi @ v.a) - np.trace(v.phi @ w.a)))
+    return (-2 * cmath.exp(-1j * p.theta) * p.lambda1 * math.sqrt(p.lambda2)
+            * (_trace_of_product(w.phi, v.a) - _trace_of_product(v.phi, w.a)))
 
 
 def moment_residues(alpha_p, m_p, n_p, p: HKParams) -> tuple[np.ndarray, np.ndarray]:
@@ -127,29 +133,23 @@ def identity_deviations(p: HKParams, trials: int, seed: int) -> dict:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
 
-    def rand_tangent():
-        def tf():
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            m[1, 1] = -m[0, 0]
-            return m
-        return PointTangent(tf(), tf())
+    def tf():
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m[1, 1] = -m[0, 0]
+        return m
 
-    worst = {"quaternionic": 0.0, "compatibility": 0.0, "omega_vs_closed_form": 0.0}
+    worst = dict.fromkeys(("quaternionic", "compatibility", "omega_vs_closed_form"), 0.0)
     for _ in range(trials):
-        v, w = rand_tangent(), rand_tangent()
-        scale = max(1.0, abs(metric(v, v, p)), abs(metric(w, w, p)))
+        v, w = PointTangent(tf(), tf()), PointTangent(tf(), tf())
+        g, scale = metric(v, w, p), max(1.0, abs(metric(v, v, p)), abs(metric(w, w, p)))
         for S in ("I", "J", "K"):
             s2 = apply_structure(S, apply_structure(S, v, p), p)
-            worst["quaternionic"] = max(worst["quaternionic"],
-                                        float(np.abs(s2.a + v.a).max()),
-                                        float(np.abs(s2.phi + v.phi).max()))
+            worst["quaternionic"] = max(worst["quaternionic"], *map(
+                abs, (s2.a + v.a).ravel().tolist() + (s2.phi + v.phi).ravel().tolist()))
             gv = metric(apply_structure(S, v, p), apply_structure(S, w, p), p)
-            worst["compatibility"] = max(worst["compatibility"],
-                                         abs(gv - metric(v, w, p)) / scale)
-        om = pairings(v, w, p)["OmegaItheta"]
-        cf = holomorphic_pairing_closed_form(v, w, p)
-        worst["omega_vs_closed_form"] = max(worst["omega_vs_closed_form"],
-                                            abs(om - cf) / scale)
+            worst["compatibility"] = max(worst["compatibility"], abs(gv - g) / scale)
+        dev = abs(pairings(v, w, p)["OmegaItheta"] - holomorphic_pairing_closed_form(v, w, p))
+        worst["omega_vs_closed_form"] = max(worst["omega_vs_closed_form"], dev / scale)
     return worst
 
 

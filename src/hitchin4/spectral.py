@@ -103,8 +103,6 @@ class ComplexPoly:
         return acc
 
     def derivative(self) -> "ComplexPoly":
-        if self.degree == 0:
-            return ComplexPoly([0j])
         return ComplexPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def deflate(self, root: complex) -> "ComplexPoly":
@@ -346,20 +344,22 @@ def flags(pt: SpectralFiberPoint):
     """Projective flag coordinates (F_0, F_1, F_p0, F_inf); np.inf encodes
     the direction (1:0).  The flag at a finite puncture p is the direction
     (x:y) of the eigenvector of N(p)/c'(p) (``higgs_representative``) with
-    eigenvalue m_p, lambda = m_p c'(p): it is U(p)/(lambda + D(p)) where L(p) = 0
-    or |lambda + D(p)| > |lambda - D(p)|, else (lambda - D(p))/L(p); but (1:0) where
-    L(p) = 0 != lambda - D(p), and ``UndefinedFlag`` if lambda + D(p) vanishes too.
-    "= 0" is below 1e-9 (1e-12 in the last test) of 1 + |D(0)| + |L(0)|, which
-    is 1 + |w| + |u| on the big stratum.  The flag at infinity is -m_inf on
-    the small stratum and (1:0) on the others."""
+    eigenvalue m_p, lambda = m_p c'(p): U(p)/(lambda + D(p)) where L(p) = 0 or
+    this upper row has the smaller rounding bound (README), else (lambda -
+    D(p))/L(p); but (1:0) where L(p) = 0 != lambda - D(p), and ``UndefinedFlag``
+    if lambda + D(p) vanishes too.  "= 0" is below 1e-9 (1e-12 in the last
+    test) of 1 + |D(0)| + |L(0)|, which is 1 + |w| + |u| on the big stratum.
+    The flag at infinity is -m_inf on the small stratum and (1:0) on the others."""
     ((_, U), (L, D)), _ = higgs_representative(pt)
     p0, (m0, m1, mp, mi) = pt.base.p0, pt.base.masses
     scale = 1.0 + abs(D.coeffs[0]) + abs(L.coeffs[0])
     out = []
     for p, lam in ((0.0, m0 * p0), (1.0, m1 * (1 - p0)), (p0, mp * p0 * (p0 - 1))):
         Dp, Lp = D(p), L(p)
-        if abs(Lp) > 1e-9 * scale:
-            out.append(U(p) / (lam + Dp) if abs(lam + Dp) > abs(lam - Dp) else (lam - Dp) / Lp)
+        if abs(Lp) > 1e-9 * scale:  # the row with the smaller rounding bound
+            err_U = sum(abs(c) * abs(p) ** k for k, c in enumerate(U.coeffs)) * abs(Lp)
+            upper = (abs(lam) + abs(Dp)) * (abs(lam + Dp) - abs(lam - Dp)) > err_U
+            out.append(U(p) / (lam + Dp) if upper else (lam - Dp) / Lp)
         elif abs(lam - Dp) > 1e-9 * scale:
             out.append(np.inf)
         elif abs(lam + Dp) < 1e-12 * scale:

@@ -8,6 +8,7 @@ the chamber, genericity, Torelli and period-domain computations."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
@@ -316,6 +317,7 @@ def ref_check_cube(alpha):
         raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
 
 
+@lru_cache(maxsize=1)  # asked directly and by ref_torelli_chamber
 def ref_classify_chamber(alpha):
     alpha = tuple(Fraction(a) for a in alpha)
     ref_check_cube(alpha)
@@ -336,17 +338,23 @@ def ref_classify_chamber(alpha):
     return interior_label(choices)
 
 
+def _signed_sum(signs, vs):
+    """sum_j s_j v_j for signs s_j = +-1, without multiplying by them."""
+    return sum(v if s > 0 else -v for s, v in zip(signs, vs))
+
+
 def ref_mass_functional(mask, masses) -> GaussianRational:
-    out = GaussianRational(Fraction(0))
-    for j in range(4):
-        out = out + masses[j] if mask >> j & 1 else out - masses[j]
-    return out
+    signs = [1 if mask >> j & 1 else -1 for j in range(4)]
+    return GaussianRational(_signed_sum(signs, [m.re for m in masses]),
+                            _signed_sum(signs, [m.im for m in masses]))
 
 
+@lru_cache(maxsize=1)  # one draw asks up to four times
 def ref_genericity_violations(data) -> list:
     out = []
+    terms = [(a, 1 - a) for a in data.alpha]  # e_i + (-1)^e_i a_i for e_i = 0, 1
     for e in product((0, 1), repeat=4):
-        s = sum(e) + sum(-a if ei else a for ei, a in zip(e, data.alpha))
+        s = sum(t[ei] for t, ei in zip(terms, e))
         if s.denominator == 1:
             zeros = sum(1 << i for i, ei in enumerate(e) if not ei)
             if not ref_mass_functional(zeros, data.masses):
@@ -391,7 +399,7 @@ def ref_central_x(label, alpha) -> Fraction:
 def ref_from_outer(x4, z4, basis) -> PeriodVector:
     x4 = tuple(Fraction(v) for v in x4)
     x0 = (1 - sum(x4)) / 2
-    z0 = -sum(z4, GaussianRational(Fraction(0))) / 2
+    z0 = GaussianRational(-sum(z.re for z in z4) / 2, -sum(z.im for z in z4) / 2)
     return PeriodVector((x0,) + x4, (z0,) + tuple(z4), basis)
 
 
@@ -418,7 +426,7 @@ REF_FACES = (((-1, -1, -1, -1), 1), ((1, 1, -1, -1), 0), ((1, -1, 1, -1), 0),
 
 def ref_torelli_parallel(data) -> PeriodVector:
     alpha = tuple(Fraction(a) for a in data.alpha)
-    x4 = tuple(sum(r * a for r, a in zip(n, alpha)) + c for n, c in REF_FACES)
+    x4 = tuple(_signed_sum(n, alpha) + c for n, c in REF_FACES)
     z4 = tuple(ref_mass_functional(sum(1 << j for j, v in enumerate(n) if v > 0), data.masses)
                for n, _ in REF_FACES)
     return ref_from_outer(x4, z4, PARALLEL_BASIS)
@@ -427,10 +435,10 @@ def ref_torelli_parallel(data) -> PeriodVector:
 def ref_inverse_torelli(pv) -> ParabolicData:
     x4 = [x - c for x, (_, c) in zip(pv.x[1:], REF_FACES)]
     z4 = pv.z[1:]
-    rows = [n for n, _ in REF_FACES]
-    alpha = tuple(sum(Fraction(rows[r][c]) * x4[r] for r in range(4)) / 4 for c in range(4))
-    masses = tuple(sum(GaussianRational(Fraction(rows[r][c])) * z4[r] for r in range(4)) / 4
-                   for c in range(4))
+    cols = list(zip(*(n for n, _ in REF_FACES)))
+    alpha = tuple(_signed_sum(col, x4) / 4 for col in cols)
+    masses = tuple(GaussianRational(_signed_sum(col, [z.re for z in z4]) / 4,
+                                    _signed_sum(col, [z.im for z in z4]) / 4) for col in cols)
     return ParabolicData(alpha, masses)
 
 

@@ -182,3 +182,96 @@ def test_identity_verdict():
     for trials in (0, -1):
         with pytest.raises(ValueError, match=f"trial count must be >= 1, got {trials}"):
             identity_deviations(HKParams(), trials, 0)
+
+
+# ---------------------------------------------------------------------------
+# the numpy formulas of the matrix implementation, kept as a reference for
+# the scalar 2x2 algebra of the module
+# ---------------------------------------------------------------------------
+
+def ref_trace_free(M):
+    return abs(np.trace(M)) <= 1e-12 * (1 + np.abs(M).max())
+
+
+def ref_apply(S, v, p):
+    ph, s = np.exp(1j * p.theta), np.sqrt(p.lambda2)
+    if S == "I":
+        return 1j * v.a, 1j * v.phi
+    if S == "J":
+        return ph / s * v.phi.conj().T, -ph * s * v.a.conj().T
+    return 1j * ph / s * v.phi.conj().T, -1j * ph * s * v.a.conj().T
+
+
+def ref_metric(a_v, phi_v, w, p):
+    return (2 * p.lambda1 * (p.lambda2 * np.trace(a_v @ w.a.conj().T)
+                             + np.trace(phi_v @ w.phi.conj().T))).real
+
+
+def ref_closed_form(v, w, p):
+    return (-2 * np.exp(-1j * p.theta) * p.lambda1 * np.sqrt(p.lambda2)
+            * (np.trace(w.phi @ v.a) - np.trace(v.phi @ w.a)))
+
+
+def near_threshold(r):
+    """A 2x2 matrix whose trace is 0, or between half and twice the bound
+    1e-12 (1 + max |M_ij|) of ``PointTangent``, in a random direction."""
+    m = r.normal(size=(2, 2)) + 1j * r.normal(size=(2, 2))
+    m *= 10 ** r.uniform(-3, 3)
+    m[1, 1] = -m[0, 0]
+    if r.random() < 0.4:
+        m[1, 1] += (2 ** r.uniform(-1, 1) * 1e-12 * (1 + np.abs(m).max())
+                    * np.exp(2j * np.pi * r.random()))
+    return m
+
+
+def test_scalar_algebra_matches_the_matrix_reference():
+    r = np.random.default_rng(2026)
+    accepted = rejected = 0
+    for _ in range(2000):
+        p = HKParams(10 ** r.uniform(-1, 1), 10 ** r.uniform(-3, 3), r.uniform(-50, 50))
+        ms = [near_threshold(r) for _ in range(4)]
+        want = all(map(ref_trace_free, ms))
+        try:
+            v, w = PointTangent(ms[0], ms[1]), PointTangent(ms[2], ms[3])
+        except ValueError as e:
+            assert not want and "trace-free" in str(e)
+            rejected += 1
+            continue
+        assert want
+        accepted += 1
+        size = np.sqrt(sum(np.abs(M).max() ** 2 for M in ms))
+        scale = 2 * p.lambda1 * max(1.0, p.lambda2) * 4 * size ** 2
+        for S in ("I", "J", "K"):
+            assert abs(omega(S, v, w, p) - ref_metric(*ref_apply(S, v, p), w, p)) <= 1e-14 * scale
+            Sv = apply_structure(S, v, p)
+            for got, ref in zip((Sv.a, Sv.phi), ref_apply(S, v, p)):
+                assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        pr, g = pairings(v, w, p), ref_metric(v.a, v.phi, w, p)
+        assert abs(metric(v, w, p) - g) <= 1e-14 * scale and pr["g"] == metric(v, w, p)
+        assert abs(pr["omegaI"] - ref_metric(*ref_apply("I", v, p), w, p)) <= 1e-14 * scale
+        ref_Omega = (ref_metric(*ref_apply("J", v, p), w, p)
+                     + 1j * ref_metric(*ref_apply("K", v, p), w, p))
+        assert abs(pr["OmegaItheta"] - ref_Omega) <= 1e-14 * scale
+        assert abs(holomorphic_pairing_closed_form(v, w, p) - ref_closed_form(v, w, p)) \
+            <= 1e-14 * scale
+    assert accepted > 300 and rejected > 300, (accepted, rejected)
+    worst = identity_deviations(HKParams(1.0, 2.0, 0.7), 1000, 0)
+    assert identities_hold(worst) and max(worst.values()) < 1e-15, worst
+
+
+def test_structures_keep_every_accepted_tangent():
+    # J and K scale the trace by 1/sqrt(l2) or sqrt(l2) while the 1 of the
+    # bound does not scale, so re-checking their image rejected this tangent
+    phi = np.array([[1, 0.5], [0.2, -1 + 1.9e-12]])
+    v = PointTangent(np.array([[0.3j, 0.1], [0, -0.3j]]), phi)
+    r = np.random.default_rng(7)
+    tangents = [v] + [PointTangent(*ms) for ms in
+                      ((near_threshold(r), near_threshold(r)) for _ in range(200))
+                      if all(map(ref_trace_free, ms))]
+    for i, t in enumerate(tangents):
+        p = HKParams(1.0, 0.01 if i == 0 else 10 ** r.uniform(-3, 3), r.uniform(0, 7))
+        for S in ("I", "J", "K"):
+            s2 = apply_structure(S, apply_structure(S, t, p), p)
+            size = max(np.abs(t.a).max(), np.abs(t.phi).max())
+            assert max(np.abs(s2.a + t.a).max(), np.abs(s2.phi + t.phi).max()) <= 1e-15 * size
+    assert len(tangents) > 100

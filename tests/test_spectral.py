@@ -424,18 +424,26 @@ def eigenline_50_digits(pt, p, m, dc):
 
 def test_flags_near_a_puncture_are_the_eigenline_to_1e_11():
     # at |u - p| = 1e-6, on the sheet where D(p) ~ m_p c'(p), the lower row
-    # (lambda - D(p))/L(p) cancels, so the flag at p is read from the upper row
+    # (lambda - D(p))/L(p) cancels, so the flag at p is read from the upper row;
+    # at |beta| >= 2.3e3 U(p) at the two far punctures sums terms of size |beta|,
+    # and the rounding bound of that sum sends their flags to the lower row
     r = random.Random(2525)
-    worst = []
+    near, far = [], []
     for base, beta in spectral_draws(r, 300):
-        dcs = (base.p0, 1 - base.p0, base.p0 * (base.p0 - 1))
-        for i, (p, m, dc) in enumerate(zip((0.0, 1.0, base.p0), base.masses, dcs)):
+        punctures = list(zip((0.0, 1.0, base.p0), base.masses,
+                             (base.p0, 1 - base.p0, base.p0 * (base.p0 - 1))))
+        for i, (p, m, dc) in enumerate(punctures):
             u = p + 1e-6 * cmath.exp(2j * math.pi * r.random())
             for sign in (1, -1):
                 pt = on_curve_point(base, beta, u, sign)
-                want = eigenline_50_digits(pt, p, m, dc)
-                worst.append(abs(flags(pt)[i] - want) / abs(want))
-    assert len(worst) == 1800 and max(worst) < 1e-11, max(worst)
+                got = flags(pt)
+                for j, (q, mq, dq) in enumerate(punctures):
+                    if j == i or abs(beta) >= 2.3e3:
+                        want = eigenline_50_digits(pt, q, mq, dq)
+                        miss = abs(got[j] - want) / abs(want)
+                        (near if j == i else far).append(miss)
+    assert len(near) == 1800 and len(far) > 500, (len(near), len(far))
+    assert max(near) < 1e-11 and max(far) < 1e-11, (max(near), max(far))
 
 
 # ---------------------------------------------------------------------------
