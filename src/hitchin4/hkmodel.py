@@ -39,7 +39,7 @@ class HKParams:
 
 @dataclass(frozen=True)
 class PointTangent:
-    """Components are trace-free when |Tr M| <= 1e-12 (1 + max |M_ij|)."""
+    """Components are finite and trace-free: |Tr M| <= 1e-12 (1 + max |M_ij|)."""
     a: np.ndarray
     phi: np.ndarray
 
@@ -50,6 +50,8 @@ class PointTangent:
             if M.shape != (2, 2):
                 raise ValueError("components must be 2x2")
             (x, y), (z, t) = M.tolist()
+            if not all(map(cmath.isfinite, (x, y, z, t))):
+                raise ValueError(f"{name} must be finite, got {M.tolist()}")
             if abs(x + t) > 1e-12 * (1 + max(abs(x), abs(y), abs(z), abs(t))):
                 raise ValueError("components must be trace-free")
 

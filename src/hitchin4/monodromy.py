@@ -10,20 +10,22 @@ relation A6 A5 A4 A3 A2 A1 = -Id.
 
 An I1 factor is parabolic with a single twist (conjugate to [[1,1],[0,1]]),
 so it is determined by its primitive eigenvector v up to sign, and
-P T_v P^-1 = T_{Pv} for P in SL(2,Z).  The search in ``normalize`` runs
-breadth-first on eigenvector tuples hashed modulo simultaneous SL(2,Z)
-conjugation; the reachable class space is small (a few dozen states), so
-the search is exact and fast.  The canonical form of a tuple comes with the
-transform P that produces it, so a normal form whose class matches the
-pattern's is certified by C = P_pattern^-1 P_normal, which satisfies
-C M_i = T_i C for every factor M_i and pattern factor T_i; ``normalize``
-checks that identity by multiplication before it returns.
+P T_v P^-1 = T_{Pv} for P in SL(2,Z).  Eigenvector tuples are hashed modulo
+simultaneous SL(2,Z) conjugation; the 40 classes reachable from the
+pattern's (none more than 3 moves away) are tabulated with their distances
+and neighbours by one breadth-first search on first use, and ``normalize``
+walks down that table.  The canonical form of a tuple comes with the
+transform P that produces it, so a normal form in the pattern's class is
+certified by C = P_pattern^-1 P_normal, which satisfies C M_i = T_i C for
+every factor M_i and pattern factor T_i; ``normalize`` checks that
+identity by multiplication before it returns.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .core import DomainError
@@ -224,16 +226,32 @@ def _certificate(f: Factorization):
         mat_mul(C, M) == mat_mul(T, C) for M, T in zip(f.factors, _PATTERN.factors)) else None
 
 
+@cache
+def _class_table() -> dict:
+    """{class: (distance, ((move, neighbour), ...) in ``_class_moves``
+    order)} from one breadth-first search from the pattern's class; moves
+    are SL(2,Z)-equivariant and move 2 inverts move 1, so a class's
+    neighbours and its distance to the pattern are those of any tuple in it."""
+    table, frontier, dist = {}, [_TARGET], 0
+    while frontier:
+        for cls in frontier:
+            table[cls] = (dist, tuple((move, _canonical_class(raw)[1])
+                                      for move, raw in _class_moves(cls)))
+        frontier = list(dict.fromkeys(c for cls in frontier for _, c in table[cls][1]
+                                      if c not in table))
+        dist += 1
+    return table
+
+
 def normalize(f: Factorization, max_depth: int = 24):
     """Hurwitz moves carrying f to the canonical pattern up to simultaneous
-    SL(2,Z) conjugation.
-
-    Breadth-first search over eigenvector tuples hashed by their
-    conjugation-canonical form; returns (moves, normal) where replaying
-    ``moves`` on f yields ``normal``, a global conjugate of
-    (B, A, B, A, B, A) certified by ``_certificate``.  Raises Exhausted at
-    the depth bound and ``ValueError`` for a negative ``max_depth``.
-    """
+    SL(2,Z) conjugation: (moves, normal), where replaying ``moves`` on f
+    yields ``normal``, a global conjugate of (B, A, B, A, B, A) certified
+    by ``_certificate``.  ``moves`` walks down ``_class_table``, taking at
+    each class the first move (slot ascending, direction 1 before 2) that
+    lowers the distance: the first shortest sequence in that order.
+    Raises Exhausted when f's class is not in the table or is more than
+    ``max_depth`` moves away, ``ValueError`` for a negative ``max_depth``."""
     if max_depth < 0:
         raise ValueError(f"search depth must be >= 0, got {max_depth}")
     if len(f.factors) != 6:
@@ -241,35 +259,15 @@ def normalize(f: Factorization, max_depth: int = 24):
     vecs = f.vectors()
     if f.total_product() != NEG_IDENT:
         raise ValueError("composite along the base loop must be -Id")
-    _, start = _canonical_class(vecs)
-    parents = {start: None}
-    frontier = [(start, vecs)]
-    for _ in range(max_depth):
-        if _TARGET in parents or not frontier:
-            break
-        nxt = []
-        for cls, raw in frontier:
-            for move, raw2 in _class_moves(raw):
-                _, cls2 = _canonical_class(raw2)
-                if cls2 not in parents:
-                    parents[cls2] = (cls, move)
-                    nxt.append((cls2, raw2))
-                    if cls2 == _TARGET:
-                        break
-            if _TARGET in parents:
-                break
-        frontier = nxt
-    if _TARGET not in parents:
+    table = _class_table()
+    _, cls = _canonical_class(vecs)
+    if cls not in table or table[cls][0] > max_depth:
         raise Exhausted(f"no normalization within depth {max_depth}")
-    moves = []
-    node = _TARGET
-    while parents[node] is not None:
-        node, move = parents[node]
+    moves, normal = [], f
+    for dist in range(table[cls][0], 0, -1):
+        move, cls = next((m, c) for m, c in table[cls][1] if table[c][0] < dist)
         moves.append(move)
-    moves.reverse()
-    normal = f
-    for i, d in moves:
-        normal = hurwitz_move(normal, i, d)
+        normal = hurwitz_move(normal, *move)
     if _certificate(normal) is None:
         raise Exhausted("class search reached target but replay failed")
     return moves, normal

@@ -3,7 +3,8 @@ small exact matrix type with row reduction (determinant and nullspace), the
 ``Fraction`` views of a Coxeter group element's integer form, the model
 alcove's faces derived from its vertices, the homology lattice's -2 classes
 and automorphism test, the linear part of the hat reduction, the SL(2,Z)
-conjugator of a monodromy factorization, and the ``Fraction`` reference of
+conjugator of a monodromy factorization, the per-call breadth-first search
+that ``monodromy.normalize`` replaced, and the ``Fraction`` reference of
 the chamber, genericity, Torelli and period-domain computations."""
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
+from hitchin4 import monodromy
 from hitchin4.chambers import OnWall, OutOfCube, ParabolicData, exterior_label, interior_label
 from hitchin4.core import GaussianRational, int_matmul, int_matvec
 from hitchin4.homology import FIBER_CLASS, I0, intersection
@@ -288,6 +290,54 @@ def conjugator_by_solve(src, pattern):
                     mat_mul(C, M) == mat_mul(T, C) for M, T in zip(src.factors, pattern)):
                 return C
     return None
+
+
+def bfs_normalize(f, max_depth: int = 24):
+    """Reference ``monodromy.normalize``: a breadth-first search per call
+    from f's class over eigenvector tuples hashed by their canonical class,
+    each class keeping the (class, move) that first reached it, stopped as
+    soon as the pattern's class is reached; the move path is unwound from
+    the pattern's class, replayed on f and certified."""
+    if max_depth < 0:
+        raise ValueError(f"search depth must be >= 0, got {max_depth}")
+    if len(f.factors) != 6:
+        raise ValueError("need six factors")
+    vecs = f.vectors()
+    if f.total_product() != monodromy.NEG_IDENT:
+        raise ValueError("composite along the base loop must be -Id")
+    target = monodromy._TARGET
+    _, start = monodromy._canonical_class(vecs)
+    parents = {start: None}
+    frontier = [(start, vecs)]
+    for _ in range(max_depth):
+        if target in parents or not frontier:
+            break
+        nxt = []
+        for cls, raw in frontier:
+            for move, raw2 in monodromy._class_moves(raw):
+                _, cls2 = monodromy._canonical_class(raw2)
+                if cls2 not in parents:
+                    parents[cls2] = (cls, move)
+                    nxt.append((cls2, raw2))
+                    if cls2 == target:
+                        break
+            if target in parents:
+                break
+        frontier = nxt
+    if target not in parents:
+        raise monodromy.Exhausted(f"no normalization within depth {max_depth}")
+    moves = []
+    node = target
+    while parents[node] is not None:
+        node, move = parents[node]
+        moves.append(move)
+    moves.reverse()
+    normal = f
+    for i, d in moves:
+        normal = monodromy.hurwitz_move(normal, i, d)
+    if monodromy._certificate(normal) is None:
+        raise monodromy.Exhausted("class search reached target but replay failed")
+    return moves, normal
 
 
 # ---------------------------------------------------------------------------

@@ -323,18 +323,51 @@ def _fraction_compose_word(word, gens):
     return g
 
 
+# the oracle's faces as (signs of n, n . base): every entry of n is +-1, so
+# |n|^2 = 4 and the reflection x - 2 (n.(x - base)) n / |n|^2 is x - (f/2) n
+_SIGNED_FACES = tuple((tuple(c > 0 for c in n), sum(a * b for a, b in zip(n, base)))
+                      for n, base in MODEL_FACES)
+
+
+def _signed_face_value(i, x, affine=True):
+    """``face_value(i, x)`` with n's entries applied as signs; its linear part
+    n . x when not ``affine``."""
+    signs, offset = _SIGNED_FACES[i]
+    return sum(v if s else -v for s, v in zip(signs, x)) - (offset if affine else 0)
+
+
+def _signed_reflect(i, x, affine=True):
+    """Reflection of ``x`` in face i by the Fraction formula x - (f/2) n (its
+    linear part when not ``affine``), n's entries applied as signs."""
+    signs, _ = _SIGNED_FACES[i]
+    h = _signed_face_value(i, x, affine) / 2
+    return tuple(v - h if s else v + h for s, v in zip(signs, x))
+
+
 def _fraction_walk(alpha):
     """Reference walk: Fraction face functionals and reflections, step by step."""
     x = tuple(Fraction(a) for a in alpha)
     applied = []
     while True:
-        viol = next((i for i in range(5) if face_value(i, x) < 0), None)
+        viol = next((i for i in range(5) if _signed_face_value(i, x) < 0), None)
         if viol is None:
             break
-        x = GENS[viol](x)
+        x = _signed_reflect(viol, x)
         applied.append(viol)
-    on_wall = any(face_value(i, x) == 0 for i in range(5))
+    on_wall = any(_signed_face_value(i, x) == 0 for i in range(5))
     return tuple(reversed(applied)), x, on_wall
+
+
+def _fraction_reflection_word(word):
+    """Reference composite of the face reflections of ``word``, its first
+    letter applied first: the images of the origin and of the unit vectors
+    under the Fraction reflections."""
+    origin = (Fraction(0),) * 4
+    columns = [tuple(Fraction(int(r == c)) for r in range(4)) for c in range(4)]
+    for i in word:
+        origin = _signed_reflect(i, origin)
+        columns = [_signed_reflect(i, v, affine=False) for v in columns]
+    return FractionAffine(ExactMatrix(tuple(zip(*columns))), origin, tuple(word))
 
 
 def _diff_rational(r, size):
@@ -356,7 +389,7 @@ def test_alcove_walk_matches_fraction_reference():
         g, a0, on_wall = alcove_walk(alpha)
         word, x, wall = _fraction_walk(alpha)
         assert (g.word, a0, on_wall) == (word, x, wall)
-        assert _same(g, _fraction_compose_word(word, GENS))
+        assert _same(g, _fraction_reflection_word(word))
     # points on walls: integer coordinates land on the model's faces
     for alpha in [(0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 3, 1), (Fraction(1, 4),) * 4]:
         g, a0, on_wall = alcove_walk(alpha)

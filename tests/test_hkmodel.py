@@ -56,6 +56,20 @@ def test_params_must_be_finite():
     assert HKParams(1e300, 1e300, 1e300).lambda2 == 1e300  # large finite values stay valid
 
 
+def test_tangent_components_must_be_finite():
+    # an infinite entry makes the trace bound infinite and a NaN trace compares
+    # false, so neither would fail the trace-free check
+    inf, nan, zero = float("inf"), float("nan"), np.zeros((2, 2))
+    for bad in ([[1, inf], [0, 5]], [[nan, 0], [0, 0]], [[0, 1], [complex(0, -inf), 0]],
+                [[complex(nan, 1), 0], [0, complex(-nan, -1)]]):
+        with pytest.raises(ValueError, match=r"^a must be finite, got \["):
+            PointTangent(bad, zero)
+        with pytest.raises(ValueError, match=r"^phi must be finite, got \["):
+            PointTangent(zero, bad)
+    big = [[1e300, 1e300], [1e300, -1e300]]  # large finite entries stay valid
+    assert PointTangent(big, zero).a[0, 1] == PointTangent(zero, big).phi[0, 1] == 1e300
+
+
 def test_J_squares_to_minus_one_at_unit_params():
     p = HKParams(1.0, 1.0, 0.0)
     v = rand_tangent()

@@ -21,11 +21,12 @@ from hitchin4.monodromy import (
     mat_mul,
     normalize,
     parse_factors,
+    twist_of_vector,
     vanishing_cycle_match,
     _certificate,
 )
 
-from lattice_oracle import conjugator_by_solve
+from lattice_oracle import bfs_normalize, conjugator_by_solve
 
 rng = random.Random(123456)
 
@@ -316,3 +317,76 @@ def test_normalize_exhausted_when_depth_too_small():
     # distance is at least 1, so depth 0 must report exhaustion
     with pytest.raises(Exhausted):
         normalize(g, max_depth=0)
+
+
+# ---------------------------------------------------------------------------
+# the class-distance table against the per-call breadth-first search
+# ---------------------------------------------------------------------------
+
+def _outcome(normalizer, f, depth):
+    """(moves, normal factors), or (exception type, message)."""
+    try:
+        moves, normal = normalizer(f, max_depth=depth)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return moves, normal.factors
+
+
+def _differential_corpus():
+    """A representative of each tabulated class, seeded scrambles of depth
+    0-14, seeded SL(2,Z) conjugates of both, and inputs that fail
+    validation."""
+    r = random.Random(2727)
+
+    def conjugate(f):
+        C = IDENT
+        for _ in range(r.randint(1, 8)):
+            C = mat_mul(C, r.choice((((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1)))))
+        return Factorization(tuple(mat_mul(mat_mul(mat_inv(C), M), C) for M in f.factors))
+
+    reps = [Factorization(tuple(map(twist_of_vector, cls))) for cls in monodromy._class_table()]
+    scrambles = [seeded_scramble(r.randrange(10**6), r.randint(0, 14)) for _ in range(120)]
+    invalid = [Factorization((MAT_A,) * 6), Factorization((MAT_B, MAT_A) * 2),
+               Factorization((((1, 2), (0, 1)),) + canonical_factorization().factors[1:])]
+    return reps + scrambles + [conjugate(f) for f in reps + scrambles] + invalid
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 24])
+def test_normalize_matches_the_breadth_first_reference(depth):
+    corpus = _differential_corpus()
+    outcomes = [_outcome(normalize, f, depth) for f in corpus]
+    assert outcomes == [_outcome(bfs_normalize, f, depth) for f in corpus]
+    # every distance up to the depth (at most 3) is seen, and every kind of exception
+    raised = {kind for kind, _ in outcomes if isinstance(kind, type)}
+    assert {len(o[0]) for o in outcomes if isinstance(o[0], list)} == set(range(min(depth, 3) + 1))
+    assert raised == ({ValueError, NotParabolic} | ({Exhausted} if depth < 3 else set()))
+
+
+def test_class_table_is_forty_classes_closed_under_moves(monkeypatch):
+    table = monodromy._class_table()
+    assert len(table) == 40
+    assert max(d for d, _ in table.values()) == 3
+    for cls, (d, neighbours) in table.items():
+        raw = monodromy._class_moves(cls)
+        assert [m for m, _ in neighbours] == [m for m, _ in raw]
+        assert [c for _, c in neighbours] == [monodromy._canonical_class(v)[1] for _, v in raw]
+        assert all(c in table and abs(table[c][0] - d) <= 1 for _, c in neighbours)
+        assert (d == 0) == (cls == monodromy._TARGET)
+        assert d == 0 or any(table[c][0] == d - 1 for _, c in neighbours)
+    # with the table built, a depth-3 normalization hashes two tuples: the
+    # start class and the certificate's
+    calls = []
+    canonical = monodromy._canonical_class
+    monkeypatch.setattr(monodromy, "_canonical_class",
+                        lambda vectors: calls.append(vectors) or canonical(vectors))
+    moves, _ = normalize(seeded_scramble(3, 4))
+    assert len(moves) == 3
+    assert len(calls) <= 2
+
+
+def test_normalize_outside_the_table_is_exhausted(monkeypatch):
+    monkeypatch.setattr(monodromy, "_class_table",
+                        lambda: {monodromy._TARGET: (0, ())})
+    assert normalize(canonical_factorization())[0] == []
+    with pytest.raises(Exhausted, match="^no normalization within depth 24$"):
+        normalize(seeded_scramble(3, 4))

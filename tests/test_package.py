@@ -20,6 +20,7 @@ from hitchin4 import chambers, torelli, coxeter, homology, monodromy
 from hitchin4.cli import main
 assert main(["chamber", "--alpha", "3/10,1/5,1/5,1/5"]) == 0
 assert "numpy" not in sys.modules, "numpy loaded"
+assert monodromy._class_table.cache_info().currsize == 0, "Hurwitz class table built"
 """
 
 
