@@ -172,7 +172,7 @@ _EXTERIOR = tuple(exterior_label((1 << i) ^ (FULL * s)) for s in (0, 1) for i in
 
 def enumerate_chambers() -> list[ChamberLabel]:
     """All 24 chamber labels: 16 interior then 8 exterior, deterministic order."""
-    return list(_INTERIOR) + [exterior_label(m) for m in range(1, 16) if subset_size(m) % 2]
+    return list(_INTERIOR) + sorted(_EXTERIOR, key=lambda label: label.i0)
 
 
 def check_cube(alpha) -> tuple[int, list[int]]:

@@ -4,7 +4,7 @@ Every invocation prints a JSON envelope (or CSV for sweeps) on stdout that
 echoes the parsed parameters, so identical inputs give byte-identical
 output.  Exit codes: 0 success, 2 domain error (any ``hitchin4.DomainError``),
 1 usage error, whose message names the option and the token of a malformed
-value.  Only the spectral, hk and beta-sweep commands load numpy.
+value.  Only the spectral and hk commands load numpy.
 
 Rationals are written "p/q"; complex values as "a+bi" with rational or
 decimal parts; Gaussian rationals serialize as {"re": "p/q", "im": "p/q"}.
@@ -195,13 +195,6 @@ def _curve(v):
     return spectral, spectral.build_base(v.p0, v.m)
 
 
-def _tau_csv(spectral, base, bmin: float, bmax: float, samples: int) -> list:
-    return [("beta", "re_tau", "im_tau"), *(
-        [f"{b:.12g}", "error", type(tau).__name__] if isinstance(tau, DomainError)
-        else [f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"]
-        for b, tau in spectral.tau_sweep(base, bmin, bmax, samples))]
-
-
 def _fibers(v) -> dict:
     spectral, base = _curve(v)
     return {"f_coeffs": [[c.real, c.imag] for c in base.f_coeffs],
@@ -217,13 +210,16 @@ def _residues(v) -> dict:
 def _tau(v):
     spectral, base = _curve(v)
     if v.sweep:
-        return _tau_csv(spectral, base, *v.sweep)
+        return [("beta", "re_tau", "im_tau"), *(
+            [f"{b:.12g}", "error", type(tau).__name__] if isinstance(tau, DomainError)
+            else [f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"]
+            for b, tau in spectral.tau_sweep(base, *v.sweep))]
     A, B, tau = spectral.elliptic_periods(base, v.beta)
     return {"A": [A.real, A.imag], "B": [B.real, B.imag], "tau": [tau.real, tau.imag]}
 
 
 def _normalize(v) -> dict:
-    moves, normal = monodromy.normalize(v.factors, max_depth=v.max_depth)
+    moves, normal = monodromy.normalize(v.factors)
     return {"moves": [{"i": i, "dir": d} for i, d in moves],
             "normal": [[list(r) for r in M] for M in normal.factors]}
 
@@ -236,8 +232,6 @@ def _hk(v) -> dict:
 
 
 def _sweep(v):
-    if v.kind == "beta":
-        return _tau_csv(*_curve(v), v.bmin, v.bmax, v.samples)
     return [("t", "alpha", "chamber"), *(
         [_rstr(t), ";".join(map(_rstr, alpha)),
          f"error:{type(label).__name__}" if isinstance(label, DomainError) else label.short()]
@@ -269,19 +263,14 @@ _COMMANDS = {
         _Opt("--sweep", _beta_range, "", echo=False, help="bmin,bmax,n for a CSV tau sweep"))),
     "monodromy": ("normalize a Hurwitz factorization", {"normalize": _normalize}, (
         _Opt("action"),
-        _Opt("--factors", monodromy.parse_factors, help="JSON list of six 2x2 matrices"),
-        _Opt("--max-depth", _integer, "24", echo=False))),
+        _Opt("--factors", monodromy.parse_factors, help="JSON list of six 2x2 matrices"))),
     "hk": ("hyperkahler model identity checks", {"check": _hk}, (
         _Opt("action", echo=False), _Opt("--lambda1", _real, "1.0"),
         _Opt("--lambda2", _real, "1.0"), _Opt("--theta", _real, "0.0"),
         _Opt("--trials", _integer, "1000"), _Opt("--seed", _count, "0"))),
-    "sweep": ("CSV sweeps over weights or beta", _sweep, (
-        _Opt("--kind", choices=("alpha", "beta")),
-        _Opt("--start", _RATIONALS, "", help="alpha sweep: start weights"),
-        _Opt("--stop", _RATIONALS, "", help="alpha sweep: end weights"),
-        _Opt("--samples", _count, "11"), _Opt("--p0", _complex, "2"),
-        _Opt("--m", _COMPLEXES, "1,0,0,0"), _Opt("--bmin", _bound, "10"),
-        _Opt("--bmax", _bound, "10000"))),
+    "sweep": ("CSV sweep over weights", _sweep, (
+        _Opt("--kind", choices=("alpha",)), _Opt("--start", _RATIONALS, help="start weights"),
+        _Opt("--stop", _RATIONALS, help="end weights"), _Opt("--samples", _count, "11"))),
 }
 
 

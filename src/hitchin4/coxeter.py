@@ -35,7 +35,7 @@ class NotAVertex(DomainError, ValueError):
 
 
 class WalkLimitExceeded(DomainError, RuntimeError):
-    """The alcove walk made ``max_steps`` reflections without reaching the
+    """The alcove walk made ``WALK_LIMIT`` reflections without reaching the
     closed model alcove (the point lies too far from it)."""
 
 
@@ -207,7 +207,10 @@ def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
 # alcove walk
 # ---------------------------------------------------------------------------
 
-def alcove_walk(alpha, max_steps: int = 100000):
+WALK_LIMIT = 100_000  # reflections, reached near |alpha| = 1e4
+
+
+def alcove_walk(alpha):
     """Fold alpha into the closed model alcove.
 
     Returns (g, alpha0, on_wall): g.word applies leftmost-first, alpha0 is in
@@ -222,14 +225,14 @@ def alcove_walk(alpha, max_steps: int = 100000):
     its value moves face j by -q*_GRAM[i][j], about 10 walls per unit of
     |alpha|.  alpha0 is b less the shifts q*n_i, over N; g's linear part is read
     from the kernel's ``_linear_step``, its translation from g(alpha0) == alpha.
-    An inexact step or translation raises ``BrokenIdentity``, and ``max_steps``
+    An inexact step or translation raises ``BrokenIdentity``, and ``WALK_LIMIT``
     reflections raise ``WalkLimitExceeded``.
     """
     N, b = common_denominator([Fraction(a) for a in alpha])
     N, b = 2 * N, [2 * v for v in b]
     vals = [sum(map(mul, n, b)) + c * N for n, c in _FACES]
     G, shifts, applied = _GRAM, [0] * 5, []
-    for _ in range(max_steps):
+    for _ in range(WALK_LIMIT):
         for viol, f in enumerate(vals):
             if f < 0:
                 break
@@ -242,7 +245,7 @@ def alcove_walk(alpha, max_steps: int = 100000):
         shifts[viol] += q
         applied.append(viol)
     else:
-        raise WalkLimitExceeded(f"alcove walk did not reach the model alcove in {max_steps} steps")
+        raise WalkLimitExceeded(f"alcove walk did not reach the model alcove in {WALK_LIMIT} steps")
     b0 = [v - sum(map(mul, shifts, col)) for v, col in zip(b, zip(*(n for n, _ in _FACES)))]
     word = tuple(reversed(applied))
     k = reduce(_linear_step, word, 0)

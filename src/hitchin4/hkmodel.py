@@ -76,9 +76,12 @@ def apply_structure(S: str, v: PointTangent, p: HKParams) -> PointTangent:
 
 
 def hermitian_pairing(v: PointTangent, w: PointTangent, p: HKParams) -> complex:
-    """h(v, w) = 2 l1 Tr(l2 a_v a_w^* + phi_v phi_w^*), Tr(A B^*) = vdot(B, A)."""
-    return 2 * p.lambda1 * (p.lambda2 * complex(np.vdot(w.a, v.a))
-                            + complex(np.vdot(w.phi, v.phi)))
+    """h(v, w) = 2 l1 Tr(l2 a_v a_w^* + phi_v phi_w^*), Tr(A B^*) = vdot(B, A);
+    ``ValueError`` if it overflows the float range (past about 1e154 per entry)."""
+    h = 2 * p.lambda1 * (p.lambda2 * complex(np.vdot(w.a, v.a)) + complex(np.vdot(w.phi, v.phi)))
+    if not cmath.isfinite(h):
+        raise ValueError(f"hermitian pairing overflows the float range: {h}")
+    return h
 
 
 def metric(v: PointTangent, w: PointTangent, p: HKParams) -> float:

@@ -14,10 +14,12 @@ P T_v P^-1 = T_{Pv} for P in SL(2,Z).  Eigenvector tuples are hashed modulo
 simultaneous SL(2,Z) conjugation; the 40 classes reachable from the
 pattern's (none more than 3 moves away) are tabulated with their distances
 and neighbours by one breadth-first search on first use, and ``normalize``
-walks down that table.  The canonical form of a tuple comes with the
-transform P that produces it, so a normal form in the pattern's class is
-certified by C = P_pattern^-1 P_normal, which satisfies C M_i = T_i C for
-every factor M_i and pattern factor T_i; ``normalize`` checks that
+walks down that table.  The table is closed under moves, so a class
+outside it is not Hurwitz-equivalent to the pattern's: ``Exhausted`` is a
+disproof, not a search limit.  The canonical form of a tuple comes with
+the transform P that produces it, so a normal form in the pattern's class
+is certified by C = P_pattern^-1 P_normal, which satisfies C M_i = T_i C
+for every factor M_i and pattern factor T_i; ``normalize`` checks that
 identity by multiplication before it returns.
 """
 
@@ -43,7 +45,8 @@ class NotParabolic(DomainError, ValueError):
 
 
 class Exhausted(DomainError, RuntimeError):
-    """Hurwitz search hit its depth bound (a search limit, not a disproof)."""
+    """The factorization is not Hurwitz-equivalent to a conjugate of
+    (B, A, B, A, B, A): a disproof, since the class table is closed under moves."""
 
 
 def mat_mul(M: SL2Z, N: SL2Z) -> SL2Z:
@@ -125,17 +128,13 @@ class Factorization:
 
 
 def parse_factors(text: str) -> Factorization:
-    """The factorization written as a JSON list of 2x2 integer matrices, or
-    as those matrices joined by commas without the outer brackets; any other
-    text is a ``ValueError`` that quotes it."""
+    """The factorization written as a JSON list of 2x2 integer matrices; any
+    other text is a ``ValueError`` that quotes it."""
     raw = text.strip()
     try:
         factors = json.loads(raw)
     except json.JSONDecodeError:
-        try:
-            factors = json.loads(f"[{raw}]")
-        except json.JSONDecodeError:
-            factors = None
+        factors = None
     if not (isinstance(factors, list) and all(map(_is_int_2x2, factors))):
         raise ValueError(f"is not a list of 2x2 integer matrices: {raw!r}")
     return Factorization(tuple(tuple(tuple(row) for row in M) for M in factors))
@@ -243,17 +242,14 @@ def _class_table() -> dict:
     return table
 
 
-def normalize(f: Factorization, max_depth: int = 24):
+def normalize(f: Factorization):
     """Hurwitz moves carrying f to the canonical pattern up to simultaneous
     SL(2,Z) conjugation: (moves, normal), where replaying ``moves`` on f
     yields ``normal``, a global conjugate of (B, A, B, A, B, A) certified
     by ``_certificate``.  ``moves`` walks down ``_class_table``, taking at
     each class the first move (slot ascending, direction 1 before 2) that
     lowers the distance: the first shortest sequence in that order.
-    Raises Exhausted when f's class is not in the table or is more than
-    ``max_depth`` moves away, ``ValueError`` for a negative ``max_depth``."""
-    if max_depth < 0:
-        raise ValueError(f"search depth must be >= 0, got {max_depth}")
+    Raises Exhausted when f's class is not in the table."""
     if len(f.factors) != 6:
         raise ValueError("need six factors")
     vecs = f.vectors()
@@ -261,8 +257,8 @@ def normalize(f: Factorization, max_depth: int = 24):
         raise ValueError("composite along the base loop must be -Id")
     table = _class_table()
     _, cls = _canonical_class(vecs)
-    if cls not in table or table[cls][0] > max_depth:
-        raise Exhausted(f"no normalization within depth {max_depth}")
+    if cls not in table:
+        raise Exhausted("not Hurwitz-equivalent to a conjugate of (B, A, B, A, B, A)")
     moves, normal = [], f
     for dist in range(table[cls][0], 0, -1):
         move, cls = next((m, c) for m, c in table[cls][1] if table[c][0] < dist)

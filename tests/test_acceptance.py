@@ -285,7 +285,7 @@ def test_11_monodromy():
         g = f
         for _ in range(n):
             g = monodromy.hurwitz_move(g, rng.randint(1, 5), rng.choice((1, 2)))
-        moves, normal = monodromy.normalize(g, max_depth=2 * n)
+        moves, normal = monodromy.normalize(g)
         assert len(moves) <= n
         assert conjugator_by_solve(
             normal, monodromy.canonical_factorization().factors) is not None

@@ -128,12 +128,8 @@ def test_spectral_tau_sweep_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "beta,re_tau,im_tau"
     assert len(lines) == 4
-    # the beta sweep command writes the same CSV
-    code, sweep = run_cli(capsys, "sweep", "--kind", "beta", "--p0", "0.37",
-                          "--m", "0.5,0.25,0.125,1", "--bmin", "50", "--bmax", "200",
-                          "--samples", "3")
-    assert code == 0 and sweep == out
-    code, out = run_cli(capsys, "sweep", "--kind", "beta", "--samples", "0")
+    code, out = run_cli(capsys, "spectral", "tau", "--p0", "2", "--m", "1,0,0,0",
+                        "--sweep", "10,10000,0")
     assert code == 0 and out == "beta,re_tau,im_tau\n"
 
 
@@ -291,26 +287,37 @@ def test_monodromy_factors_of_wrong_shape(capsys):
     assert "2x2 integer matrices" in err and repr("x") in err
 
 
-def test_negative_search_depth_is_a_usage_error(capsys):
-    f = canonical_factorization()
-    canonical = json.dumps(f.factors)
-    scrambled = json.dumps(hurwitz_move(f, 1, 1).factors)
-    for factors in (canonical, scrambled):
-        for depth in ("-1", "-5"):
-            err = _usage_error(capsys, ["monodromy", "normalize", "--factors", factors,
-                                        "--max-depth", depth])
-            assert "search depth" in err and depth in err
-    code, doc = run_json(capsys, "monodromy", "normalize", "--factors", canonical,
-                         "--max-depth", "0")
-    assert code == 0 and doc["result"]["moves"] == []
+SCRAMBLED = json.dumps(hurwitz_move(canonical_factorization(), 1, 1).factors)
+# inputs of the beta kind of sweep, the Hurwitz depth bound and the bare
+# comma-joined factor format, which the command line no longer reads, and an
+# alpha sweep without its required start
+REMOVED = {
+    "sweep --kind beta": ["sweep", "--kind", "beta", "--p0", "2", "--m", "1,0,0,0",
+                          "--bmin", "10", "--bmax", "100", "--samples", "3"],
+    "monodromy --max-depth": ["monodromy", "normalize", "--factors", SCRAMBLED,
+                              "--max-depth", "3"],
+    "monodromy bare factors": ["monodromy", "normalize", "--factors", SCRAMBLED[1:-1]],
+    "sweep without --start": ["sweep", "--kind", "alpha", "--stop", "2/5,1/10,1/10,1/10"],
+}
+
+
+@pytest.mark.parametrize("argv", REMOVED.values(), ids=REMOVED)
+def test_removed_inputs_are_usage_errors(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: an unknown option or choice, a missing option
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("usage error:") == 1
+    assert "Traceback" not in err
 
 
 def test_degenerate_counts_are_usage_errors(capsys):
     assert "-1" in _usage_error(capsys, ["hk", "check", "--trials", "-1"])
     _usage_error(capsys, ["hk", "check", "--trials", "0"])
-    for kind in (["--kind", "alpha", "--start", "3/10,1/5,1/5,1/5",
-                  "--stop", "2/5,1/10,1/10,1/10"], ["--kind", "beta"]):
-        assert "-3" in _usage_error(capsys, ["sweep", *kind, "--samples", "-3"])
+    assert "-3" in _usage_error(capsys, ["sweep", "--kind", "alpha", "--start", "3/10,1/5,1/5,1/5",
+                                         "--stop", "2/5,1/10,1/10,1/10", "--samples", "-3"])
 
 
 def test_beta_sweep_bounds_are_usage_errors(capsys):
@@ -318,9 +325,6 @@ def test_beta_sweep_bounds_are_usage_errors(capsys):
     for lo, hi in (("0", "10"), ("10", "-1"), ("nan", "10"), ("1", "inf")):
         bad = lo if lo in ("0", "nan") else hi
         err = _usage_error(capsys, ["spectral", "tau", *curve, "--sweep", f"{lo},{hi},3"])
-        assert repr(bad) in err
-        err = _usage_error(capsys, ["sweep", "--kind", "beta", *curve,
-                                    "--bmin", lo, "--bmax", hi, "--samples", "3"])
         assert repr(bad) in err
     for sweep in ("1,10", "1,10,3,4"):
         assert sweep in _usage_error(capsys, ["spectral", "tau", *curve, "--sweep", sweep])
@@ -340,7 +344,7 @@ def _quiet_usage_error(capsys, argv):
     ["spectral", "tau", "--p0", "2", "--m", "1e200,1,1,1"],
     ["spectral", "fibers", "--p0", "1e100", "--m", "1e200,1,1,1"],
     ["spectral", "fibers", "--p0", "1e200"],
-    ["sweep", "--kind", "beta", "--m", "1e200,0,0,0"],
+    ["spectral", "tau", "--p0", "2", "--m", "1e200,0,0,0", "--sweep", "10,10000,11"],
 ], ids=lambda argv: " ".join(argv))
 def test_an_overflowing_f_m_is_a_usage_error(capsys, argv):
     # f_m squares p0 and the masses, which overflows past 1e154; build_base
@@ -355,7 +359,7 @@ def test_an_overflowing_f_m_is_a_usage_error(capsys, argv):
     (["spectral", "fibers", "--p0", "0.5+1e400i"], "0.5+1e400i"),
     (["spectral", "fibers", "--p0", "1e400"], "1e400"),
     (["spectral", "residues", "--p0", "2", "--m", "1,1e400,0,0"], "1e400"),
-    (["sweep", "--kind", "beta", "--p0", "nani"], "nani"),
+    (["spectral", "tau", "--p0", "nani", "--sweep", "10,10000,11"], "nani"),
     # only a trailing i is the imaginary unit, so inf is not read as jnf
     (["spectral", "fibers", "--p0", "inf"], "inf"),
     (["spectral", "fibers", "--p0=-inf"], "-inf"),
@@ -411,7 +415,7 @@ ALPHA = "3/10,1/5,1/5,1/5"
 
 
 MALFORMED = [
-    (["sweep", "--kind", "beta", "--bmin", "abc"], "--bmin", "'abc'"),
+    (["spectral", "tau", "--p0", "2", "--sweep", "abc,10,3"], "--sweep", "'abc'"),
     (["spectral", "tau", "--p0", "2", "--sweep", "1,10,x"], "--sweep", "'x'"),
     (["coxeter", "apply", "--word", "0,a", "--alpha", ALPHA], "--word", "'a'"),
     (["homology", "twist", "--word", "1,,2"], "--word", "''"),
@@ -419,7 +423,7 @@ MALFORMED = [
     (["chamber", "--alpha", "x,1,1,1"], "--alpha", "'x'"),
     (["generic", "--alpha", ALPHA, "--m", "1,z,0,0"], "--m", "'z'"),
     (["invert", "--x", "a,1,1,1", "--z", "0,0,0,0"], "--x", "'a'"),
-    (["sweep", "--kind", "alpha"], "--start", "''"),
+    (["sweep", "--kind", "alpha", "--start", "", "--stop", ALPHA], "--start", "''"),
     (["domain", "--x", ",", "--z", ","], "--x", "''"),
     (["hk", "check", "--seed", "-1", "--trials", "1"], "--seed", "'-1'"),
     (["homology", "twist", "--word", "9"], "--word", "letter 9 "),

@@ -273,14 +273,16 @@ def test_compose_word_rejects_letters_outside_generators():
         compose_word([2], GENS[:2])
 
 
-def test_alcove_walk_step_limit():
+def test_alcove_walk_step_limit(monkeypatch):
     alpha = (Fraction(3), Fraction(0), Fraction(0), Fraction(0))
     g, a0, _ = alcove_walk(alpha)
     steps = len(g.word)
     assert steps > 1
-    with pytest.raises(WalkLimitExceeded):
-        alcove_walk(alpha, max_steps=steps)
-    g2, b0, _ = alcove_walk(alpha, max_steps=steps + 1)
+    monkeypatch.setattr(coxeter, "WALK_LIMIT", steps)
+    with pytest.raises(WalkLimitExceeded, match=f"in {steps} steps$"):
+        alcove_walk(alpha)
+    monkeypatch.setattr(coxeter, "WALK_LIMIT", steps + 1)
+    g2, b0, _ = alcove_walk(alpha)
     assert g2.word == g.word and b0 == a0
 
 

@@ -70,6 +70,17 @@ def test_tangent_components_must_be_finite():
     assert PointTangent(big, zero).a[0, 1] == PointTangent(zero, big).phi[0, 1] == 1e300
 
 
+def test_an_overflowing_pairing_is_an_error():
+    # Tr(a a^*) of entries past about 1e154 overflows to inf - inf inside the
+    # complex sum: a nan metric would fail no identity check (max skips nan)
+    v = PointTangent([[1e200, 0], [0, -1e200]], np.zeros((2, 2)))
+    for pairing in (lambda: metric(v, v, HKParams()), lambda: pairings(v, v, HKParams())):
+        with pytest.raises(ValueError, match="hermitian pairing overflows the float range"):
+            pairing()
+    w = PointTangent([[1e150, 0], [0, -1e150]], np.zeros((2, 2)))
+    assert metric(w, w, HKParams()) == pytest.approx(4e300)  # large but finite
+
+
 def test_J_squares_to_minus_one_at_unit_params():
     p = HKParams(1.0, 1.0, 0.0)
     v = rand_tangent()

@@ -165,7 +165,7 @@ def test_normalize_scrambles():
     for _ in range(30):
         n = rng.randint(1, 12)
         f = random_scramble(canonical_factorization(), n)
-        moves, normal = normalize(f, max_depth=2 * n)
+        moves, normal = normalize(f)
         assert len(moves) <= n
         # replay reproduces the normal form
         g = f
@@ -193,19 +193,12 @@ def test_normalize_validates_input():
 def test_parse_factors():
     f = canonical_factorization()
     text = json.dumps(f.factors)
-    # a JSON list, the bare comma-joined matrices, surrounding blanks
-    assert parse_factors(text) == parse_factors(text[1:-1]) == parse_factors(f" {text} ") == f
+    # a JSON list, with or without surrounding blanks, is the one format
+    assert parse_factors(text) == parse_factors(f" {text} ") == f
     for bad in ("[[1]]", "[1,2]", '"x"', "[[[1,0],[0]]]", "[[[1,0],[0,1.5]]]", "x",
-                "[[[true,0],[0,1]]]", "{}"):
+                "[[[true,0],[0,1]]]", "{}", text[1:-1]):
         with pytest.raises(ValueError, match=f"2x2 integer matrices: {re.escape(repr(bad))}"):
             parse_factors(bad)
-
-
-def test_normalize_rejects_negative_depth():
-    f = canonical_factorization()
-    for g in (f, hurwitz_move(hurwitz_move(f, 1, 1), 3, 1)):
-        with pytest.raises(ValueError, match=r"search depth.*-1"):
-            normalize(g, max_depth=-1)
 
 
 def seeded_scramble(seed, n):
@@ -243,22 +236,6 @@ def test_normalize_pinned_scrambles(seed, n, moves, normal):
     got_moves, got_normal = normalize(seeded_scramble(seed, n))
     assert got_moves == moves
     assert got_normal.factors == normal
-
-
-def test_normalize_depth_boundary():
-    lengths = set()
-    for seed in range(40):
-        f = seeded_scramble(seed, 1 + seed % 12)
-        moves, normal = normalize(f)
-        k = len(moves)
-        lengths.add(k)
-        if k == 0:
-            continue
-        at_k = normalize(f, max_depth=k)
-        assert at_k[0] == moves and at_k[1].factors == normal.factors
-        with pytest.raises(Exhausted, match=f"within depth {k - 1}$"):
-            normalize(f, max_depth=k - 1)
-    assert lengths >= {1, 2, 3}
 
 
 def test_certificate_agrees_with_linear_solve():
@@ -311,22 +288,14 @@ def test_vanishing_cycle_transport_variant():
     assert not vanishing_cycle_match(f, 2, 4, through=True)
 
 
-def test_normalize_exhausted_when_depth_too_small():
-    f = canonical_factorization()
-    g = hurwitz_move(hurwitz_move(f, 1, 1), 3, 1)
-    # distance is at least 1, so depth 0 must report exhaustion
-    with pytest.raises(Exhausted):
-        normalize(g, max_depth=0)
-
-
 # ---------------------------------------------------------------------------
 # the class-distance table against the per-call breadth-first search
 # ---------------------------------------------------------------------------
 
-def _outcome(normalizer, f, depth):
+def _outcome(normalizer, f, *depth):
     """(moves, normal factors), or (exception type, message)."""
     try:
-        moves, normal = normalizer(f, max_depth=depth)
+        moves, normal = normalizer(f, *depth)
     except Exception as exc:
         return type(exc), str(exc)
     return moves, normal.factors
@@ -353,13 +322,18 @@ def _differential_corpus():
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 24])
 def test_normalize_matches_the_breadth_first_reference(depth):
+    # the search bounded by depth finds normalize's moves when there are at
+    # most depth of them, and none when there are more: they are the shortest
     corpus = _differential_corpus()
-    outcomes = [_outcome(normalize, f, depth) for f in corpus]
-    assert outcomes == [_outcome(bfs_normalize, f, depth) for f in corpus]
-    # every distance up to the depth (at most 3) is seen, and every kind of exception
+    outcomes = [_outcome(normalize, f) for f in corpus]
+    shorter = [o for o in outcomes if isinstance(o[0], list) and len(o[0]) > depth]
+    assert [o if o not in shorter else (Exhausted, f"no normalization within depth {depth}")
+            for o in outcomes] == [_outcome(bfs_normalize, f, depth) for f in corpus]
+    # every distance up to 3 is seen, and every kind of exception
     raised = {kind for kind, _ in outcomes if isinstance(kind, type)}
-    assert {len(o[0]) for o in outcomes if isinstance(o[0], list)} == set(range(min(depth, 3) + 1))
-    assert raised == ({ValueError, NotParabolic} | ({Exhausted} if depth < 3 else set()))
+    assert {len(o[0]) for o in outcomes if isinstance(o[0], list)} == {0, 1, 2, 3}
+    assert raised == {ValueError, NotParabolic}
+    assert bool(shorter) == (depth < 3)
 
 
 def test_class_table_is_forty_classes_closed_under_moves(monkeypatch):
@@ -388,5 +362,7 @@ def test_normalize_outside_the_table_is_exhausted(monkeypatch):
     monkeypatch.setattr(monodromy, "_class_table",
                         lambda: {monodromy._TARGET: (0, ())})
     assert normalize(canonical_factorization())[0] == []
-    with pytest.raises(Exhausted, match="^no normalization within depth 24$"):
+    # the table is closed under moves, so a class outside it is a disproof
+    message = "not Hurwitz-equivalent to a conjugate of (B, A, B, A, B, A)"
+    with pytest.raises(Exhausted, match=f"^{re.escape(message)}$"):
         normalize(seeded_scramble(3, 4))

@@ -120,6 +120,13 @@ def test_the_roots_of_a_fiber_are_found_in_one_place():
         assert inspect.getsource(fn).count("poly_roots(") == 1, fn.__name__
 
 
+def test_the_package_stays_within_its_line_budget():
+    # the ROADMAP budget for src/hitchin4: a change that grows the package
+    # past it has to shrink something else or revisit the budget
+    lines = sum(len(path.read_text().splitlines()) for path in (SRC / "hitchin4").glob("*.py"))
+    assert lines <= 2606, lines
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
