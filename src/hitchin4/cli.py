@@ -32,7 +32,7 @@ from .core import rational_to_str as _rstr
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(1, f"usage error: {message}\n{self.format_usage()}")
+        self.exit(1, f"usage error: {message}\n")
 
 
 # Readers: a ValueError says what is wrong with a token; ``_Values`` adds the option.

@@ -6,17 +6,18 @@ w^2 = F(z), and the tautological form tau = w dz / (z(z-1)(z-p0)) has
 residues +-m_p over the punctures (0, 1, p0, infinity).
 
 Everything here is complex double precision.  Every root is found by the
-residual-checked ``poly_roots`` of a ``ComplexPoly``, whose construction is
-the one degree trim (``TRIM_TOL``).  Residues (+-m_p) and periods (integer
-combinations of AGM lattice generators) are closed forms that take only their
-sign from ``_sheet``, the principal sqrt(F) at z* = 3 max(1, |branch point|)
-continued along the segment [z*, z].  That is the product
-s sqrt(lead) prod_e sqrt(v_e) sqrt((z - e)/v_e) over the branch points e, with
-v_e = (z* - e)/|z* - e| and s = +-1 making it principal at z*: the cut of each
-factor is the ray from e pointing away from z*, which a segment from z* never
-crosses.  On a ray (the segment then passes through e) the factor takes its
-Im > 0 side, as if the segment were moved by -i eps (z - z*): +i eps on a
-leftward stretch of the real axis, where real beta and p0 put branch points."""
+residual-checked ``poly_roots`` of a ``ComplexPoly``, whose construction is the
+one degree trim (``TRIM_TOL``).  Residues (+-m_p) and periods (one AGM per
+cycle, seeded with the branch values of its collapsed integrand) are closed
+forms that take only their sign from ``_sheet``, the principal sqrt(F) at
+z* = 3 max(1, |branch point|) continued along the segment [z*, z].  That is
+the product s sqrt(lead) prod_e sqrt(v_e) sqrt((z - e)/v_e) over the branch
+points e, with v_e = (z* - e)/|z* - e| and s = +-1 making it principal at z*:
+the cut of each factor is the ray from e pointing away from z*, which a segment
+from z* never crosses.  On a ray (the segment then passes through e) the
+factor takes its Im > 0 side, as if the segment were moved by -i eps (z - z*):
++i eps on a leftward stretch of the real axis, where real beta and p0 put
+branch points."""
 
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ PUNCTURE_KEYS = ("0", "1", "p0", "inf")
 
 ROOT_TOL = 1e-8
 TRIM_TOL = 1e-12
-COARSE_NODE_CAP = 1 << 14
 BETA_NODES = 9
 
 
@@ -446,80 +446,48 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
 # elliptic periods
 # ---------------------------------------------------------------------------
 
-def _lattice_generator(root: complex, p: complex, q: complex, r: complex, *s: complex) -> complex:
-    """pi / (root M(sqrt((p-r)(q-s)), sqrt((p-s)(q-r)))) (a cubic has no s), M the AGM
-    with each root taken nearer the arithmetic mean, stopped at |x - y| <= 1e-15 |x|."""
-    qs, ps = (q - s[0], p - s[0]) if s else (1, 1)
-    x, y = cmath.sqrt((p - r) * qs), cmath.sqrt(ps * (q - r))
-    for _ in range(64):
-        if abs(x - y) > abs(x + y):
-            y = -y
-        if abs(x - y) <= 1e-15 * abs(x):
-            return math.pi / (root * x)
-        x, y = (x + y) / 2, cmath.sqrt(x * y)
-    raise NonConvergence(f"AGM did not settle ({x} vs {y})")
-
-
-def _collapsed_cycle(root: complex, p: complex, q: complex, others, sheet):
-    """(sign, coarse): collapsed onto [p, q], z = mu + h cos theta, the cycle around it
-    is -int_0^pi dtheta / (root G(z)), G = prod sqrt(z - e) over the other roots e, and
-    coarse(n) its n-node Gauss-Chebyshev sum; sign * coarse is the period on ``sheet`` at
-    z0 = mu + h cosh min(1.2, rho/2), rho the elliptic coordinate of the nearest e.  Each
-    sqrt(z - e) is sqrt(u) sqrt((z - e)/u), u bisecting the angle [p, z0] subtends at e."""
+def _cycle(root: complex, p: complex, q: complex, others, sheet) -> complex:
+    """The period of the cycle around [p, q]: collapsed onto it, z = mu + h cos theta, it is
+    -s int_0^pi dtheta / (root g_r(z) g_s(z)) over the other roots r, s (g_s = 1 for a
+    cubic), each g_e(z) = sqrt(u) sqrt((z - e)/u) with u bisecting the angle [p, z0]
+    subtends at e, and s the sign of the sheet at z0 = mu + h cosh min(1.2, rho/2), rho the
+    elliptic coordinate of the nearest e.  By Gauss-Landen the integral is pi / M, M the
+    AGM seeded with (g_r(p) g_s(q), g_s(p) g_r(q)) exactly as given, each later root taken
+    nearer the arithmetic mean, stopped at |x - y| <= 1e-15 |x|."""
     rho = min(abs(cmath.acos((2 * e - p - q) / (q - p)).imag) for e in others)
     if rho < 1e-7:
         raise BranchPointCoincidence("branch points collide with the cut")
     mu, h, r = (p + q) / 2, (q - p) / 2, min(1.2, 0.5 * rho)
     z0 = mu + h * math.cosh(r)
     us = [(p - e) / abs(p - e) + (z0 - e) / abs(z0 - e) for e in others]
-
-    def G(z):
-        return root * math.prod(cmath.sqrt(u) * np.sqrt((z - e) / u) for e, u in zip(others, us))
-
-    def coarse(n: int) -> complex:
-        z = mu + h * np.cos((np.arange(n) + 0.5) * (math.pi / n))
-        return -math.pi / n * complex(np.sum(1 / G(z)))
-
-    return _nearer(1.0, sheet(z0) / complex(h * math.sinh(r) * G(z0))), coarse
+    gp, gq, g0 = ([cmath.sqrt(u) * cmath.sqrt((z - e) / u) for e, u in zip(others, us)] + [1]
+                  for z in (p, q, z0))
+    s = _nearer(1.0, sheet(z0) / (root * h * math.sinh(r) * g0[0] * g0[1]))
+    x, y = gp[0] * gq[1], gp[1] * gq[0]
+    for _ in range(64):
+        if abs(x - y) <= 1e-15 * abs(x):
+            return -s * math.pi / (root * x)
+        x, y = (x + y) / 2, cmath.sqrt(x * y)
+        y = _nearer(y, x)
+    raise NonConvergence(f"AGM did not settle ({x} vs {y})")
 
 
 def elliptic_periods(base: HitchinBase, beta: complex):
     """(A, B, tau): i times the integrals of omega = dz/(2w) around the A- and
-    B-cycles, tau = B/A put in the upper half-plane by a sign flip of B.  The nodes
-    double from 32 until the coarse cycles lie within 0.1 of integer combinations
-    of the generators, of determinant +-1 (``NonConvergence`` past ``COARSE_NODE_CAP``)."""
+    B-cycles (``_cycle``), tau = B/A put in the upper half-plane by a sign flip of B."""
     F, branch, cuts = _fiber(base, beta)
     if F.degree < 3:
         raise SingularFiber("curve degenerates below genus one")
-    size = max(1.0, max(abs(r) for r in branch))
     # a residual up to ROOT_TOL moves a near-double root by up to sqrt(ROOT_TOL) of its size
     for i, x in enumerate(branch):
         for y in branch[i + 1:]:
-            if abs(x - y) < max(1e-8 * size, math.sqrt(ROOT_TOL) * max(1.0, abs(x), abs(y))):
+            if abs(x - y) < math.sqrt(ROOT_TOL) * max(1.0, abs(x), abs(y)):
                 raise SingularFiber(f"branch points coincide (distance {abs(x - y):.2e})")
     (a, b), (c, *d) = cuts
-    root = cmath.sqrt(F.coeffs[-1])
-    w1, w2 = _lattice_generator(root, a, b, c, *d), _lattice_generator(root, b, c, a, *d)
-    span = (w1.conjugate() * w2).imag
-    if not span:
-        raise SingularFiber("lattice generators are collinear")
-    sheet = _sheet(F, branch)
-    cycles = [_collapsed_cycle(root, a, b, [c, *d], sheet),
-              _collapsed_cycle(root, b, c, [a, *d], sheet)]
-    n = 32
-    while True:
-        coords = [((v.conjugate() * w2).imag / span, (w1.conjugate() * v).imag / span)
-                  for v in (coarse(n) for _, coarse in cycles)]
-        (k11, k12), (k21, k22) = k = [(round(s), round(t)) for s, t in coords]
-        gap = max(abs(t - round(t)) for row in coords for t in row)
-        if gap <= 0.1 and abs(k11 * k22 - k12 * k21) == 1:
-            break
-        if 2 * n > COARSE_NODE_CAP:
-            raise NonConvergence(f"coarse periods off the lattice (gap {gap:.2f}) at {n} nodes")
-        n *= 2
-    A, B = (sign * (k1 * w1 + k2 * w2) for (sign, _), (k1, k2) in zip(cycles, k))
-    if abs(A) < 1e-14 * (abs(w1) + abs(w2)):
-        raise SingularFiber("vanishing A-period")
+    root, sheet = cmath.sqrt(F.coeffs[-1]), _sheet(F, branch)
+    A, B = _cycle(root, a, b, [c, *d], sheet), _cycle(root, b, c, [a, *d], sheet)
+    if not (cmath.isfinite(A) and cmath.isfinite(B) and A and (B / A).imag):
+        raise SingularFiber(f"degenerate periods A = {A}, B = {B}")
     tau = B / A
     if tau.imag < 0:
         tau, B = -tau, -B

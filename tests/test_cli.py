@@ -309,7 +309,7 @@ def test_removed_inputs_are_usage_errors(capsys, argv):
         code = exc.code
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
-    assert err.startswith("usage error: ") and err.count("usage error:") == 1
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
 
 

@@ -85,7 +85,7 @@ def test_fraction_bodies_of_the_integer_kernel_stay_out_of_the_package():
 
 
 def test_residue_quadrature_stays_out_of_the_package():
-    # residues are +-m_p in closed form and periods AGM lattice combinations;
+    # residues are +-m_p in closed form and each period one branch-seeded AGM;
     # the loop quadrature and the period contour are test oracles, and helpers
     # only the tests call live with them; in_B0 pairs roots by _fiber's cuts, and
     # the root-clustering square test is its oracle; the sheet is a product of
@@ -97,7 +97,9 @@ def test_residue_quadrature_stays_out_of_the_package():
                         (spectral, "_g"), (spectral, "_left"),
                         (spectral, "is_square_polynomial"),
                         (spectral, "_cycle_integral"), (spectral, "_continue_sqrt"),
-                        (spectral, "_ellipse_rho"), (homology, "hat_linear_apply"),
+                        (spectral, "_ellipse_rho"), (spectral, "_lattice_generator"),
+                        (spectral, "_collapsed_cycle"), (spectral, "COARSE_NODE_CAP"),
+                        (homology, "hat_linear_apply"),
                         (homology, "is_lattice_auto"),
                         (spectral.HitchinBase, "quadratic_differential")):
         assert not hasattr(owner, name), name
@@ -124,7 +126,7 @@ def test_the_package_stays_within_its_line_budget():
     # the ROADMAP budget for src/hitchin4: a change that grows the package
     # past it has to shrink something else or revisit the budget
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "hitchin4").glob("*.py"))
-    assert lines <= 2606, lines
+    assert lines <= 2565, lines
 
 
 def _subclasses(cls):

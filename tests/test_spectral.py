@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hitchin4.core import BrokenIdentity, DomainError, NonConvergence
+from hitchin4.core import BrokenIdentity, DomainError
 from hitchin4.spectral import (
     _cubic_coeffs,
     _fiber,
@@ -842,7 +842,7 @@ def test_periods_where_the_contour_crossed_a_cut():
     # the first draw of seed 1: the A-cut runs from the far branch point
     # (|z| ~ 3e4) to one near the punctures, and the other two lie near its end
     # (elliptic coordinate below 0.02), where the contour's continuation of
-    # sqrt(F) misses a sheet flip; the coarse cycle needs 256 nodes, and tau
+    # sqrt(F) misses a sheet flip; the seeded AGM has no contour, and tau
     # passes the modular-lambda oracle
     base, beta = next(spectral_draws(random.Random(1), 1))
     with pytest.raises(BranchPointCoincidence, match="crosses a branch cut"):
@@ -851,15 +851,30 @@ def test_periods_where_the_contour_crossed_a_cut():
     assert tau.imag > 0 and lambda_misfit(base, beta, tau) < 1e-6
 
 
-def test_coarse_node_cap_raises_non_convergence(monkeypatch):
-    from hitchin4 import spectral
+def _b_seed(base, beta):
+    """The seed (g_r(p) g_s(q), g_s(p) g_r(q)) of the B-cycle's AGM, p, q = b, c and r, s
+    = a, d, each g_e(z) = sqrt(u) sqrt((z - e)/u) with u bisecting the angle [p, z0]
+    subtends at e, z0 = mu + h cosh min(1.2, rho/2) as in ``spectral._cycle``."""
+    _, _, ((a, b), (c, *d)) = _fiber(base, beta)
+    others = [a, *d]
+    rho = min(ellipse_rho(b, c, e) for e in others)
+    z0 = (b + c) / 2 + (c - b) / 2 * math.cosh(min(1.2, 0.5 * rho))
+    us = [(b - e) / abs(b - e) + (z0 - e) / abs(z0 - e) for e in others]
+    gb, gc = ([cmath.sqrt(u) * cmath.sqrt((z - e) / u) for e, u in zip(others, us)] + [1]
+              for z in (b, c))
+    return gb[0] * gc[1], gb[1] * gc[0]
 
-    base, beta = next(spectral_draws(random.Random(1), 1))
-    monkeypatch.setattr(spectral, "COARSE_NODE_CAP", 128)
-    with pytest.raises(NonConvergence, match="off the lattice"):
-        elliptic_periods(base, beta)
-    monkeypatch.setattr(spectral, "COARSE_NODE_CAP", 256)
-    assert elliptic_periods(base, beta)[2].imag > 0
+
+def test_the_first_agm_mean_takes_the_seed_as_given():
+    # the seventh draw of seed 1 has a B seed pair with |x - y| > |x + y|: the
+    # cycle integral is the AGM of that pair as given, and flipping y to the
+    # root nearer x (as every later step does) gets B and tau wrong by over 100%
+    base, beta = list(spectral_draws(random.Random(1), 7))[6]
+    x, y = _b_seed(base, beta)
+    assert abs(x - y) > abs(x + y)
+    want = contour_periods(base, beta)
+    for got, w in zip(elliptic_periods(base, beta), want):
+        assert abs(got - w) <= 1e-9 * abs(w), (got, w)
 
 
 def test_cubic_periods_match_modular_lambda():
@@ -972,6 +987,20 @@ def test_coincidence_threshold_is_the_root_resolution():
         assert tau.imag > 0 and lambda_misfit(base, above, tau, relative=True) < 1e-9
         with pytest.raises(SingularFiber, match="coincide"):
             elliptic_periods(base, _beta_at_pair_ratio(base, singular, 0.5))
+
+
+@pytest.mark.parametrize("p0, masses", [
+    (2.0, (0.5, 0.25, 0.125, 1)), (2.0, (1, 1, 1, 1)), (0.37 + 0.2j, (0.3 + 0.1j, 0.7, -0.4j, 0.9))])
+def test_a_far_branch_point_is_no_coincidence(p0, masses):
+    # at |beta| = 1e8..1e11 the far root -beta/m_inf^2 is the largest, yet no
+    # pair is within the root resolution: tau passes the modular-lambda oracle
+    # and stays within 1e-6 of its value at 1e7
+    base = build_base(p0, masses)
+    start = elliptic_periods(base, 1e7 * cmath.exp(0.3j))[2]
+    for e in range(8, 12):
+        beta = 10.0 ** e * cmath.exp(0.3j)
+        _, _, tau = elliptic_periods(base, beta)
+        assert abs(tau - start) < 1e-6 and lambda_misfit(base, beta, tau) < 1e-12, (e, tau)
 
 
 def test_elliptic_periods_find_roots_once_and_build_one_sheet(monkeypatch):
