@@ -4,9 +4,9 @@ The open weight cube (0,1/2)^4 is divided by 12 walls into 16 interior
 chambers (labelled by even partition sets, four each of types A1, A2, B1,
 B2) and 8 exterior chambers (labelled by odd subsets, types E1/E2).  All
 tests here are exact integer sign or divisibility tests on numerators over a
-common denominator (``core.common_denominator``); labels come from a 16-entry
-interior and an 8-entry exterior table, and exact types appear only in
-arguments, results and messages.  A weight vector sitting exactly on a wall
+common denominator, read from a ``ParabolicData``'s ``ints``; labels come from
+a 16-entry interior and an 8-entry exterior table, and exact types appear only
+in arguments, results and messages.  A weight vector sitting exactly on a wall
 is an error, never a silent nearest-chamber choice.
 
 Subsets of {1,2,3,4} are encoded as bitmasks: bit i-1 set iff i is in the
@@ -15,12 +15,13 @@ subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .core import DomainError, GaussianRational, as_fraction, as_gaussian, common_denominator
+from .core import (DomainError, GaussianRational, as_fraction, as_gaussian, common_denominator,
+                   gaussian_form)
 
 FULL = 0b1111
 E_REPS = (0b0000, 0b0011, 0b0101, 0b1001)  # {}, {1,2}, {1,3}, {1,4}
@@ -47,6 +48,13 @@ def subset_mask(members) -> int:
     return m
 
 
+def _mask(subset) -> int:
+    """Bitmask of a subset given as a mask in 0..15 or by its members."""
+    if isinstance(subset, int) and not 0 <= subset <= FULL:
+        raise ValueError(f"mask {subset} out of range 0..15")
+    return subset if isinstance(subset, int) else subset_mask(subset)
+
+
 def subset_size(mask: int) -> int:
     return bin(mask & FULL).count("1")
 
@@ -62,24 +70,23 @@ def _k(mask: int, b, N: int) -> int:
     return sum(map(mul, _SIGNS[mask], b)) + _K_OFFSET[mask] * N
 
 
-def _gaussian_form(zs) -> tuple[int, list[int], list[int]]:
-    """(N, re, im): real and imaginary parts of ``zs`` as numerators over one N."""
-    N, nums = common_denominator([z.re for z in zs] + [z.im for z in zs])
-    return N, nums[:len(zs)], nums[len(zs):]
-
-
 @dataclass(frozen=True)
 class ParabolicData:
-    """Exact parabolic weights alpha in Q^4 and complex masses m in Q(i)^4."""
+    """Exact weights alpha in Q^4 and masses m in Q(i)^4; ``ints`` = (N, b, Nm, re, im)
+    is their integer form, derived once where the value is built: alpha = b / N and
+    m = (re + i im) / Nm over common (not always least) N, Nm; ==, hash, repr skip it."""
 
     alpha: tuple[Fraction, Fraction, Fraction, Fraction]
     masses: tuple[GaussianRational, GaussianRational, GaussianRational, GaussianRational]
+    ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(map(as_fraction, self.alpha)))
         object.__setattr__(self, "masses", tuple(map(as_gaussian, self.masses)))
         if len(self.alpha) != 4 or len(self.masses) != 4:
             raise ValueError("alpha and masses must have length 4")
+        ints = (*common_denominator(self.alpha), *gaussian_form(self.masses))
+        object.__setattr__(self, "ints", ints)
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,10 @@ class ChamberLabel:
 
 def wall_K(mask_or_members, alpha) -> Fraction:
     """K_I = sum_{i in I} a_i - sum_{i not in I} a_i + floor((|I^c|-|I|)/4)."""
-    mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
     N, b = common_denominator([as_fraction(a) for a in alpha])
-    return Fraction(_k(mask & FULL, b, N), N)
+    if len(b) != 4:
+        raise ValueError("length mismatch")
+    return Fraction(_k(_mask(mask_or_members), b, N), N)
 
 
 def wall_L(i: int, alpha) -> Fraction:
@@ -175,11 +183,10 @@ def enumerate_chambers() -> list[ChamberLabel]:
     return list(_INTERIOR) + sorted(_EXTERIOR, key=lambda label: label.i0)
 
 
-def check_cube(alpha) -> tuple[int, list[int]]:
-    """Raise OutOfCube unless alpha is in (0,1/2)^4; return common_denominator(alpha)."""
-    N, b = common_denominator(alpha)
+def check_cube(N: int, b) -> tuple[int, tuple[int, ...]]:
+    """Raise OutOfCube unless alpha = b / N is in (0,1/2)^4; return (N, b)."""
     if len(b) != 4 or not all(0 < v and 2 * v < N for v in b):
-        raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
+        raise OutOfCube(f"alpha {tuple(Fraction(v, N) for v in b)} not in (0,1/2)^4")
     return N, b
 
 
@@ -187,10 +194,13 @@ def classify_chamber(alpha) -> ChamberLabel:
     """Exact chamber of a weight vector in the open cube (0,1/2)^4.
 
     Raises OutOfCube outside the cube and OnWall if any deciding functional
-    vanishes (equivalently, (alpha, 0) is non-generic).  With alpha = b / N,
-    N L_i = sum(b) - 2 b_i and N K_I = ``_k(I, b, N)``.
+    vanishes (equivalently, (alpha, 0) is non-generic).
     """
-    N, b = check_cube(tuple(map(as_fraction, alpha)))
+    return _chamber(*check_cube(*common_denominator([as_fraction(a) for a in alpha])))
+
+
+def _chamber(N: int, b) -> ChamberLabel:
+    """Chamber of alpha = b / N in the cube: N L_i = sum(b) - 2 b_i, N K_I = _k(I, b, N)."""
     for i, v in enumerate(b):
         li = sum(b) - 2 * v
         if li == 0 or li == N:
@@ -242,9 +252,10 @@ def adjacent(a: ChamberLabel, b: ChamberLabel) -> bool:
 
 def mass_functional(mask_or_members, masses) -> GaussianRational:
     """M_J = sum_{j in J} m_j - sum_{j not in J} m_j; M_{J^c} = -M_J."""
-    mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
-    N, re, im = _gaussian_form([as_gaussian(m) for m in masses])
-    c = _SIGNS[mask & FULL]
+    c = _SIGNS[_mask(mask_or_members)]
+    N, re, im = gaussian_form([as_gaussian(m) for m in masses])
+    if len(re) != 4:
+        raise ValueError("length mismatch")
     return GaussianRational(Fraction(sum(map(mul, c, re)), N), Fraction(sum(map(mul, c, im)), N))
 
 
@@ -264,8 +275,7 @@ def genericity_violations(data: ParabolicData) -> list[dict]:
     divisibility test on integer numerators, and a mass combination only when
     that passes.
     """
-    N, b = common_denominator(data.alpha)
-    _, re, im = _gaussian_form(data.masses)
+    N, b, _, re, im = data.ints
     out = []
     for e, n, c in _PLANES:
         s = n * N + sum(map(mul, c, b))
@@ -277,7 +287,7 @@ def genericity_violations(data: ParabolicData) -> list[dict]:
 def is_generic(data: ParabolicData) -> bool:
     """Nakajima genericity of (alpha, m) with alpha in the open cube: no
     plane of ``genericity_violations`` passes through it."""
-    check_cube(data.alpha)
+    check_cube(*data.ints[:2])
     return not genericity_violations(data)
 
 
@@ -289,7 +299,7 @@ def in_R_tilde(data: ParabolicData, full: bool) -> bool:
     L-type combination and some 2*a_i are both integers (weights whose
     orbit never meets the open cube).
     """
-    N, b = common_denominator(data.alpha)
+    N, b = data.ints[:2]
     if genericity_violations(data) or any(
             2 * v % N == 0 and not m for v, m in zip(b, data.masses)):
         return False
@@ -317,9 +327,9 @@ def fixed_point_data(mask_or_members, alpha) -> FixedPointData:
     |I| = 1 equals -L_i and for |I| = 3 equals L_i - 1); the Higgs-field
     line bundle has degree |I| mod 2.
     """
-    mask = mask_or_members if isinstance(mask_or_members, int) else subset_mask(mask_or_members)
-    N, b = check_cube(tuple(map(as_fraction, alpha)))
+    mask = _mask(mask_or_members)
+    N, b = check_cube(*common_denominator([as_fraction(a) for a in alpha]))
     k = subset_size(mask)
-    value = Fraction(_k(mask & FULL, b, N), N)
+    value = Fraction(_k(mask, b, N), N)
     return FixedPointData(deg_DI=k, deg_L2=-1 - k // 2, stability_value=value,
                           stable=value > 0, phi0_bundle_degree=k % 2)

@@ -142,7 +142,7 @@ def _chamber(v) -> dict:
 
 def _generic(v) -> dict:
     data = chambers.ParabolicData(v.alpha, v.m)
-    chambers.check_cube(data.alpha)
+    chambers.check_cube(*data.ints[:2])
     violated = chambers.genericity_violations(data)
     return {"generic": not violated, "violated": violated}
 

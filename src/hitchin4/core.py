@@ -35,8 +35,7 @@ class BrokenIdentity(AssertionError):
 # ---------------------------------------------------------------------------
 
 def rational_to_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))  # "p/q", or "p" for an integer
 
 
 def rational_from_str(s: str) -> Fraction:
@@ -48,11 +47,34 @@ def as_fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
 
-def common_denominator(qs) -> tuple[int, list[int]]:
+def common_denominator(qs) -> tuple[int, tuple[int, ...]]:
     """(N, nums) with N the lcm of the denominators of the sequence of
     rationals ``qs`` and qs[i] == nums[i] / N."""
     N = lcm(*(q.denominator for q in qs))
-    return N, [q.numerator * (N // q.denominator) for q in qs]
+    return N, tuple([q.numerator * (N // q.denominator) for q in qs])
+
+
+def gaussian_form(zs) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(N, re, im): real and imaginary parts of ``zs`` as numerators over one N."""
+    N, nums = common_denominator([z.re for z in zs] + [z.im for z in zs])
+    return N, nums[:len(zs)], nums[len(zs):]
+
+
+def from_fields(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields`` as given, without ``__init__``."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+def _field_op(op):
+    """The operator ``op(self, o)`` of Q(i) with ``o`` the other operand as a
+    ``GaussianRational`` (an int or ``Fraction`` embeds), else NotImplemented."""
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(Fraction(other))
+        return op(self, other) if isinstance(other, GaussianRational) else NotImplemented
+    return method
 
 
 @dataclass(frozen=True)
@@ -71,56 +93,37 @@ class GaussianRational:
         object.__setattr__(self, "im", as_fraction(self.im))
 
     # -- field operations ---------------------------------------------------
-    def _coerce(self, other) -> "GaussianRational | None":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(Fraction(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __add__(self, o):
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __sub__(self, o):
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __rsub__(self, o):
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __mul__(self, o):
         return GaussianRational(self.re * o.re - self.im * o.im,
                                 self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __truediv__(self, o):
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
         return GaussianRational((self.re * o.re + self.im * o.im) / n,
                                 (self.im * o.re - self.re * o.im) / n)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __rtruediv__(self, o):
         return o / self
 
     def __neg__(self):
@@ -132,10 +135,8 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __eq__(self, o):
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
@@ -167,15 +168,9 @@ class GaussianRational:
             r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<im>[+-]?(?:\d+(?:/\d+)?)?)i", s)
         if not m:
             raise ValueError(f"cannot parse Gaussian rational {s!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-        imtok = m.group("im")
-        if imtok in ("", "+"):
-            im_part = Fraction(1)
-        elif imtok == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(imtok)
-        return GaussianRational(re_part, im_part)
+        im = m.group("im")  # a bare sign stands for 1
+        return GaussianRational(Fraction(m.group("re") or 0),
+                                Fraction(im + "1" if im in ("", "+", "-") else im))
 
 
 def as_gaussian(v) -> GaussianRational:

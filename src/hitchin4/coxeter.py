@@ -24,7 +24,7 @@ from math import gcd
 from operator import mul
 
 from .core import (BrokenIdentity, DomainError, GaussianRational, as_gaussian,
-                   common_denominator, int_matmul, int_matvec)
+                   common_denominator, gaussian_form, int_matmul, int_matvec)
 
 COXETER_MATRIX = ((1, 3, 3, 3, 3), (3, 1, 2, 2, 2), (3, 2, 1, 2, 2), (3, 2, 2, 1, 2),
                   (3, 2, 2, 2, 1))
@@ -195,12 +195,11 @@ def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
     """Action of g on a mass vector in Q(i)^4: the rational linear part L/d
     of g applied to the real and imaginary numerators over one common
     denominator; ``ValueError`` unless there are four masses."""
-    ms = list(map(as_gaussian, masses))
-    if len(ms) != 4:
+    N, re, im = gaussian_form(list(map(as_gaussian, masses)))
+    if len(re) != 4:
         raise ValueError("length mismatch")
-    N, b = common_denominator([m.re for m in ms] + [m.im for m in ms])
-    return tuple(GaussianRational(Fraction(sum(map(mul, row, b[:4])), g.d * N),
-                                  Fraction(sum(map(mul, row, b[4:])), g.d * N)) for row in g.L)
+    return tuple(GaussianRational(Fraction(sum(map(mul, row, re)), g.d * N),
+                                  Fraction(sum(map(mul, row, im)), g.d * N)) for row in g.L)
 
 
 # ---------------------------------------------------------------------------

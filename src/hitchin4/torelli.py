@@ -10,31 +10,21 @@ The fiber class 2 S0 + S1 + ... + S4 forces 2 x0 + sum x_j = 1 and
 z_J = M_J interior; K_J - K_{I0}, M_J - M_{I0} exterior).
 ``torelli_parallel`` evaluates the single global affine-linear map attached
 to the model chamber's parallel basis; it has linear part of determinant 16
-and is inverted exactly by ``inverse_torelli``.  All of them compute on
-integer numerators over common denominators (``core.common_denominator``) and
-build ``Fraction``/``GaussianRational`` only for results and messages.
+and is inverted exactly by ``inverse_torelli``.  All of them compute on the
+``ints`` of ``ParabolicData``/``PeriodVector``, integer forms derived once per
+value, and build ``Fraction``/``GaussianRational`` only for results and messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
 
 from .core import (BrokenIdentity, DomainError, GaussianRational, as_fraction, as_gaussian,
-                   common_denominator, int_matvec)
-from .chambers import (
-    ChamberLabel,
-    ParabolicData,
-    _SIGNS,
-    _gaussian_form,
-    _k,
-    classify_chamber,
-    mass_functional,  # noqa: F401  (re-exported)
-    subset_size,
-    wall_K,
-    FULL,
-)
+                   common_denominator, from_fields, gaussian_form, int_matvec)
+from .chambers import (FULL, _SIGNS, ChamberLabel, ParabolicData, _chamber, _k, check_cube,
+                       mass_functional, subset_size, wall_K)  # noqa: F401 (re-export)
 from .coxeter import _FACES
 
 PARALLEL_BASIS = "parallel(model)"
@@ -57,43 +47,55 @@ class InconsistentFiberRelation(DomainError, ValueError):
 
 @dataclass(frozen=True)
 class PeriodVector:
-    """x in Q^5 (4*pi^2 units), z in Q(i)^5 (2*pi units), plus basis tag."""
+    """x in Q^5 (4*pi^2 units), z in Q(i)^5 (2*pi units), plus basis tag, and
+    their integer form ``ints`` = (N, x, Nm, re, im) as for ``ParabolicData``."""
 
     x: tuple
     z: tuple
     basis: ChamberLabel | str
+    ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(map(as_fraction, self.x)))
         object.__setattr__(self, "z", tuple(map(as_gaussian, self.z)))
-        if len(self.x) != 5 or len(self.z) != 5:
+        object.__setattr__(self, "ints", (*common_denominator(self.x), *gaussian_form(self.z)))
+        self._check()
+
+    def _check(self) -> "PeriodVector":
+        """``self`` once its length and fiber relations hold on ``ints``."""
+        N, x, _, re, im = self.ints
+        if len(x) != 5 or len(re) != 5:
             raise ValueError("period vectors have five components")
-        N, x = common_denominator(self.x)
         if 2 * x[0] + sum(x[1:]) != N:
             raise InconsistentFiberRelation("2 x0 + sum x_j != 1")
-        _, re, im = _gaussian_form(self.z)
         if 2 * re[0] + sum(re[1:]) or 2 * im[0] + sum(im[1:]):
             raise InconsistentFiberRelation("2 z0 + sum z_j != 0")
+        return self
 
     @staticmethod
     def from_outer(x4, z4, basis) -> "PeriodVector":
         """Complete the four outer periods by the fiber relations."""
         return _completed(*common_denominator([as_fraction(v) for v in x4]),
-                          *_gaussian_form([as_gaussian(v) for v in z4]), basis)
+                          *gaussian_form([as_gaussian(v) for v in z4]), basis)
 
 
 def _completed(N: int, xs, Nm: int, re, im, basis) -> PeriodVector:
     """Period vector with outer x-periods xs / N and z-periods (re + i im) / Nm,
-    its central entries completed by the fiber relations."""
-    x = (Fraction(N - sum(xs), 2 * N),) + tuple(Fraction(v, N) for v in xs)
-    z = (GaussianRational(Fraction(-sum(re), 2 * Nm), Fraction(-sum(im), 2 * Nm)),) + tuple(
-        GaussianRational(Fraction(r, Nm), Fraction(i, Nm)) for r, i in zip(re, im))
-    return PeriodVector(x, z, basis)
+    its central entries completed by the fiber relations, and its ``ints`` over 2 N and 2 Nm."""
+    x, N = (N - sum(xs), *(2 * v for v in xs)), 2 * N
+    re, im, Nm = (-sum(re), *(2 * v for v in re)), (-sum(im), *(2 * v for v in im)), 2 * Nm
+    z = tuple(GaussianRational(Fraction(r, Nm), Fraction(i, Nm)) for r, i in zip(re, im))
+    return from_fields(PeriodVector, x=tuple(Fraction(v, N) for v in x), z=z, basis=basis,
+                       ints=(N, x, Nm, re, im))._check()
 
 
 def central_x_closed_form(label: ChamberLabel, alpha) -> Fraction:
     """Closed form of the central-sphere x-period per chamber type."""
-    N, b = common_denominator([as_fraction(a) for a in alpha])
+    return _central_x(label, *common_denominator([as_fraction(a) for a in alpha]))
+
+
+def _central_x(label: ChamberLabel, N: int, b) -> Fraction:
+    """``central_x_closed_form`` of alpha = b / N."""
     i = label.index - 1
     if label.kind == "exterior":
         return Fraction(_k(label.i0, b, N), N)
@@ -106,9 +108,8 @@ def torelli_chamber(data: ParabolicData) -> PeriodVector:
     z_J = M_J, less K_{I0} and M_{I0} in an exterior chamber.  Inside the open
     cube every Nakajima alpha-plane is one of the 12 chamber walls, so a
     non-generic (alpha, m) raises ``OnWall`` here."""
-    label = classify_chamber(data.alpha)
-    N, b = common_denominator(data.alpha)
-    Nm, re, im = _gaussian_form(data.masses)
+    N, b, Nm, re, im = data.ints
+    label = _chamber(*check_cube(N, b))
     signs = [_SIGNS[s] for s in label.subsets]
     ks = [_k(s, b, N) for s in label.subsets]
     if label.kind == "exterior":
@@ -116,7 +117,7 @@ def torelli_chamber(data: ParabolicData) -> PeriodVector:
         signs = [tuple(map(sub, c, c0)) for c in signs]
         ks = [k - k0 for k in ks]
     pv = _completed(N, ks, Nm, int_matvec(signs, re), int_matvec(signs, im), label)
-    if pv.x[0] != central_x_closed_form(label, data.alpha):
+    if pv.x[0] != _central_x(label, N, b):
         raise BrokenIdentity("fiber relation and central closed form disagree")
     return pv
 
@@ -124,23 +125,20 @@ def torelli_chamber(data: ParabolicData) -> PeriodVector:
 def torelli_parallel(data: ParabolicData) -> PeriodVector:
     """Global affine-linear period map in the model chamber's parallel basis:
     x = M alpha + e1, z = M m, central entries from the fiber relations."""
-    N, b = common_denominator(data.alpha)
-    Nm, re, im = _gaussian_form(data.masses)
+    N, b, Nm, re, im = data.ints
     xs = [sum(map(mul, n, b)) + c * N for n, c in _FACES[1:]]
     return _completed(N, xs, Nm, int_matvec(M_ROWS, re), int_matvec(M_ROWS, im), PARALLEL_BASIS)
 
 
 def inverse_torelli(pv: PeriodVector) -> ParabolicData:
-    """Exact inverse of ``torelli_parallel``: alpha = M^T (x - e1) / 4,
-    m = M^T z / 4 (valid since M M^T = 4 Id), as integer M^T products over
-    4 N."""
-    N, x = common_denominator(pv.x[1:])
-    Nm, re, im = _gaussian_form(pv.z[1:])
-    xs = [v - c * N for v, (_, c) in zip(x, _FACES[1:])]
-    alpha = tuple(Fraction(v, 4 * N) for v in int_matvec(_M_T, xs))
-    masses = tuple(GaussianRational(Fraction(r, 4 * Nm), Fraction(i, 4 * Nm))
-                   for r, i in zip(int_matvec(_M_T, re), int_matvec(_M_T, im)))
-    return ParabolicData(alpha, masses)
+    """Exact inverse of ``torelli_parallel``: alpha = M^T (x - e1) / 4, m = M^T z / 4
+    (valid since M M^T = 4 Id), as integer M^T products over 4 N."""
+    N, (_, *x), Nm, (_, *re), (_, *im) = pv.ints
+    b = int_matvec(_M_T, [v - c * N for v, (_, c) in zip(x, _FACES[1:])])
+    re, im, N, Nm = int_matvec(_M_T, re), int_matvec(_M_T, im), 4 * N, 4 * Nm
+    return from_fields(ParabolicData, alpha=tuple(Fraction(v, N) for v in b), masses=tuple(
+        GaussianRational(Fraction(r, Nm), Fraction(i, Nm)) for r, i in zip(re, im)),
+        ints=(N, b, Nm, re, im))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +158,7 @@ def in_period_domain(pv: PeriodVector):
     Each plane of ``_PERIOD_PLANES`` is one divisibility test of an integer
     numerator by the common denominator N, then two integer zero tests.
     """
-    N, x = common_denominator(pv.x[1:])
-    _, re, im = _gaussian_form(pv.z[1:])
+    N, (_, *x), _, (_, *re), (_, *im) = pv.ints
     for family, a, odd, where in _PERIOD_PLANES:
         q, r = divmod(sum(map(mul, a, x)), N)
         if r == 0 and (q % 2 or not odd) and not sum(map(mul, a, re)) \
@@ -218,8 +215,7 @@ def scale_masses(data: ParabolicData, t: GaussianRational):
     if not t:
         raise ValueError("t must be nonzero")
     scaled = ParabolicData(data.alpha, tuple(t * m for m in data.masses))
-    pv1 = torelli_chamber(data)
-    pv2 = torelli_chamber(scaled)
+    pv1, pv2 = torelli_chamber(data), torelli_chamber(scaled)
     if pv1.x != pv2.x:
         raise BrokenIdentity("x-periods changed under mass scaling")
     if tuple(t * z for z in pv1.z) != pv2.z:

@@ -5,7 +5,8 @@ alcove's faces derived from its vertices, the homology lattice's -2 classes
 and automorphism test, the linear part of the hat reduction, the SL(2,Z)
 conjugator of a monodromy factorization, the per-call breadth-first search
 that ``monodromy.normalize`` replaced, and the ``Fraction`` reference of
-the chamber, genericity, Torelli and period-domain computations."""
+the chamber, genericity, Torelli and period-domain computations and of the
+integer forms their values carry."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -514,6 +515,17 @@ def ref_in_period_domain(pv):
             return False, {"family": "H_k_i1_i2", "k": (v.numerator - 1) // 2,
                            "i1": 1, "i2": j + 1}
     return True, None
+
+
+def ref_form_holds(value, reals, gaussians) -> bool:
+    """Whether ``value.ints`` = (N, nums, Nm, re, im) gives the rationals
+    ``reals`` as nums / N and the Gaussian rationals ``gaussians`` as
+    (re + i im) / Nm, entry for entry."""
+    N, nums, Nm, re, im = value.ints
+    return (len(nums) == len(reals) and len(re) == len(im) == len(gaussians)
+            and all(Fraction(n, N) == q for n, q in zip(nums, reals))
+            and all(Fraction(r, Nm) == z.re and Fraction(i, Nm) == z.im
+                    for r, i, z in zip(re, im, gaussians)))
 
 
 def ref_fiber_relation_error(x, z):

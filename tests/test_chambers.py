@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -21,11 +23,16 @@ from hitchin4.chambers import (
     genericity_violations,
     in_R_tilde,
     is_generic,
+    mass_functional,
     subset_mask,
     wall_K,
     wall_L,
 )
 from hitchin4.core import GaussianRational, rational_to_str
+from hitchin4.torelli import inverse_torelli, moment_value, torelli_parallel
+
+from lattice_oracle import ref_form_holds
+from test_integer_kernel import draw
 
 rng = random.Random(4321)
 
@@ -323,3 +330,60 @@ def test_subset_mask_roundtrip():
     assert subset_mask([4]) == 0b1000
     with pytest.raises(ValueError):
         subset_mask([5])
+
+
+def test_masks_outside_0_to_15_are_errors():
+    # a mask is not reduced mod 16: 17 is not {1}, -1 is not {1,2,3,4}
+    for mask in (-1, 16, 17, -16, 2 ** 70):
+        for f, arg in ((wall_K, ALPHA_B1), (fixed_point_data, ALPHA_B1),
+                       (mass_functional, (GaussianRational(1),) * 4),
+                       (moment_value, ALPHA_B1)):
+            with pytest.raises(ValueError, match=f"mask {mask} out of range 0..15"):
+                f(mask, arg)
+    assert wall_K(FULL, ALPHA_B1) == sum(ALPHA_B1) - 1
+    assert fixed_point_data(0, ALPHA_B1).deg_DI == 0
+
+
+def test_wall_and_mass_functionals_need_four_entries():
+    # zip used to cut a long vector short and sum a short one as if it were whole
+    for n in (0, 3, 5):
+        with pytest.raises(ValueError, match="length mismatch"):
+            mass_functional(3, list(range(1, n + 1)))
+        with pytest.raises(ValueError, match="length mismatch"):
+            wall_K(3, [Fraction(1, 5)] * n)
+        with pytest.raises(ValueError, match="length mismatch"):
+            wall_L(1, [Fraction(1, 5)] * n)
+        with pytest.raises(OutOfCube):
+            fixed_point_data(3, [Fraction(1, 5)] * n)
+    assert mass_functional(3, [1, 2, 3, 4]) == GaussianRational(-4)
+
+
+# ---------------------------------------------------------------------------
+# integer form
+# ---------------------------------------------------------------------------
+
+def test_parabolic_data_carries_its_integer_form():
+    # on draws inside, on a wall or plane of, and outside the cube: ints gives
+    # the fields exactly, whether __init__ derived it (over the lcm) or
+    # inverse_torelli passed it in (over 8 times a period denominator)
+    draws = random.Random(2718)
+    scaled = 0
+    for _ in range(500):
+        data = ParabolicData(*draw(draws))
+        back = inverse_torelli(torelli_parallel(data))
+        for value in (data, back):
+            assert ref_form_holds(value, value.alpha, value.masses)
+        assert data.ints[0] == lcm(*(a.denominator for a in data.alpha))
+        assert back == data and hash(back) == hash(data) and repr(back) == repr(data)
+        scaled += back.ints[0] != data.ints[0]
+    assert scaled > 400  # the two forms differ, yet ==, hash and repr agree
+
+
+def test_the_integer_form_is_not_an_argument_nor_in_equality_hash_or_repr():
+    (ints,) = (f for f in dataclasses.fields(ParabolicData) if f.name == "ints")
+    assert not (ints.init or ints.repr or ints.compare)
+    with pytest.raises(TypeError):
+        ParabolicData(ALPHA_B1, (0,) * 4, ints=(1, (0,) * 4, 1, (0,) * 4, (0,) * 4))
+    data = ParabolicData(ALPHA_B1, (0,) * 4)
+    assert "ints" not in repr(data)
+    assert data.ints == (10, (3, 2, 2, 2), 1, (0,) * 4, (0,) * 4)

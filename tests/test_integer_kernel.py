@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hitchin4.chambers import (
     ParabolicData,
     classify_chamber,
+    enumerate_chambers,
     genericity_violations,
     in_R_tilde,
     is_generic,
@@ -29,6 +30,7 @@ from hitchin4.torelli import (
     PARALLEL_BASIS,
     InconsistentFiberRelation,
     PeriodVector,
+    central_x_closed_form,
     in_period_domain,
     inverse_torelli,
     torelli_chamber,
@@ -36,8 +38,10 @@ from hitchin4.torelli import (
 )
 
 from lattice_oracle import (
+    ref_central_x,
     ref_classify_chamber,
     ref_fiber_relation_error,
+    ref_from_outer,
     ref_genericity_violations,
     ref_in_period_domain,
     ref_in_R_tilde,
@@ -143,21 +147,30 @@ def perturbed(rng, pv):
 def check_draw(alpha, masses, rng):
     """Compare every kernel entry point with the reference on one draw; the
     fiber check also sees the period vector with one entry moved off the
-    fiber relations, and ``in_R_tilde`` is compared on one draw in four."""
+    fiber relations, and ``in_R_tilde`` is compared on one draw in four.
+    The period vector is also rebuilt by ``from_outer`` and by the
+    constructor, so inversion and the domain test read each integer form a
+    vector can carry, and ``in_R_tilde`` also reads the inverse's."""
     data = ParabolicData(alpha, masses)
     assert outcome(classify_chamber, alpha) == outcome(ref_classify_chamber, alpha)
     assert outcome(is_generic, data) == outcome(ref_is_generic, data)
     assert genericity_violations(data) == ref_genericity_violations(data)
-    if rng.random() < 0.25:
-        full = rng.random() < 0.5
-        assert in_R_tilde(data, full) == ref_in_R_tilde(data, full)
     assert outcome(torelli_chamber, data) == outcome(ref_torelli_chamber, data)
     pv = torelli_parallel(data)
     assert repr(pv) == repr(ref_torelli_parallel(data))
+    outer = PeriodVector.from_outer(pv.x[1:], pv.z[1:], PARALLEL_BASIS)
+    assert repr(outer) == repr(ref_from_outer(pv.x[1:], pv.z[1:], PARALLEL_BASIS))
+    back, domain = repr(ref_inverse_torelli(pv)), ref_in_period_domain(pv)
+    for vector in (pv, outer, PeriodVector(pv.x, pv.z, PARALLEL_BASIS)):
+        assert repr(inverse_torelli(vector)) == back
+        assert in_period_domain(vector) == domain
     back = inverse_torelli(pv)
-    assert repr(back) == repr(ref_inverse_torelli(pv))
     assert back == data
-    assert in_period_domain(pv) == ref_in_period_domain(pv)
+    if rng.random() < 0.25:
+        full = rng.random() < 0.5
+        assert in_R_tilde(data, full) == in_R_tilde(back, full) == ref_in_R_tilde(data, full)
+    label = enumerate_chambers()[sum(a.numerator for a in alpha) % 24]  # leaves rng as it was
+    assert repr(central_x_closed_form(label, alpha)) == repr(ref_central_x(label, alpha))
     x, z = perturbed(rng, pv)
     want = ref_fiber_relation_error(x, z)
     got = outcome(PeriodVector, x, z, PARALLEL_BASIS)

@@ -122,6 +122,37 @@ def test_the_roots_of_a_fiber_are_found_in_one_place():
         assert inspect.getsource(fn).count("poly_roots(") == 1, fn.__name__
 
 
+def test_one_exact_periods_item_derives_few_integer_forms(monkeypatch):
+    # a ParabolicData and a PeriodVector carry their integer form, so the calls
+    # of one exact-periods item put a vector over a common denominator for the
+    # data's weights and masses, the bare alpha of classify_chamber and the
+    # central closed form, not again in each call (re-deriving them there makes 18)
+    from fractions import Fraction
+
+    from hitchin4 import chambers
+
+    calls = []
+
+    def counted(qs):
+        calls.append(qs)
+        return core.common_denominator(qs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hitchin4") and getattr(module, "common_denominator", None) \
+                is core.common_denominator and module is not core:
+            monkeypatch.setattr(module, "common_denominator", counted)
+    alpha = (Fraction(3, 10), Fraction(1, 5), Fraction(1, 7), Fraction(2, 9))
+    masses = (core.GaussianRational(1, Fraction(1, 3)), 2, core.GaussianRational(0, -1), 0)
+    data = chambers.ParabolicData(alpha, masses)
+    assert chambers.classify_chamber(alpha).ctype == "B1"
+    assert chambers.is_generic(data)
+    torelli.torelli_chamber(data)
+    pv = torelli.torelli_parallel(data)
+    assert torelli.inverse_torelli(pv) == data
+    assert torelli.in_period_domain(pv) == (True, None)
+    assert len(calls) <= 6, len(calls)
+
+
 def test_the_package_stays_within_its_line_budget():
     # the ROADMAP budget for src/hitchin4: a change that grows the package
     # past it has to shrink something else or revisit the budget

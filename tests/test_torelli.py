@@ -1,5 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -38,7 +40,8 @@ from hitchin4.torelli import (
     torelli_parallel,
 )
 
-from lattice_oracle import ExactMatrix, det, hat_linear_apply, linear
+from lattice_oracle import ExactMatrix, det, hat_linear_apply, linear, ref_form_holds
+from test_integer_kernel import draw
 
 rng = random.Random(31337)
 
@@ -452,8 +455,9 @@ def test_broken_identity_is_an_assertion_not_a_domain_error():
 
 def test_torelli_chamber_checks_the_central_closed_form(monkeypatch):
     d = rand_generic_data(rng=random.Random(7))
-    real = torelli.central_x_closed_form
-    monkeypatch.setattr(torelli, "central_x_closed_form", lambda label, a: real(label, a) + 1)
+    # the check reads the closed form on the data's integer form
+    real = torelli._central_x
+    monkeypatch.setattr(torelli, "_central_x", lambda label, N, b: real(label, N, b) + 1)
     with pytest.raises(BrokenIdentity, match="fiber relation and central closed form disagree"):
         torelli_chamber(d)
 
@@ -493,3 +497,34 @@ def test_scale_masses_checks_the_z_periods(monkeypatch):
     _second_call_returns(monkeypatch, lambda scaled: real(d))
     with pytest.raises(BrokenIdentity, match="z-periods did not scale linearly"):
         scale_masses(d, GaussianRational(2))
+
+
+# ---------------------------------------------------------------------------
+# integer forms
+# ---------------------------------------------------------------------------
+
+def test_period_vectors_carry_their_integer_form():
+    # ints gives x and z exactly for vectors from __init__ (over the lcm),
+    # from_outer and the period maps (over twice the outer denominators, by
+    # _completed); ==, hash and repr do not see which form a vector holds
+    (ints,) = (f for f in dataclasses.fields(PeriodVector) if f.name == "ints")
+    assert not (ints.init or ints.repr or ints.compare)
+    draws = random.Random(1618)
+    scaled = 0
+    for _ in range(500):
+        data = ParabolicData(*draw(draws))
+        pvs = [torelli_parallel(data)]
+        try:
+            pvs.append(torelli_chamber(data))
+        except DomainError:
+            pass
+        for pv in pvs:
+            built = PeriodVector(pv.x, pv.z, pv.basis)
+            outer = PeriodVector.from_outer(pv.x[1:], pv.z[1:], pv.basis)
+            for value in (pv, built, outer):
+                assert ref_form_holds(value, value.x, value.z)
+            assert built == pv == outer and hash(built) == hash(pv) == hash(outer)
+            assert repr(built) == repr(pv) == repr(outer)
+            assert built.ints[0] == lcm(*(x.denominator for x in pv.x))
+            scaled += pv.ints[0] != built.ints[0]
+    assert scaled > 400
