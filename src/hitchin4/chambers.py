@@ -35,7 +35,14 @@ class OutOfCube(DomainError, ValueError):
     """Weight vector is outside the open cube (0,1/2)^4."""
 
 
+def _in_range(mask: int) -> int:
+    if not 0 <= mask <= FULL:
+        raise ValueError(f"mask {mask} out of range 0..15")
+    return mask
+
+
 def subset_members(mask: int) -> tuple[int, ...]:
+    mask = _in_range(mask)
     return tuple(i + 1 for i in range(4) if mask >> i & 1)
 
 
@@ -50,13 +57,11 @@ def subset_mask(members) -> int:
 
 def _mask(subset) -> int:
     """Bitmask of a subset given as a mask in 0..15 or by its members."""
-    if isinstance(subset, int) and not 0 <= subset <= FULL:
-        raise ValueError(f"mask {subset} out of range 0..15")
-    return subset if isinstance(subset, int) else subset_mask(subset)
+    return _in_range(subset) if isinstance(subset, int) else subset_mask(subset)
 
 
 def subset_size(mask: int) -> int:
-    return bin(mask & FULL).count("1")
+    return bin(_in_range(mask)).count("1")
 
 
 # _SIGNS[I][i] = +1 if i+1 in I else -1, the coefficients of a_i in K_I and of m_i

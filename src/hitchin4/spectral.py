@@ -5,19 +5,19 @@ F(z) = f_m(z) + beta z(z-1)(z-p0); the spectral curve is the double cover
 w^2 = F(z), and the tautological form tau = w dz / (z(z-1)(z-p0)) has
 residues +-m_p over the punctures (0, 1, p0, infinity).
 
-Everything here is complex double precision.  Every root is found by the
-residual-checked ``poly_roots`` of a ``ComplexPoly``, whose construction is the
-one degree trim (``TRIM_TOL``).  Residues (+-m_p) and periods (one AGM per
-cycle, seeded with the branch values of its collapsed integrand) are closed
-forms that take only their sign from ``_sheet``, the principal sqrt(F) at
-z* = 3 max(1, |branch point|) continued along the segment [z*, z].  That is
-the product s sqrt(lead) prod_e sqrt(v_e) sqrt((z - e)/v_e) over the branch
-points e, with v_e = (z* - e)/|z* - e| and s = +-1 making it principal at z*:
-the cut of each factor is the ray from e pointing away from z*, which a segment
-from z* never crosses.  On a ray (the segment then passes through e) the
-factor takes its Im > 0 side, as if the segment were moved by -i eps (z - z*):
-+i eps on a leftward stretch of the real axis, where real beta and p0 put
-branch points."""
+Everything here is complex double precision on Python scalars.  Every root is found by
+the residual-checked ``poly_roots`` of a ``ComplexPoly``, whose construction is the
+one degree trim (``TRIM_TOL``); numpy only finds its companion eigenvalues and runs
+the fits' ``vander``/``lstsq`` and ``tau_sweep``'s ``logspace``.  Residues (+-m_p) and
+periods (one AGM per cycle, seeded with the branch values of its collapsed integrand)
+are closed forms that take only their sign from ``_sheet``, the principal sqrt(F) at
+z* = 3 max(1, |branch point|) continued along the segment [z*, z].  That is the
+product s sqrt(lead) prod_e sqrt(v_e) sqrt((z - e)/v_e) over the branch points e, with
+v_e = (z* - e)/|z* - e| and s = +-1 making it principal at z*: the cut of each factor
+is the ray from e pointing away from z*, which a segment from z* never crosses.  On a
+ray (the segment then passes through e) the factor takes its Im > 0 side, as if the
+segment were moved by -i eps (z - z*): +i eps on a leftward stretch of the real axis,
+where real beta and p0 put branch points."""
 
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ PUNCTURE_KEYS = ("0", "1", "p0", "inf")
 ROOT_TOL = 1e-8
 TRIM_TOL = 1e-12
 BETA_NODES = 9
+_UNIT_NODES = np.exp(2j * np.pi * np.arange(BETA_NODES) / BETA_NODES).tolist()
 
 
 class DegenerateP0(DomainError, ValueError):
@@ -84,12 +85,10 @@ class ComplexPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[complex]):
-        c = [complex(x) for x in coeffs]
-        scale = max((abs(x) for x in c), default=0.0)
+        c = [complex(x) for x in coeffs] or [0j]
+        scale = max(map(abs, c))
         while len(c) > 1 and abs(c[-1]) <= TRIM_TOL * scale:
             c.pop()
-        if not c:
-            c = [0j]
         self.coeffs = tuple(c)
 
     @property
@@ -108,8 +107,7 @@ class ComplexPoly:
     def deflate(self, root: complex) -> "ComplexPoly":
         """Exact-degree synthetic division by (z - root)."""
         d = self.degree
-        out = [0j] * d
-        acc = self.coeffs[d]
+        out, acc = [0j] * d, self.coeffs[d]
         for k in range(d - 1, -1, -1):
             out[k] = acc
             acc = self.coeffs[k] + acc * root
@@ -117,22 +115,26 @@ class ComplexPoly:
 
 
 def poly_roots(p: ComplexPoly) -> list[complex]:
-    """All roots (with multiplicity): the eigenvalues of the companion matrix.
+    """All roots (with multiplicity), as ``numpy.roots`` finds them: companion eigenvalues.
 
     Residual guarantee: |p(root)| < 1e-8 * (1+|root|)^deg * max|coeff|;
     raises NonConvergence at a root that misses it.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
-    roots = [complex(r) for r in np.roots(p.coeffs[::-1])]
-    scale = max(abs(c) for c in p.coeffs)
+    c = p.coeffs
+    k = next(i for i, x in enumerate(c) if x)  # exactly-zero low coefficients: k roots 0j
+    companion = np.eye(p.degree - k, k=-1, dtype=complex)  # of p / z^k, as numpy.roots builds it
+    companion[:1] = np.divide([-x for x in reversed(c[k:-1])], c[-1])  # none if p = lead z^k
+    roots = np.linalg.eigvals(companion).tolist() + [0j] * k
+    scale = max(map(abs, c))
     for r in roots:
-        if abs(complex(p(r))) >= ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
+        if abs(p(r)) >= ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
             raise NonConvergence(f"root residual too large at {r}")
     return roots
 
 
-def f_m_coefficients(p0: complex, masses) -> np.ndarray:
+def f_m_coefficients(p0: complex, masses) -> tuple[complex, ...]:
     """Ascending coefficients of the normalized quartic f_m.
 
     Uniquely determined by the residue constraints f(0) = m0^2 p0^2,
@@ -148,12 +150,12 @@ def f_m_coefficients(p0: complex, masses) -> np.ndarray:
           + (a + b + c + d) * p0 ** 2) / 3
     f1 = -(p0 / 3) * (4 * a + b + d - 2 * c + 4 * a * p0 - 2 * b * p0 + d * p0 + c * p0)
     f0 = a * p0 ** 2
-    return np.array([f0, f1, f2, f3, f4], dtype=complex)
+    return f0, f1, f2, f3, f4
 
 
-def _cubic_coeffs(p0: complex) -> np.ndarray:
+def _cubic_coeffs(p0: complex) -> tuple[complex, ...]:
     """z(z-1)(z-p0), ascending, padded to quartic length."""
-    return np.array([0.0, p0, -(1 + p0), 1.0, 0.0], dtype=complex)
+    return 0j, p0, -(1 + p0), 1 + 0j, 0j
 
 
 @dataclass(frozen=True)
@@ -165,12 +167,11 @@ class HitchinBase:
     masses: tuple[complex, complex, complex, complex]
     f_coeffs: tuple[complex, complex, complex, complex, complex]
 
-    def curve_coeffs(self, beta: complex) -> np.ndarray:
+    def curve_coeffs(self, beta: complex) -> tuple[complex, ...]:
         """Ascending coefficients of F = f_m + beta z(z-1)(z-p0); ``ValueError``
-        naming beta, and no numpy warning, if one is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = np.asarray(self.f_coeffs, dtype=complex) + beta * _cubic_coeffs(self.p0)
-        if not np.isfinite(F).all():
+        naming beta if one is not finite (complex arithmetic overflows silently)."""
+        F = tuple(f + beta * c for f, c in zip(self.f_coeffs, _cubic_coeffs(self.p0)))
+        if not all(map(cmath.isfinite, F)):
             raise ValueError(f"F = f_m + beta z(z-1)(z-p0) is not finite at beta = {complex(beta)}")
         return F
 
@@ -187,7 +188,7 @@ def build_base(p0: complex, masses) -> HitchinBase:
         f = [cmath.inf]
     if not all(map(cmath.isfinite, f)):
         raise ValueError(f"f_m is not finite at p0 = {p0}, masses {masses}")
-    return HitchinBase(p0, masses, tuple(f))
+    return HitchinBase(p0, masses, f)
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +211,20 @@ def quartic_discriminant(c) -> complex:
 
 def beta_discriminant_poly(base: HitchinBase) -> np.ndarray:
     """Ascending coefficients of the degree-6 polynomial beta -> disc_z(f_m +
-    beta z(z-1)(z-p0)), fitted on ``BETA_NODES`` points of a circle."""
-    c = _cubic_coeffs(base.p0)
-    f = np.asarray(base.f_coeffs)
-    scale = max(1.0, float(np.max(np.abs(f))))
-    with np.errstate(all="ignore"):  # an overflow raises the ValueError below
-        bs = 2.0 * scale * np.exp(2j * np.pi * np.arange(BETA_NODES) / BETA_NODES)
-        try:
-            vals = np.array([quartic_discriminant(f + b * c) for b in bs])
-        except OverflowError:  # a complex power past the float range
-            vals = np.array([np.inf])
-        V = np.vander(bs, 7, increasing=True)
-    if not (np.isfinite(vals).all() and np.isfinite(V).all()):
+    beta z(z-1)(z-p0)), fitted on ``BETA_NODES`` points of a circle of radius r with every
+    singular value kept (rcond=0): V's column k scales as r^k, so a cutoff drops beta^0."""
+    c, f = _cubic_coeffs(base.p0), base.f_coeffs
+    radius = 2.0 * max(1.0, *map(abs, f))
+    bs = [radius * u for u in _UNIT_NODES]
+    try:
+        vals = [quartic_discriminant([x + b * y for x, y in zip(f, c)]) for b in bs]
+    except OverflowError:  # a complex power past the float range
+        vals = [cmath.inf]
+    # V's largest modulus, radius^6, is finite below 2^(1024/6)
+    if not (all(map(cmath.isfinite, vals)) and radius < 2.0 ** (1024 / 6)):
         raise ValueError(f"the beta-discriminant is not finite at p0 = {base.p0}, "
                          f"masses {base.masses}")
-    coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    return coef
+    return np.linalg.lstsq(np.vander(bs, 7, increasing=True), vals, rcond=0)[0]
 
 
 def singular_fibers(base: HitchinBase) -> list[complex]:
@@ -236,12 +235,11 @@ def singular_fibers(base: HitchinBase) -> list[complex]:
     constant times beta^6, so beta = 0 is returned six times exactly."""
     if not any(base.f_coeffs):
         return [0j] * 6
-    coef = beta_discriminant_poly(base)
-    scale = float(np.max(np.abs(coef)))
+    coef = beta_discriminant_poly(base).tolist()
+    scale = max(map(abs, coef))
     if scale == 0 or abs(coef[6]) < 1e-10 * scale:
         raise DegenerateConfiguration("beta-discriminant is not degree six")
-    roots = poly_roots(ComplexPoly(coef))
-    return sorted(roots, key=lambda r: (r.real, r.imag))
+    return sorted(poly_roots(ComplexPoly(coef)), key=lambda r: (r.real, r.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,7 @@ def _fiber(base: HitchinBase, beta: complex):
     if len(rs) == 4:
         pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
         lengths = [abs(rs[i] - rs[j]) + abs(rs[k] - rs[l]) for (i, j), (k, l) in pairings]
-        cuts = tuple((rs[i], rs[j]) for i, j in pairings[int(np.argmin(lengths))])
+        cuts = tuple((rs[i], rs[j]) for i, j in pairings[lengths.index(min(lengths))])
     return F, rs, cuts
 
 
@@ -304,8 +302,7 @@ class SpectralFiberPoint:
         if self.stratum == "big":
             if self.u is None or self.w is None:
                 raise OffCurve("big stratum needs (u, w)")
-            F = ComplexPoly(self.base.curve_coeffs(self.beta))
-            minf = self.base.masses[3]
+            F, minf = ComplexPoly(self.base.curve_coeffs(self.beta)), self.base.masses[3]
             val = F(self.u) - (minf * self.u ** 2 + self.w) ** 2
             scale = max(1.0, max(abs(c) for c in F.coeffs), abs(self.w) ** 2)
             if abs(val) > 1e-8 * scale:
@@ -324,24 +321,25 @@ def higgs_representative(pt: SpectralFiberPoint):
       small: D = 0,                L = 1,     U = F."""
     F, minf = pt.base.curve_coeffs(pt.beta), pt.base.masses[3]
     if pt.stratum == "big":
-        d, lower = [pt.w, 0, minf], [-pt.u, 1]
+        (d0, d1, d2), lower = (pt.w, 0j, minf), [-pt.u, 1]
     elif pt.stratum == "extra":
-        d, lower = [0, F[3] / (2 * minf), minf], [1]
+        (d0, d1, d2), lower = (0j, F[3] / (2 * minf), minf), [1]
     else:
-        d, lower = [0], [1]
-    upper = ComplexPoly(F - np.convolve(d, d))
+        (d0, d1, d2), lower = (0j, 0j, 0j), [1]
+    dd = (d0 * d0, 2 * d0 * d1, d1 * d1 + 2 * d0 * d2, 2 * d1 * d2, d2 * d2)  # D^2
+    upper = ComplexPoly([x - y for x, y in zip(F, dd)])
     if pt.stratum == "big":
         if abs(upper(pt.u)) > 1e-6 * max(1.0, max(abs(c) for c in upper.coeffs)):
             raise OffCurve("upper-right division by (z - u) is not exact")
         upper = upper.deflate(pt.u)
     elif pt.stratum == "extra" and upper.degree > 2:
         raise BrokenIdentity("extra-point upper entry must be quadratic")
-    N = ((ComplexPoly(np.negative(d)), upper), (ComplexPoly(lower), ComplexPoly(d)))
+    N = ((ComplexPoly([-d0, -d1, -d2]), upper), (ComplexPoly(lower), ComplexPoly([d0, d1, d2])))
     return N, ComplexPoly(_cubic_coeffs(pt.base.p0)[:4])
 
 
 def flags(pt: SpectralFiberPoint):
-    """Projective flag coordinates (F_0, F_1, F_p0, F_inf); np.inf encodes
+    """Projective flag coordinates (F_0, F_1, F_p0, F_inf); inf encodes
     the direction (1:0).  The flag at a finite puncture p is the direction
     (x:y) of the eigenvector of N(p)/c'(p) (``higgs_representative``) with
     eigenvalue m_p, lambda = m_p c'(p): U(p)/(lambda + D(p)) where L(p) = 0 or
@@ -361,12 +359,12 @@ def flags(pt: SpectralFiberPoint):
             upper = (abs(lam) + abs(Dp)) * (abs(lam + Dp) - abs(lam - Dp)) > err_U
             out.append(U(p) / (lam + Dp) if upper else (lam - Dp) / Lp)
         elif abs(lam - Dp) > 1e-9 * scale:
-            out.append(np.inf)
+            out.append(math.inf)
         elif abs(lam + Dp) < 1e-12 * scale:
             raise UndefinedFlag(f"residue matrix vanishes at z = {p}")
         else:
             out.append(U(p) / (lam + Dp))
-    return (*out, -mi if pt.stratum == "small" else np.inf)
+    return (*out, -mi if pt.stratum == "small" else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +413,15 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
     O(1/z)) at the anchor and the residue is -s m_inf; if the trim drops
     m_inf^2, the far branch point is lost and ``BranchPointCollision`` is raised.
     """
+    out = dict.fromkeys(PUNCTURE_KEYS, (0j, 0j))
     if not any(base.masses):
-        return {key: (0j, 0j) for key in PUNCTURE_KEYS}
+        return out
     F, branch, _ = _fiber(base, beta)
-    anchor = _anchor(branch)
-    sheet = _sheet(F, branch)
+    anchor, sheet = _anchor(branch), _sheet(F, branch)
     p0, mi = base.p0, base.masses[3]
     punctures = [0.0, 1.0, p0]
-    out = {}
     for key, p, dc, m in zip(PUNCTURE_KEYS, punctures, (p0, 1 - p0, p0 * (p0 - 1)), base.masses):
         if m == 0:
-            out[key] = (0j, 0j)
             continue
         dists = [abs(p - b) for b in branch] + [abs(p - q) for q in punctures if q != p]
         radius = 0.1 * min(dists)
@@ -433,7 +429,6 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
             raise BranchPointCollision(f"branch point at puncture z = {p}")
         res = _nearer(m, sheet(p + radius) / dc)
         out[key] = (res, -res)
-    out["inf"] = (0j, 0j)
     if mi != 0:
         if len(branch) < 4:
             raise BranchPointCollision("trimmed far branch point near -beta/m_inf^2")

@@ -25,6 +25,8 @@ from hitchin4.chambers import (
     is_generic,
     mass_functional,
     subset_mask,
+    subset_members,
+    subset_size,
     wall_K,
     wall_L,
 )
@@ -342,6 +344,17 @@ def test_masks_outside_0_to_15_are_errors():
                 f(mask, arg)
     assert wall_K(FULL, ALPHA_B1) == sum(ALPHA_B1) - 1
     assert fixed_point_data(0, ALPHA_B1).deg_DI == 0
+
+
+def test_label_helpers_reject_masks_outside_0_to_15():
+    # a mask is not reduced mod 16: exterior_label(17) is no E1_1 label
+    for mask in (-1, 16, 17, 2 ** 70):
+        for f in (exterior_label, subset_members, subset_size):
+            with pytest.raises(ValueError, match=f"mask {mask} out of range 0..15"):
+                f(mask)
+    assert exterior_label(0b0001) == exterior_label(1) != exterior_label(0b1110)
+    assert [subset_size(m) for m in (0, 1, 3, 7, FULL)] == [0, 1, 2, 3, 4]
+    assert subset_members(0b1010) == (2, 4) and subset_members(0) == ()
 
 
 def test_wall_and_mass_functionals_need_four_entries():

@@ -90,8 +90,8 @@ def test_residue_quadrature_stays_out_of_the_package():
     # only the tests call live with them; in_B0 pairs roots by _fiber's cuts, and
     # the root-clustering square test is its oracle; the sheet is a product of
     # per-branch-point roots, with no cut function or crossing count; every
-    # finite flag is read from the one Higgs matrix, which numpy builds, so
-    # ComplexPoly has no arithmetic
+    # finite flag is read from the one Higgs matrix, built from scalar coefficients,
+    # so ComplexPoly has no arithmetic
     for owner, name in ((spectral, "_loop_mean"), (spectral, "_closed_sheet"),
                         (spectral, "_flag_at"),
                         (spectral, "_g"), (spectral, "_left"),

@@ -125,12 +125,21 @@ def test_overflowing_curves_and_discriminants_are_value_errors():
             with pytest.raises(ValueError, match=r"beta-discriminant is not finite at "
                                                  r"p0 = \(1e\+\d+\+0j\), masses"):
                 singular_fibers(build_base(p0, masses))
-    # below the float range F is the numpy sum it always was, bit for bit
+        # every sample of it is finite, but V's largest entry, (2 max|f_m|)^6, is not
+        with pytest.raises(ValueError, match=r"beta-discriminant is not finite at "
+                                             r"p0 = \(1e-08\+0j\), masses"):
+            singular_fibers(build_base(1e-8, (0, 0, 0, 1e26)))
+    # below the float range F is the scalar sum, bit for bit, of Python complex values
     r = np.random.default_rng(2020)
+    assert all(type(x) is complex for x in base.f_coeffs)
     for _ in range(200):
         b = complex(*r.normal(size=2)) * 10.0 ** r.integers(-3, 300)
-        assert np.array_equal(base.curve_coeffs(b),
-                              np.asarray(base.f_coeffs) + b * _cubic_coeffs(base.p0))
+        F = base.curve_coeffs(b)
+        assert all(type(x) is complex for x in F)
+        assert repr(F) == repr(tuple(f + b * c for f, c in zip(base.f_coeffs,
+                                                                 _cubic_coeffs(base.p0))))
+    roots = _fiber(generic_base(), BETA)[1]
+    assert len(roots) == 4 and all(type(r) is complex for r in roots)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +183,37 @@ def test_singular_fibers_conjugation_symmetry():
         k = min(range(len(pool)), key=lambda k: abs(pool[k] - r))
         assert abs(pool[k] - r) < 1e-6
         pool.pop(k)
+
+
+def critical_values(base):
+    """The singular fibers as 50-digit critical values: beta = -f(z)/c(z) at the six
+    roots z of g = f'c - fc', where f = f_m and c = z(z-1)(z-p0) (mpmath)."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        f = [mp.mpc(x) for x in base.f_coeffs]
+        c = [mp.mpc(x) for x in _cubic_coeffs(base.p0)[:4]]
+        g = [mp.mpc(0)] * 7
+        for i, a in enumerate(f):
+            for j, b in enumerate(c):
+                if i + j:
+                    g[i + j - 1] += (i - j) * a * b
+        zs = mp.polyroots(g[::-1], maxsteps=200, extraprec=200)
+        return [complex(-mp.polyval(f[::-1], z) / mp.polyval(c[::-1], z)) for z in zs]
+
+
+def test_singular_fibers_keep_the_constant_term_of_a_large_fit():
+    # max|f_m| = 164 here: the columns of the fit's Vandermonde matrix span (2 max|f_m|)^6,
+    # past numpy's default lstsq cutoff, which drops the beta^0 term; one fiber is then an
+    # exact 0j and the six miss the critical values by 0.245 of max|beta|
+    base = build_base(3 + 1j, (3, 1j, 0.8, 0.5))
+    assert max(map(abs, base.f_coeffs)) > 140
+    got, want = singular_fibers(base), critical_values(base)
+    assert 0j not in got
+    scale = max(map(abs, want))
+    for b in got:
+        k = min(range(len(want)), key=lambda k: abs(want[k] - b))
+        assert abs(want.pop(k) - b) < 1e-3 * scale, b
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1088,7 @@ def test_scalar_and_array_evaluation_agree():
             assert max(abs(got - w), abs(got - want)) <= 1e-14 * size, (p, z, got, w, want)
 
 
-def test_np_roots_called_only_in_poly_roots():
+def test_eigvals_called_only_in_poly_roots():
     import inspect
     from pathlib import Path
 
@@ -1056,10 +1096,30 @@ def test_np_roots_called_only_in_poly_roots():
 
     package = Path(spectral.__file__).parent
     sources = [path.read_text() for path in package.rglob("*.py")]
-    assert sum(text.count("np.roots(") for text in sources) == 1
-    assert "np.roots(" in inspect.getsource(spectral.poly_roots)
+    assert sum(text.count("np.linalg.eigvals(") for text in sources) == 1
+    assert "np.linalg.eigvals(" in inspect.getsource(spectral.poly_roots)
+    assert sum(text.count("np.roots(") for text in sources) == 0
     # ComplexPoly evaluates every polynomial: no numpy evaluator or derivative
     assert sum(text.count("polyval") + text.count("polyder") for text in sources) == 0
+
+
+def test_poly_roots_are_np_roots_bit_for_bit():
+    # the companion matrix as np.roots builds it, exactly-zero low coefficients included
+    r = random.Random(31)
+    zero_low = 0
+    for _ in range(600):
+        deg = r.randint(1, 6)
+        c = [complex(r.gauss(0, 1), r.gauss(0, 1)) * 10 ** r.uniform(-3, 3) for _ in range(deg)]
+        c = [0j if r.random() < 0.3 else x for x in c] + [complex(r.gauss(0, 1), r.gauss(0, 1))]
+        zero_low += c[0] == 0
+        p = ComplexPoly(c)
+        assert p.degree == deg
+        want = [complex(x) for x in np.roots(p.coeffs[::-1])]
+        got = poly_roots(p)
+        assert all(type(x) is complex for x in got)
+        assert repr(got) == repr(want), (c, got, want)
+    assert zero_low > 100
+
 
 
 def test_tau_large_beta_decay():
