@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .core import (DomainError, GaussianRational, as_fraction, as_gaussian, common_denominator,
-                   gaussian_form)
+from .core import (DomainError, GaussianRational, as_gaussian, common_denominator, gaussian_form,
+                   read_vector)
 
 FULL = 0b1111
 E_REPS = (0b0000, 0b0011, 0b0101, 0b1001)  # {}, {1,2}, {1,3}, {1,4}
@@ -86,12 +86,9 @@ class ParabolicData:
     ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(map(as_fraction, self.alpha)))
-        object.__setattr__(self, "masses", tuple(map(as_gaussian, self.masses)))
-        if len(self.alpha) != 4 or len(self.masses) != 4:
-            raise ValueError("alpha and masses must have length 4")
-        ints = (*common_denominator(self.alpha), *gaussian_form(self.masses))
-        object.__setattr__(self, "ints", ints)
+        alpha, masses = read_vector(self.alpha, 4), read_vector(self.masses, 4, as_gaussian)
+        ints = (*common_denominator(alpha), *gaussian_form(masses))
+        vars(self).update(alpha=alpha, masses=masses, ints=ints)
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,7 @@ class ChamberLabel:
 
 def wall_K(mask_or_members, alpha) -> Fraction:
     """K_I = sum_{i in I} a_i - sum_{i not in I} a_i + floor((|I^c|-|I|)/4)."""
-    N, b = common_denominator([as_fraction(a) for a in alpha])
-    if len(b) != 4:
-        raise ValueError("length mismatch")
+    N, b = common_denominator(read_vector(alpha, 4))
     return Fraction(_k(_mask(mask_or_members), b, N), N)
 
 
@@ -201,7 +196,7 @@ def classify_chamber(alpha) -> ChamberLabel:
     Raises OutOfCube outside the cube and OnWall if any deciding functional
     vanishes (equivalently, (alpha, 0) is non-generic).
     """
-    return _chamber(*check_cube(*common_denominator([as_fraction(a) for a in alpha])))
+    return _chamber(*check_cube(*common_denominator(read_vector(alpha))))
 
 
 def _chamber(N: int, b) -> ChamberLabel:
@@ -225,7 +220,8 @@ def chamber_sweep(start, stop, samples: int):
     """Rows (t, alpha, label) at ``samples`` equally spaced t in [0, 1] (one
     sample is t = 0) on the segment alpha = start + t (stop - start), with the
     ``DomainError`` of ``classify_chamber`` in place of the label where it
-    raises one."""
+    raises one; ``ValueError`` unless both ends have four entries."""
+    start, stop = read_vector(start, 4), read_vector(stop, 4)
     for k in range(samples):
         t = Fraction(k, samples - 1) if samples > 1 else Fraction(0)
         alpha = tuple(x + t * (y - x) for x, y in zip(start, stop))
@@ -258,9 +254,7 @@ def adjacent(a: ChamberLabel, b: ChamberLabel) -> bool:
 def mass_functional(mask_or_members, masses) -> GaussianRational:
     """M_J = sum_{j in J} m_j - sum_{j not in J} m_j; M_{J^c} = -M_J."""
     c = _SIGNS[_mask(mask_or_members)]
-    N, re, im = gaussian_form([as_gaussian(m) for m in masses])
-    if len(re) != 4:
-        raise ValueError("length mismatch")
+    N, re, im = gaussian_form(read_vector(masses, 4, as_gaussian))
     return GaussianRational(Fraction(sum(map(mul, c, re)), N), Fraction(sum(map(mul, c, im)), N))
 
 
@@ -333,7 +327,7 @@ def fixed_point_data(mask_or_members, alpha) -> FixedPointData:
     line bundle has degree |I| mod 2.
     """
     mask = _mask(mask_or_members)
-    N, b = check_cube(*common_denominator([as_fraction(a) for a in alpha]))
+    N, b = check_cube(*common_denominator(read_vector(alpha)))
     k = subset_size(mask)
     value = Fraction(_k(mask, b, N), N)
     return FixedPointData(deg_DI=k, deg_L2=-1 - k // 2, stability_value=value,

@@ -155,11 +155,8 @@ def _periods(v) -> dict:
 
 
 def _period_vector(v) -> torelli.PeriodVector:
-    if len(v.x) == len(v.z) == 4:
-        return torelli.PeriodVector.from_outer(v.x, v.z, torelli.PARALLEL_BASIS)
-    if len(v.x) == len(v.z) == 5:
-        return torelli.PeriodVector(v.x, v.z, torelli.PARALLEL_BASIS)
-    raise ValueError("x and z must both have 4 (outer) or 5 components")
+    read = torelli.PeriodVector if len(v.x) == 5 else torelli.PeriodVector.from_outer
+    return read(v.x, v.z, torelli.PARALLEL_BASIS)
 
 
 def _invert(v) -> dict:

@@ -47,6 +47,14 @@ def as_fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
 
+def read_vector(vs, n=None, read=as_fraction) -> tuple:
+    """The entries of the bare vector ``vs`` read by ``read``, ``n`` of them if ``n`` is given."""
+    vs = tuple([read(v) for v in vs])
+    if n is not None and len(vs) != n:
+        raise ValueError("length mismatch")
+    return vs
+
+
 def common_denominator(qs) -> tuple[int, tuple[int, ...]]:
     """(N, nums) with N the lcm of the denominators of the sequence of
     rationals ``qs`` and qs[i] == nums[i] / N."""

@@ -24,7 +24,7 @@ from math import gcd
 from operator import mul
 
 from .core import (BrokenIdentity, DomainError, GaussianRational, as_gaussian,
-                   common_denominator, gaussian_form, int_matmul, int_matvec)
+                   common_denominator, gaussian_form, int_matmul, int_matvec, read_vector)
 
 COXETER_MATRIX = ((1, 3, 3, 3, 3), (3, 1, 2, 2, 2), (3, 2, 1, 2, 2), (3, 2, 2, 1, 2),
                   (3, 2, 2, 2, 1))
@@ -54,10 +54,7 @@ class AffineIsometry:
     def __call__(self, x) -> tuple[Fraction, ...]:
         """(L x + t) / d on exact numbers x, computed on integer numerators
         over one common denominator; ``ValueError`` unless len(x) == 4."""
-        x = [Fraction(v) for v in x]
-        if len(x) != 4:
-            raise ValueError("length mismatch")
-        N, b = common_denominator(x)
+        N, b = common_denominator(read_vector(x, 4))
         return tuple(Fraction(sum(map(mul, row, b)) + s * N, self.d * N)
                      for row, s in zip(self.L, self.t))
 
@@ -195,9 +192,7 @@ def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:
     """Action of g on a mass vector in Q(i)^4: the rational linear part L/d
     of g applied to the real and imaginary numerators over one common
     denominator; ``ValueError`` unless there are four masses."""
-    N, re, im = gaussian_form(list(map(as_gaussian, masses)))
-    if len(re) != 4:
-        raise ValueError("length mismatch")
+    N, re, im = gaussian_form(read_vector(masses, 4, as_gaussian))
     return tuple(GaussianRational(Fraction(sum(map(mul, row, re)), g.d * N),
                                   Fraction(sum(map(mul, row, im)), g.d * N)) for row in g.L)
 
@@ -227,7 +222,7 @@ def alcove_walk(alpha):
     An inexact step or translation raises ``BrokenIdentity``, and ``WALK_LIMIT``
     reflections raise ``WalkLimitExceeded``.
     """
-    N, b = common_denominator([Fraction(a) for a in alpha])
+    N, b = common_denominator(read_vector(alpha, 4))
     N, b = 2 * N, [2 * v for v in b]
     vals = [sum(map(mul, n, b)) + c * N for n, c in _FACES]
     G, shifts, applied = _GRAM, [0] * 5, []
@@ -277,7 +272,7 @@ def enumerate_W_fin() -> tuple[AffineIsometry, ...]:
 def vertex_orbit(v) -> str:
     """Orbit label of a cube vertex under the Coxeter action: one of
     12/34, 13/24, 14/23, 0/1234, odd (a vertex and its complement share one)."""
-    v = tuple(Fraction(a) for a in v)
+    v = read_vector(v)
     if len(v) != 4 or any(a not in (0, Fraction(1, 2)) for a in v):
         raise NotAVertex(f"{v} is not a vertex of [0,1/2]^4")
     mask = sum(1 << i for i, a in enumerate(v) if a)  # min(mask, complement) keys the pair

@@ -9,7 +9,9 @@ tuples of Python ints, so entries never overflow.
 
 from __future__ import annotations
 
-from .core import BrokenIdentity
+from operator import index, mul
+
+from .core import BrokenIdentity, int_matvec, read_vector
 from .coxeter import AffineIsometry, _reduced
 
 I0 = ((-2, 1, 1, 1, 1),
@@ -24,8 +26,8 @@ LatticeAuto = tuple  # 5x5 nested int tuples
 
 
 def intersection(a, b) -> int:
-    """Intersection pairing a^T I0 b of two coefficient vectors."""
-    return sum(a[i] * I0[i][j] * b[j] for i in range(5) for j in range(5))
+    """Intersection pairing a^T I0 b of two integer coefficient 5-vectors."""
+    return sum(map(mul, read_vector(a, 5, index), int_matvec(I0, read_vector(b, 5, index))))
 
 
 def dehn_twist_matrix(i: int) -> LatticeAuto:

@@ -441,16 +441,20 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
 # elliptic periods
 # ---------------------------------------------------------------------------
 
-def _cycle(root: complex, p: complex, q: complex, others, sheet) -> complex:
-    """The period of the cycle around [p, q]: collapsed onto it, z = mu + h cos theta, it is
+def _cycle(root: complex, segments, roots, sheet) -> complex:
+    """The period of the cycle around the first [p, q] of ``segments`` whose nearest other root
+    e has elliptic coordinate rho >= 1e-7: collapsed onto it, z = mu + h cos theta, it is
     -s int_0^pi dtheta / (root g_r(z) g_s(z)) over the other roots r, s (g_s = 1 for a
     cubic), each g_e(z) = sqrt(u) sqrt((z - e)/u) with u bisecting the angle [p, z0]
-    subtends at e, and s the sign of the sheet at z0 = mu + h cosh min(1.2, rho/2), rho the
-    elliptic coordinate of the nearest e.  By Gauss-Landen the integral is pi / M, M the
-    AGM seeded with (g_r(p) g_s(q), g_s(p) g_r(q)) exactly as given, each later root taken
-    nearer the arithmetic mean, stopped at |x - y| <= 1e-15 |x|."""
-    rho = min(abs(cmath.acos((2 * e - p - q) / (q - p)).imag) for e in others)
-    if rho < 1e-7:
+    subtends at e, and s the sign of the sheet at z0 = mu + h cosh min(1.2, rho/2).  By
+    Gauss-Landen the integral is pi / M, M the AGM seeded with (g_r(p) g_s(q), g_s(p) g_r(q))
+    exactly as given, each later root nearer the arithmetic mean, to |x - y| <= 1e-15 |x|."""
+    for p, q in segments:
+        others = [e for e in roots if e not in (p, q)]
+        rho = min(abs(cmath.acos((2 * e - p - q) / (q - p)).imag) for e in others)
+        if rho >= 1e-7:
+            break
+    else:
         raise BranchPointCoincidence("branch points collide with the cut")
     mu, h, r = (p + q) / 2, (q - p) / 2, min(1.2, 0.5 * rho)
     z0 = mu + h * math.cosh(r)
@@ -479,8 +483,9 @@ def elliptic_periods(base: HitchinBase, beta: complex):
             if abs(x - y) < math.sqrt(ROOT_TOL) * max(1.0, abs(x), abs(y)):
                 raise SingularFiber(f"branch points coincide (distance {abs(x - y):.2e})")
     (a, b), (c, *d) = cuts
-    root, sheet = cmath.sqrt(F.coeffs[-1]), _sheet(F, branch)
-    A, B = _cycle(root, a, b, [c, *d], sheet), _cycle(root, b, c, [a, *d], sheet)
+    roots, root, sheet = (a, b, c, *d), cmath.sqrt(F.coeffs[-1]), _sheet(F, branch)
+    A = _cycle(root, [(a, b)], roots, sheet)
+    B = _cycle(root, [(b, c), (a, c)] + [(e, *d) for e in (b, a) if d], roots, sheet)
     if not (cmath.isfinite(A) and cmath.isfinite(B) and A and (B / A).imag):
         raise SingularFiber(f"degenerate periods A = {A}, B = {B}")
     tau = B / A

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
 
-from .core import (BrokenIdentity, DomainError, GaussianRational, as_fraction, as_gaussian,
-                   common_denominator, from_fields, gaussian_form, int_matvec)
+from .core import (BrokenIdentity, DomainError, GaussianRational, as_gaussian, common_denominator,
+                   from_fields, gaussian_form, int_matvec, read_vector)
 from .chambers import (FULL, _SIGNS, ChamberLabel, ParabolicData, _chamber, _k, check_cube,
                        mass_functional, subset_size, wall_K)  # noqa: F401 (re-export)
 from .coxeter import _FACES
@@ -56,16 +56,14 @@ class PeriodVector:
     ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(map(as_fraction, self.x)))
-        object.__setattr__(self, "z", tuple(map(as_gaussian, self.z)))
-        object.__setattr__(self, "ints", (*common_denominator(self.x), *gaussian_form(self.z)))
+        x, z = read_vector(self.x, 5), read_vector(self.z, 5, as_gaussian)
+        ints = (*common_denominator(x), *gaussian_form(z))
+        vars(self).update(x=x, z=z, ints=ints)
         self._check()
 
     def _check(self) -> "PeriodVector":
-        """``self`` once its length and fiber relations hold on ``ints``."""
+        """``self`` once its fiber relations hold on ``ints``."""
         N, x, _, re, im = self.ints
-        if len(x) != 5 or len(re) != 5:
-            raise ValueError("period vectors have five components")
         if 2 * x[0] + sum(x[1:]) != N:
             raise InconsistentFiberRelation("2 x0 + sum x_j != 1")
         if 2 * re[0] + sum(re[1:]) or 2 * im[0] + sum(im[1:]):
@@ -75,8 +73,8 @@ class PeriodVector:
     @staticmethod
     def from_outer(x4, z4, basis) -> "PeriodVector":
         """Complete the four outer periods by the fiber relations."""
-        return _completed(*common_denominator([as_fraction(v) for v in x4]),
-                          *gaussian_form([as_gaussian(v) for v in z4]), basis)
+        return _completed(*common_denominator(read_vector(x4, 4)),
+                          *gaussian_form(read_vector(z4, 4, as_gaussian)), basis)
 
 
 def _completed(N: int, xs, Nm: int, re, im, basis) -> PeriodVector:
@@ -91,7 +89,7 @@ def _completed(N: int, xs, Nm: int, re, im, basis) -> PeriodVector:
 
 def central_x_closed_form(label: ChamberLabel, alpha) -> Fraction:
     """Closed form of the central-sphere x-period per chamber type."""
-    return _central_x(label, *common_denominator([as_fraction(a) for a in alpha]))
+    return _central_x(label, *common_denominator(read_vector(alpha, 4)))
 
 
 def _central_x(label: ChamberLabel, N: int, b) -> Fraction:

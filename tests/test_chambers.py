@@ -371,6 +371,22 @@ def test_wall_and_mass_functionals_need_four_entries():
     assert mass_functional(3, [1, 2, 3, 4]) == GaussianRational(-4)
 
 
+def test_parabolic_data_and_sweep_ends_need_four_entries():
+    # chamber_sweep zipped its ends, so ends of 4 and 3 entries gave OutOfCube rows for
+    # truncated 3-vectors; now either end of another count fails before the first row
+    four = [Fraction(1, 5)] * 4
+    for n in (0, 3, 5):
+        bad = [Fraction(1, 5)] * n
+        for alpha, masses in ((bad, [0] * 4), (four, [0] * n)):
+            with pytest.raises(ValueError, match="length mismatch"):
+                ParabolicData(alpha, masses)
+        for start, stop in ((four, bad), (bad, four)):
+            with pytest.raises(ValueError, match="length mismatch"):
+                next(chamber_sweep(start, stop, 3))
+        with pytest.raises(OutOfCube):
+            classify_chamber(bad)
+
+
 # ---------------------------------------------------------------------------
 # integer form
 # ---------------------------------------------------------------------------

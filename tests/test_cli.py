@@ -44,6 +44,26 @@ def test_invert_roundtrip(capsys):
     assert doc2["result"]["m"][3] == {"re": "0", "im": "1"}
 
 
+def test_invert_and_domain_take_all_five_periods(capsys):
+    # every period of the parallel basis, the central one included, comes back to
+    # alpha and m; a mix of four and five components is a usage error
+    code, doc = run_json(capsys, "periods", "--alpha", "3/10,1/5,1/5,1/5",
+                         "--m", "1,0,0,i", "--basis", "parallel")
+    from hitchin4.core import GaussianRational
+    xs = doc["result"]["x"]
+    zs = [str(GaussianRational.from_json(z)) for z in doc["result"]["z"]]
+    code, inv = run_json(capsys, "invert", f"--x={','.join(xs)}", f"--z={','.join(zs)}")
+    assert code == 0 and inv["result"] == {"alpha": ["3/10", "1/5", "1/5", "1/5"], "m": [
+        {"re": "1", "im": "0"}, {"re": "0", "im": "0"}, {"re": "0", "im": "0"},
+        {"re": "0", "im": "1"}]}
+    code, dom = run_json(capsys, "domain", f"--x={','.join(xs)}", f"--z={','.join(zs)}")
+    assert code == 0 and dom["result"] == {"in_domain": True, "witness": None}
+    for x, z in ((xs[1:], zs), (xs, zs[1:])):
+        for cmd in ("invert", "domain"):
+            assert main([cmd, f"--x={','.join(x)}", f"--z={','.join(z)}"]) == 1
+            assert "length mismatch" in capsys.readouterr().err
+
+
 def test_chamber_on_wall_exit_2(capsys):
     code, doc = run_json(capsys, "chamber", "--alpha", "1/4,1/4,1/4,1/4")
     assert code == 2
@@ -142,6 +162,12 @@ def test_spectral_tau_at_one_beta(capsys):
     assert code == 0
     want = elliptic_periods(build_base(0.37, (0.5, 0.25, 0.125, 1)), 50)
     assert [complex(*doc["result"][k]) for k in ("A", "B", "tau")] == list(want)
+    # a smooth fiber whose segment [b, c] runs through a root: B is taken on [a, c]
+    code, doc = run_json(capsys, "spectral", "tau", "--p0", "2", "--m",
+                         "0.16225-2.730025i,2.79094+2.759363i,3.093703-6.80049i,1",
+                         "--beta", "31.05895-59.7085i")
+    assert code == 0
+    assert abs(complex(*doc["result"]["tau"]) - (0.0024931 + 1.0967765j)) < 1e-7
 
 
 def test_monodromy_normalize_cli(capsys):

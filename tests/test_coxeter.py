@@ -593,6 +593,13 @@ def test_equality_is_same_map_and_same_word():
     assert equal > 0
 
 
+def test_alcove_walk_needs_four_weights():
+    # three weights raised BrokenIdentity, a defect's error, and five walked the first four
+    for n in (0, 3, 5):
+        with pytest.raises(ValueError, match="length mismatch"):
+            alcove_walk((Fraction(1, 5),) * n)
+
+
 def test_call_and_apply_to_masses_check_the_length_and_coerce():
     g = compose_word([0, 2, 1], GENS)
     for bad in ((1, 2, 3), (1, 2, 3, 4, 5), ()):

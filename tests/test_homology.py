@@ -30,6 +30,16 @@ def test_intersection_form_entries():
         assert intersection(FIBER_CLASS, c) == 0
 
 
+def test_intersection_needs_two_five_vectors():
+    # the sixth entries were ignored (-2 for the pair below) and a 4-vector raised IndexError
+    for bad in ((), (1, 0, 0, 0), (1, 0, 0, 0, 0, 7)):
+        for a, b in ((bad, E[0]), (E[0], bad)):
+            with pytest.raises(ValueError, match="length mismatch"):
+                intersection(a, b)
+    with pytest.raises(ValueError, match="length mismatch"):
+        intersection((1, 0, 0, 0, 0, 7), (1, 0, 0, 0, 0, 9))
+
+
 def test_dehn_twist_sphere_action():
     A0 = dehn_twist_matrix(0)
     assert int_matvec(A0, E[0]) == (-1, 0, 0, 0, 0)

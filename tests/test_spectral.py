@@ -930,6 +930,21 @@ def test_cubic_periods_match_modular_lambda():
     assert min(abs(lam - o) for o in orbit) < 1e-8
 
 
+def test_b_cycle_leaves_a_segment_through_a_root():
+    # a smooth fiber in B0 whose branch points are about 0.4 apart or more: the least-length
+    # cuts are (r0 r3)(r1 r2), so [b, c] = [1.2+0.3i, 0.2+0.3i] runs through the root
+    # 0.6+0.3i; B is taken on [a, c], and tau passes the modular-lambda oracle
+    base = build_base(2, (0.16225 - 2.730025j, 2.79094 + 2.759363j, 3.093703 - 6.80049j, 1))
+    beta = 31.05895 - 59.7085j
+    _, branch, ((a, b), (c, d)) = _fiber(base, beta)
+    assert in_B0(base, beta) and (a, b, c, d) == (branch[0], branch[3], branch[1], branch[2])
+    assert min(abs(x - y) for i, x in enumerate(branch) for y in branch[i + 1:]) > 0.39
+    assert abs(((d - b) / (c - b)).imag) < 1e-6 and 0 < ((d - b) / (c - b)).real < 1
+    _, _, tau = elliptic_periods(base, beta)
+    assert abs(tau - (0.0024931 + 1.0967765j)) < 1e-7
+    assert lambda_misfit(base, beta, tau) < 1e-12
+
+
 def test_lambda_matching_quartic():
     base = generic_base()
     _, _, tau = elliptic_periods(base, BETA)

@@ -219,6 +219,21 @@ def test_fiber_relation_enforced():
         PeriodVector((1, 1, 1, 1, 1), (0,) * 5, PARALLEL_BASIS)
 
 
+def test_period_vectors_and_the_central_closed_form_count_their_entries():
+    # central_x_closed_form read 3/10 from five weights and 1/10 from three
+    label = classify_chamber((Fraction(3, 10),) + (Fraction(1, 5),) * 3)
+    for n in (0, 3, 5):
+        with pytest.raises(ValueError, match="length mismatch"):
+            central_x_closed_form(label, (Fraction(1, 5),) * n)
+        for x4, z4 in (((0,) * n, (0,) * 4), ((0,) * 4, (0,) * n)):
+            with pytest.raises(ValueError, match="length mismatch"):
+                PeriodVector.from_outer(x4, z4, PARALLEL_BASIS)
+    for n in (4, 6):
+        for x, z in (((0,) * n, (0,) * 5), ((0,) * 5, (0,) * n)):
+            with pytest.raises(ValueError, match="length mismatch"):
+                PeriodVector(x, z, PARALLEL_BASIS)
+
+
 # ---------------------------------------------------------------------------
 # period domain
 # ---------------------------------------------------------------------------
