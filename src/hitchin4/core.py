@@ -23,7 +23,8 @@ class DomainError(Exception):
 
 
 class NonConvergence(DomainError, RuntimeError):
-    """Raised when iterative root refinement fails after bounded restarts."""
+    """A numeric result missed its check: a ``spectral.poly_roots`` residual at or above
+    ``ROOT_TOL``, or a period AGM in ``spectral._cycle`` not settled after 64 steps."""
 
 
 class BrokenIdentity(AssertionError):

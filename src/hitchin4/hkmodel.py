@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import from_fields
+
 IDENTITY_TOL = 1e-10
 
 
@@ -56,23 +58,17 @@ class PointTangent:
                 raise ValueError("components must be trace-free")
 
 
-def _image(a: np.ndarray, phi: np.ndarray) -> PointTangent:
-    """(a, phi) unchecked: I, J, K keep Tr = 0, but J, K scale Tr by 1/sqrt(l2)
-    or sqrt(l2) while the 1 of the constructor's bound stays fixed."""
-    v = object.__new__(PointTangent)
-    v.__dict__.update(a=a, phi=phi)
-    return v
-
-
 def apply_structure(S: str, v: PointTangent, p: HKParams) -> PointTangent:
     """Apply a complex structure: "I" multiplies by i; "J"/"K" are the
     theta-rotated structures J_theta + i K_theta = e^{i theta} (J + i K)."""
+    # the image is built unchecked: I, J, K keep Tr = 0, but J, K scale Tr by
+    # 1/sqrt(l2) or sqrt(l2) while the 1 of the constructor's bound stays fixed
     if S == "I":
-        return _image(1j * v.a, 1j * v.phi)
+        return from_fields(PointTangent, a=1j * v.a, phi=1j * v.phi)
     if S not in ("J", "K"):
         raise ValueError("structure must be 'I', 'J' or 'K'")
     ph, s = cmath.exp(1j * p.theta) * (1j if S == "K" else 1), math.sqrt(p.lambda2)
-    return _image(ph / s * v.phi.conj().T, -ph * s * v.a.conj().T)
+    return from_fields(PointTangent, a=ph / s * v.phi.conj().T, phi=-ph * s * v.a.conj().T)
 
 
 def hermitian_pairing(v: PointTangent, w: PointTangent, p: HKParams) -> complex:

@@ -20,7 +20,7 @@ disproof, not a search limit.  The canonical form of a tuple comes with
 the transform P that produces it, so a normal form in the pattern's class
 is certified by C = P_pattern^-1 P_normal, which satisfies C M_i = T_i C
 for every factor M_i and pattern factor T_i; ``normalize`` checks that
-identity by multiplication before it returns.
+identity by multiplication before it returns (``BrokenIdentity`` if it fails).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-from .core import DomainError
+from .core import BrokenIdentity, DomainError
 
 SL2Z = tuple  # ((a, b), (c, d)) of ints
 
@@ -249,7 +249,8 @@ def normalize(f: Factorization):
     by ``_certificate``.  ``moves`` walks down ``_class_table``, taking at
     each class the first move (slot ascending, direction 1 before 2) that
     lowers the distance: the first shortest sequence in that order.
-    Raises Exhausted when f's class is not in the table."""
+    Raises Exhausted when f's class is not in the table, and BrokenIdentity (a
+    defect, not a disproof) when the walk's normal form fails its certificate."""
     if len(f.factors) != 6:
         raise ValueError("need six factors")
     vecs = f.vectors()
@@ -265,7 +266,7 @@ def normalize(f: Factorization):
         moves.append(move)
         normal = hurwitz_move(normal, *move)
     if _certificate(normal) is None:
-        raise Exhausted("class search reached target but replay failed")
+        raise BrokenIdentity("class search reached target but replay failed")
     return moves, normal
 
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BrokenIdentity, DomainError, NonConvergence
+from .core import BrokenIdentity, DomainError, NonConvergence, read_vector
 
 PUNCTURE_KEYS = ("0", "1", "p0", "inf")
 
@@ -78,16 +78,16 @@ class UndefinedFlag(DomainError, RuntimeError):
 class ComplexPoly:
     """Complex polynomial, coefficients ascending in degree.
 
-    Trailing coefficients below 1e-12 of the largest magnitude are trimmed
-    on construction, so the leading coefficient is honestly nonzero.
+    Trailing coefficients below 1e-12 of the largest magnitude ``scale`` are
+    trimmed on construction, so the leading coefficient is honestly nonzero.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "scale")
 
     def __init__(self, coeffs: Iterable[complex]):
-        c = [complex(x) for x in coeffs] or [0j]
-        scale = max(map(abs, c))
-        while len(c) > 1 and abs(c[-1]) <= TRIM_TOL * scale:
+        c = list(read_vector(coeffs, read=complex)) or [0j]
+        self.scale = max(map(abs, c))
+        while len(c) > 1 and abs(c[-1]) <= TRIM_TOL * self.scale:
             c.pop()
         self.coeffs = tuple(c)
 
@@ -127,9 +127,8 @@ def poly_roots(p: ComplexPoly) -> list[complex]:
     companion = np.eye(p.degree - k, k=-1, dtype=complex)  # of p / z^k, as numpy.roots builds it
     companion[:1] = np.divide([-x for x in reversed(c[k:-1])], c[-1])  # none if p = lead z^k
     roots = np.linalg.eigvals(companion).tolist() + [0j] * k
-    scale = max(map(abs, c))
     for r in roots:
-        if abs(p(r)) >= ROOT_TOL * scale * (1 + abs(r)) ** p.degree:
+        if abs(p(r)) >= ROOT_TOL * p.scale * (1 + abs(r)) ** p.degree:
             raise NonConvergence(f"root residual too large at {r}")
     return roots
 
@@ -142,7 +141,7 @@ def f_m_coefficients(p0: complex, masses) -> tuple[complex, ...]:
     with the vanishing of the beta^5 coefficient of the z-discriminant of
     f_m + beta z(z-1)(z-p0) (center of mass of the singular fibers at 0).
     """
-    m0, m1, mp, mi = (complex(m) for m in masses)
+    m0, m1, mp, mi = read_vector(masses, 4, complex)
     a, b, c, d = m0 ** 2, m1 ** 2, mp ** 2, mi ** 2
     f4 = d
     f3 = (-a + 2 * b - 4 * d - c - a * p0 - b * p0 - 4 * d * p0 + 2 * c * p0) / 3
@@ -153,31 +152,36 @@ def f_m_coefficients(p0: complex, masses) -> tuple[complex, ...]:
     return f0, f1, f2, f3, f4
 
 
-def _cubic_coeffs(p0: complex) -> tuple[complex, ...]:
-    """z(z-1)(z-p0), ascending, padded to quartic length."""
-    return 0j, p0, -(1 + p0), 1 + 0j, 0j
-
-
 @dataclass(frozen=True)
 class HitchinBase:
     """Marked point p0, complex masses (m0, m1, mp0, minf which may be 0),
-    and the normalized quartic coefficients f0..f4 (ascending)."""
+    and the normalized quartic coefficients f0..f4 (ascending).  Derived once
+    where the base is built: ``c_coeffs``, c = z(z-1)(z-p0) ascending and padded
+    to quartic length, and ``punctures``, rows (key, p, c'(p), m_p) for the finite
+    punctures 0, 1, p0, where f(p) = m_p^2 c'(p)^2; ==, hash, repr skip them."""
 
     p0: complex
     masses: tuple[complex, complex, complex, complex]
     f_coeffs: tuple[complex, complex, complex, complex, complex]
+    c_coeffs: tuple = field(init=False, repr=False, compare=False)
+    punctures: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p0 = self.p0
+        vars(self).update(c_coeffs=(0j, p0, -(1 + p0), 1 + 0j, 0j), punctures=tuple(zip(
+            PUNCTURE_KEYS, (0.0, 1.0, p0), (p0, 1 - p0, p0 * (p0 - 1)), self.masses)))
 
     def curve_coeffs(self, beta: complex) -> tuple[complex, ...]:
         """Ascending coefficients of F = f_m + beta z(z-1)(z-p0); ``ValueError``
         naming beta if one is not finite (complex arithmetic overflows silently)."""
-        F = tuple(f + beta * c for f, c in zip(self.f_coeffs, _cubic_coeffs(self.p0)))
+        F = tuple(f + beta * c for f, c in zip(self.f_coeffs, self.c_coeffs))
         if not all(map(cmath.isfinite, F)):
             raise ValueError(f"F = f_m + beta z(z-1)(z-p0) is not finite at beta = {complex(beta)}")
         return F
 
 
 def build_base(p0: complex, masses) -> HitchinBase:
-    p0, masses = complex(p0), tuple(complex(m) for m in masses)
+    p0, masses = complex(p0), read_vector(masses, 4, complex)
     if not all(map(cmath.isfinite, (p0, *masses))):
         raise ValueError(f"p0 = {p0} and masses {masses} must be finite")
     if min(abs(p0), abs(p0 - 1)) < 1e-12:
@@ -198,7 +202,7 @@ def build_base(p0: complex, masses) -> HitchinBase:
 def quartic_discriminant(c) -> complex:
     """Discriminant of a formal quartic with ascending coefficients c
     (valid as a polynomial identity even when the leading coefficient is 0)."""
-    e, d, cc, b, a = (complex(x) for x in c)
+    e, d, cc, b, a = read_vector(c, 5, complex)
     return (256 * a ** 3 * e ** 3 - 192 * a ** 2 * b * d * e ** 2
             - 128 * a ** 2 * cc ** 2 * e ** 2 + 144 * a ** 2 * cc * d ** 2 * e
             - 27 * a ** 2 * d ** 4 + 144 * a * b ** 2 * cc * e ** 2
@@ -213,7 +217,7 @@ def beta_discriminant_poly(base: HitchinBase) -> np.ndarray:
     """Ascending coefficients of the degree-6 polynomial beta -> disc_z(f_m +
     beta z(z-1)(z-p0)), fitted on ``BETA_NODES`` points of a circle of radius r with every
     singular value kept (rcond=0): V's column k scales as r^k, so a cutoff drops beta^0."""
-    c, f = _cubic_coeffs(base.p0), base.f_coeffs
+    c, f = base.c_coeffs, base.f_coeffs
     radius = 2.0 * max(1.0, *map(abs, f))
     bs = [radius * u for u in _UNIT_NODES]
     try:
@@ -274,10 +278,9 @@ def in_B0(base: HitchinBase, beta: complex) -> bool:
     tol = 1e-6 * (1.0 + max(abs(r) for r in roots))
     if F.degree == 4 and all(abs(b - a) < tol for a, b in cuts):
         return False
-    scale = max(1.0, max(abs(c) for c in F.coeffs))
-    dF = F.derivative()
+    scale, dF = max(1.0, F.scale), F.derivative()
     return not any(abs(F(p)) < 1e-10 * scale and abs(dF(p)) < 1e-8 * scale
-                   for p in (0.0, 1.0, base.p0))
+                   for _, p, *_ in base.punctures)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,7 @@ class SpectralFiberPoint:
                 raise OffCurve("big stratum needs (u, w)")
             F, minf = ComplexPoly(self.base.curve_coeffs(self.beta)), self.base.masses[3]
             val = F(self.u) - (minf * self.u ** 2 + self.w) ** 2
-            scale = max(1.0, max(abs(c) for c in F.coeffs), abs(self.w) ** 2)
+            scale = max(1.0, F.scale, abs(self.w) ** 2)
             if abs(val) > 1e-8 * scale:
                 raise OffCurve(f"cubic residual {abs(val):.3e} at (u, w)")
         elif self.stratum == "extra" and abs(self.base.masses[3]) < 1e-13:
@@ -329,13 +332,13 @@ def higgs_representative(pt: SpectralFiberPoint):
     dd = (d0 * d0, 2 * d0 * d1, d1 * d1 + 2 * d0 * d2, 2 * d1 * d2, d2 * d2)  # D^2
     upper = ComplexPoly([x - y for x, y in zip(F, dd)])
     if pt.stratum == "big":
-        if abs(upper(pt.u)) > 1e-6 * max(1.0, max(abs(c) for c in upper.coeffs)):
+        if abs(upper(pt.u)) > 1e-6 * max(1.0, upper.scale):
             raise OffCurve("upper-right division by (z - u) is not exact")
         upper = upper.deflate(pt.u)
     elif pt.stratum == "extra" and upper.degree > 2:
         raise BrokenIdentity("extra-point upper entry must be quadratic")
     N = ((ComplexPoly([-d0, -d1, -d2]), upper), (ComplexPoly(lower), ComplexPoly([d0, d1, d2])))
-    return N, ComplexPoly(_cubic_coeffs(pt.base.p0)[:4])
+    return N, ComplexPoly(pt.base.c_coeffs)
 
 
 def flags(pt: SpectralFiberPoint):
@@ -349,11 +352,10 @@ def flags(pt: SpectralFiberPoint):
     test) of 1 + |D(0)| + |L(0)|, which is 1 + |w| + |u| on the big stratum.
     The flag at infinity is -m_inf on the small stratum and (1:0) on the others."""
     ((_, U), (L, D)), _ = higgs_representative(pt)
-    p0, (m0, m1, mp, mi) = pt.base.p0, pt.base.masses
     scale = 1.0 + abs(D.coeffs[0]) + abs(L.coeffs[0])
     out = []
-    for p, lam in ((0.0, m0 * p0), (1.0, m1 * (1 - p0)), (p0, mp * p0 * (p0 - 1))):
-        Dp, Lp = D(p), L(p)
+    for _, p, dc, m in pt.base.punctures:
+        lam, Dp, Lp = m * dc, D(p), L(p)
         if abs(Lp) > 1e-9 * scale:  # the row with the smaller rounding bound
             err_U = sum(abs(c) * abs(p) ** k for k, c in enumerate(U.coeffs)) * abs(Lp)
             upper = (abs(lam) + abs(Dp)) * (abs(lam + Dp) - abs(lam - Dp)) > err_U
@@ -364,7 +366,7 @@ def flags(pt: SpectralFiberPoint):
             raise UndefinedFlag(f"residue matrix vanishes at z = {p}")
         else:
             out.append(U(p) / (lam + Dp))
-    return (*out, -mi if pt.stratum == "small" else math.inf)
+    return (*out, -pt.base.masses[3] if pt.stratum == "small" else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +419,11 @@ def tautological_residues(base: HitchinBase, beta: complex) -> dict:
     if not any(base.masses):
         return out
     F, branch, _ = _fiber(base, beta)
-    anchor, sheet = _anchor(branch), _sheet(F, branch)
-    p0, mi = base.p0, base.masses[3]
-    punctures = [0.0, 1.0, p0]
-    for key, p, dc, m in zip(PUNCTURE_KEYS, punctures, (p0, 1 - p0, p0 * (p0 - 1)), base.masses):
+    anchor, sheet, mi = _anchor(branch), _sheet(F, branch), base.masses[3]
+    for key, p, dc, m in base.punctures:
         if m == 0:
             continue
-        dists = [abs(p - b) for b in branch] + [abs(p - q) for q in punctures if q != p]
+        dists = [abs(p - b) for b in branch] + [abs(p - q) for _, q, *_ in base.punctures if q != p]
         radius = 0.1 * min(dists)
         if radius < 1e-12:
             raise BranchPointCollision(f"branch point at puncture z = {p}")
@@ -516,26 +516,24 @@ def tau_sweep(base: HitchinBase, bmin: float, bmax: float, samples: int):
 def predicted_root_shift(base: HitchinBase, p: complex) -> complex:
     """Closed-form coefficient of 1/beta in the branch-point shift near a
     finite puncture: -f(p) / c'(p) with c = z(z-1)(z-p0)."""
-    dc = ComplexPoly(_cubic_coeffs(base.p0)).derivative()
-    return -ComplexPoly(base.f_coeffs)(p) / dc(p)
+    return -ComplexPoly(base.f_coeffs)(p) / ComplexPoly(base.c_coeffs).derivative()(p)
 
 
 def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
     """Track the branch-point drift near each finite puncture (its nearest root,
     ties to the upper one) over large |beta| samples and fit the 1/beta
     coefficient of each shift: {"fitted": {key: coeff}, "predicted": {key:
-    coeff}} for keys "0", "1", "p0"."""
-    betas = [complex(b) for b in beta_samples]
-    if len(betas) < 2:
-        raise ValueError("need at least two beta samples")
-    punctures = {"0": 0.0, "1": 1.0, "p0": base.p0}
-    sep = min(abs(x - y) for x in punctures.values() for y in punctures.values() if x != y)
-    shifts = {k: [] for k in punctures}
+    coeff}} for keys "0", "1", "p0"; ``ValueError`` for fewer than two distinct samples."""
+    betas = read_vector(beta_samples, read=complex)
+    if len(set(betas)) < 2:
+        raise ValueError("need at least two distinct beta samples")
+    sep = min(abs(p - q) for _, p, *_ in base.punctures for _, q, *_ in base.punctures if p != q)
+    shifts = {key: [] for key, *_ in base.punctures}
     for b in betas:
         roots = _fiber(base, b)[1]
         if not roots:
             raise ValueError("degree must be >= 1")
-        for key, p in punctures.items():
+        for key, p, *_ in base.punctures:
             near = min(roots, key=lambda r: (abs(r - p), -r.imag))
             if abs(near - p) > 0.45 * sep:
                 raise RootTrackingLost(f"no root near puncture {key} at beta={b}")
@@ -544,4 +542,4 @@ def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
     design = np.column_stack([inv, inv ** 2])  # two-term fit removes 1/beta^2 bias
     return {"fitted": {k: complex(np.linalg.lstsq(design, np.array(s), rcond=None)[0][0])
                        for k, s in shifts.items()},
-            "predicted": {k: predicted_root_shift(base, p) for k, p in punctures.items()}}
+            "predicted": {key: predicted_root_shift(base, p) for key, p, *_ in base.punctures}}

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from hitchin4 import monodromy
 from hitchin4.chambers import OnWall, OutOfCube, ParabolicData, exterior_label, interior_label
-from hitchin4.core import GaussianRational, int_matmul, int_matvec
+from hitchin4.core import BrokenIdentity, GaussianRational, int_matmul, int_matvec
 from hitchin4.homology import FIBER_CLASS, I0, intersection
 from hitchin4.monodromy import mat_det, mat_mul
 from hitchin4.torelli import PARALLEL_BASIS, NonGeneric, PeriodVector
@@ -337,7 +337,7 @@ def bfs_normalize(f, max_depth: int = 24):
     for i, d in moves:
         normal = monodromy.hurwitz_move(normal, i, d)
     if monodromy._certificate(normal) is None:
-        raise monodromy.Exhausted("class search reached target but replay failed")
+        raise BrokenIdentity("class search reached target but replay failed")
     return moves, normal
 
 

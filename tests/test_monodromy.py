@@ -5,6 +5,7 @@ import re
 import pytest
 
 from hitchin4 import monodromy
+from hitchin4.core import BrokenIdentity
 from hitchin4.monodromy import (
     IDENT,
     MAT_A,
@@ -265,7 +266,8 @@ def test_normalize_raises_when_certificate_fails(monkeypatch):
     f = seeded_scramble(3, 4)
     S = ((0, -1), (1, 0))
     monkeypatch.setattr(monodromy, "_P_PATTERN", mat_mul(S, monodromy._P_PATTERN))
-    with pytest.raises(Exhausted, match="replay failed"):
+    # a certificate that fails after the table walk is a defect, not a disproof
+    with pytest.raises(BrokenIdentity, match="replay failed"):
         normalize(f)
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from hitchin4.core import BrokenIdentity, DomainError
 from hitchin4.spectral import (
-    _cubic_coeffs,
     _fiber,
     _sheet,
     BranchPointCoincidence,
@@ -21,6 +20,7 @@ from hitchin4.spectral import (
     OffCurve,
     build_base,
     beta_discriminant_poly,
+    f_m_coefficients,
     elliptic_periods,
     flags,
     higgs_representative,
@@ -97,6 +97,47 @@ def test_degenerate_p0():
         build_base(1.0, MASSES)
 
 
+def test_a_base_takes_exactly_four_masses():
+    # the masses are counted where they are read, not by a tuple unpacking further on
+    for masses in ((1, 0, 0), (1, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            build_base(2, masses)
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            f_m_coefficients(2 + 0j, masses)
+
+
+def test_a_base_carries_its_cubic_and_puncture_table():
+    # c = z(z-1)(z-p0) and the rows (key, p, c'(p), m_p) are derived once, where the
+    # base is built; f(p) = m_p^2 c'(p)^2 at each finite puncture, and ==, hash and
+    # repr see only p0, the masses and f_m
+    base = build_base(P0, MASSES)
+    p0 = base.p0
+    assert base.c_coeffs == (0j, p0, -(1 + p0), 1 + 0j, 0j)
+    assert [(key, p) for key, p, _, _ in base.punctures] == [("0", 0.0), ("1", 1.0), ("p0", p0)]
+    c = ComplexPoly(base.c_coeffs)
+    for (_, p, dc, m), mass in zip(base.punctures, base.masses):
+        assert m == mass and c(p) == 0 and abs(dc - c.derivative()(p)) < 1e-12 * abs(dc)
+        f = ComplexPoly(base.f_coeffs)(p)
+        assert abs(f - m ** 2 * dc ** 2) < 1e-10 * max(1.0, abs(f))
+    twin = HitchinBase(base.p0, base.masses, base.f_coeffs)
+    assert twin == base and hash(twin) == hash(base) and repr(twin) == repr(base)
+    assert "c_coeffs" not in repr(base) and "punctures" not in repr(base)
+
+
+def test_a_polynomial_keeps_the_scale_of_its_trim():
+    # scale is the largest |coefficient|, before and after the trim, and the
+    # derived polynomials compute their own
+    r = random.Random(4242)
+    for _ in range(200):
+        c = [complex(r.gauss(0, 1), r.gauss(0, 1)) * 10 ** r.uniform(-4, 4)
+             for _ in range(r.randint(1, 6))] + [1e-14 * (r.random() < 0.5)]
+        p = ComplexPoly(c)
+        assert p.scale == max(map(abs, c)) == max(map(abs, p.coeffs))
+        for q in (p.derivative(), p.deflate(0.5)):
+            assert q.scale == max(map(abs, q.coeffs))
+    assert ComplexPoly([]).scale == 0 and ComplexPoly([]).coeffs == (0j,)
+
+
 def test_non_finite_bases_are_value_errors():
     with pytest.raises(ValueError, match=r"p0 = \(nan\+0j\) and masses .* must be finite"):
         build_base(complex("nan"), MASSES)
@@ -137,7 +178,7 @@ def test_overflowing_curves_and_discriminants_are_value_errors():
         F = base.curve_coeffs(b)
         assert all(type(x) is complex for x in F)
         assert repr(F) == repr(tuple(f + b * c for f, c in zip(base.f_coeffs,
-                                                                 _cubic_coeffs(base.p0))))
+                                                                 base.c_coeffs)))
     roots = _fiber(generic_base(), BETA)[1]
     assert len(roots) == 4 and all(type(r) is complex for r in roots)
 
@@ -192,7 +233,7 @@ def critical_values(base):
 
     with mp.workdps(50):
         f = [mp.mpc(x) for x in base.f_coeffs]
-        c = [mp.mpc(x) for x in _cubic_coeffs(base.p0)[:4]]
+        c = [mp.mpc(x) for x in base.c_coeffs[:4]]
         g = [mp.mpc(0)] * 7
         for i, a in enumerate(f):
             for j, b in enumerate(c):
@@ -1180,6 +1221,15 @@ def test_root_shift_single_mass():
     assert abs(out["fitted"]["0"] - out["predicted"]["0"]) < 0.01 * abs(out["predicted"]["0"])
     for key in ("1", "p0"):
         assert abs(out["fitted"][key]) < 1e-8
+
+
+def test_root_shift_needs_two_distinct_samples():
+    # one beta, given once or repeated, cannot separate the 1/beta and 1/beta^2 terms
+    base = build_base(2, (1, 0.5, 0.25, 1))
+    for samples in ([100], [100, 100], [100, 100.0, 100 + 0j]):
+        with pytest.raises(ValueError, match="two distinct beta samples"):
+            tau_asymptotics(base, samples)
+    assert set(tau_asymptotics(base, [100, 200])["fitted"]) == {"0", "1", "p0"}
 
 
 def test_root_shift_generic_one_percent():
