@@ -186,7 +186,7 @@ def enumerate_chambers() -> list[ChamberLabel]:
 def check_cube(N: int, b) -> tuple[int, tuple[int, ...]]:
     """Raise OutOfCube unless alpha = b / N is in (0,1/2)^4; return (N, b)."""
     if len(b) != 4 or not all(0 < v and 2 * v < N for v in b):
-        raise OutOfCube(f"alpha {tuple(Fraction(v, N) for v in b)} not in (0,1/2)^4")
+        raise OutOfCube(f"alpha ({', '.join(str(Fraction(v, N)) for v in b)}) not in (0,1/2)^4")
     return N, b
 
 

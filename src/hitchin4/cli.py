@@ -6,12 +6,14 @@ output.  Exit codes: 0 success, 2 domain error (any ``hitchin4.DomainError``),
 1 usage error, whose message names the option and the token of a malformed
 value.  Only the spectral and hk commands load numpy.
 
-Rationals are written "p/q"; complex values as "a+bi" with rational or
-decimal parts; Gaussian rationals serialize as {"re": "p/q", "im": "p/q"}.
+Rationals are read as "p/q", complex values as "a+bi" with rational or
+decimal parts.  Output rationals are "p/q", Gaussian rationals {"re": "p/q",
+"im": "p/q"}, complex numbers [re, im] and integer matrices nested lists.
 
 One table, ``_COMMANDS``, gives each subcommand's options, each with the
 reader of its kind, and its handler per action.  Handlers only parse, call
-one library function and print; ``main`` reports errors and prints for all.
+one library function and return its values; ``main`` reports errors and
+prints for all, each value by ``_json_default``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from fractions import Fraction
 
 from . import chambers, coxeter, homology, monodromy, torelli
 from .core import DomainError, GaussianRational
-from .core import rational_to_str as _rstr
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,13 +131,21 @@ class _Values:
         return value
 
 
-# Handlers: a dict is the JSON result, a list of rows (header first) a CSV.
+# Handlers: a dict of library values is the JSON result, a list of rows (header
+# first) a CSV; ``_json_default`` writes each value that json cannot.
+
+def _json_default(value):
+    """A complex number as [re, im], a Gaussian rational as {"re", "im"}, anything
+    else (a Fraction, a chamber label) as its str: "p/q", or "p" for an integer."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value.to_json() if isinstance(value, GaussianRational) else str(value)
+
 
 def _chamber(v) -> dict:
     label = chambers.classify_chamber(v.alpha)
     out = {"kind": label.kind, "type": label.ctype, "distinguished": label.index,
-           "subsets": list(label.subsets),
-           "vertices": [[_rstr(c) for c in p] for p in chambers.chamber_vertices(label)]}
+           "subsets": label.subsets, "vertices": chambers.chamber_vertices(label)}
     return out if label.i0 is None else {**out, "i0": label.i0}
 
 
@@ -150,8 +159,7 @@ def _generic(v) -> dict:
 def _periods(v) -> dict:
     period_map = torelli.torelli_parallel if v.basis == "parallel" else torelli.torelli_chamber
     pv = period_map(chambers.ParabolicData(v.alpha, v.m))
-    return {"x": [_rstr(x) for x in pv.x], "z": [z.to_json() for z in pv.z],
-            "x_unit": "4*pi^2", "z_unit": "2*pi", "basis": str(pv.basis)}
+    return {"x": pv.x, "z": pv.z, "x_unit": "4*pi^2", "z_unit": "2*pi", "basis": pv.basis}
 
 
 def _period_vector(v) -> torelli.PeriodVector:
@@ -161,7 +169,7 @@ def _period_vector(v) -> torelli.PeriodVector:
 
 def _invert(v) -> dict:
     data = torelli.inverse_torelli(_period_vector(v))
-    return {"alpha": [_rstr(a) for a in data.alpha], "m": [m.to_json() for m in data.masses]}
+    return {"alpha": data.alpha, "m": data.masses}
 
 
 def _domain(v) -> dict:
@@ -171,19 +179,17 @@ def _domain(v) -> dict:
 
 def _walk(v) -> dict:
     g, alpha0, on_wall = coxeter.alcove_walk(v.alpha)
-    return {"word": list(g.word), "alpha0": [_rstr(a) for a in alpha0], "on_wall": on_wall}
+    return {"word": g.word, "alpha0": alpha0, "on_wall": on_wall}
 
 
 def _apply(v) -> dict:
-    return {"alpha": [_rstr(a) for a in v.word(v.alpha)],
-            "m": [m.to_json() for m in coxeter.apply_to_masses(v.word, v.m)]}
+    return {"alpha": v.word(v.alpha), "m": coxeter.apply_to_masses(v.word, v.m)}
 
 
 def _twist(v) -> dict:
     hat = homology.hat_reduction(v.word)  # hatA[i][j] = L[j][i] / d, hatB = t / d
-    return {"matrix": [list(r) for r in v.word],
-            "hatA": [[_rstr(Fraction(x, hat.d)) for x in col] for col in zip(*hat.L)],
-            "hatB": [_rstr(Fraction(x, hat.d)) for x in hat.t], "hatB_unit": "4*pi^2"}
+    return {"matrix": v.word, "hatA": [[Fraction(x, hat.d) for x in col] for col in zip(*hat.L)],
+            "hatB": [Fraction(x, hat.d) for x in hat.t], "hatB_unit": "4*pi^2"}
 
 
 def _curve(v):
@@ -194,14 +200,12 @@ def _curve(v):
 
 def _fibers(v) -> dict:
     spectral, base = _curve(v)
-    return {"f_coeffs": [[c.real, c.imag] for c in base.f_coeffs],
-            "singular_beta": [[b.real, b.imag] for b in spectral.singular_fibers(base)]}
+    return {"f_coeffs": base.f_coeffs, "singular_beta": spectral.singular_fibers(base)}
 
 
 def _residues(v) -> dict:
     spectral, base = _curve(v)
-    return {k: [[r.real, r.imag] for r in pair]
-            for k, pair in spectral.tautological_residues(base, v.beta).items()}
+    return spectral.tautological_residues(base, v.beta)
 
 
 def _tau(v):
@@ -212,13 +216,12 @@ def _tau(v):
             else [f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"]
             for b, tau in spectral.tau_sweep(base, *v.sweep))]
     A, B, tau = spectral.elliptic_periods(base, v.beta)
-    return {"A": [A.real, A.imag], "B": [B.real, B.imag], "tau": [tau.real, tau.imag]}
+    return {"A": A, "B": B, "tau": tau}
 
 
 def _normalize(v) -> dict:
     moves, normal = monodromy.normalize(v.factors)
-    return {"moves": [{"i": i, "dir": d} for i, d in moves],
-            "normal": [[list(r) for r in M] for M in normal.factors]}
+    return {"moves": [{"i": i, "dir": d} for i, d in moves], "normal": normal.factors}
 
 
 def _hk(v) -> dict:
@@ -230,7 +233,7 @@ def _hk(v) -> dict:
 
 def _sweep(v):
     return [("t", "alpha", "chamber"), *(
-        [_rstr(t), ";".join(map(_rstr, alpha)),
+        [t, ";".join(map(str, alpha)),
          f"error:{type(label).__name__}" if isinstance(label, DomainError) else label.short()]
         for t, alpha, label in chambers.chamber_sweep(v.start, v.stop, v.samples))]
 
@@ -295,7 +298,7 @@ def main(argv=None) -> int:
         result = (handlers[values.action] if isinstance(handlers, dict) else handlers)(values)
         if isinstance(result, dict):
             out = json.dumps({"subcommand": args.cmd, "parameters": values.echo,
-                              "result": result}, sort_keys=True, default=str) + "\n"
+                              "result": result}, sort_keys=True, default=_json_default) + "\n"
         else:
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows(result)

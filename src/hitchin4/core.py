@@ -31,18 +31,6 @@ class BrokenIdentity(AssertionError):
     """Two exact forms that must agree did not: a defect, not a bad input."""
 
 
-# ---------------------------------------------------------------------------
-# rational serialization
-# ---------------------------------------------------------------------------
-
-def rational_to_str(q: Fraction) -> str:
-    return str(Fraction(q))  # "p/q", or "p" for an integer
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 def as_fraction(v) -> Fraction:
     """``v`` itself if its type is exactly ``Fraction``, else ``Fraction(v)``."""
     return v if type(v) is Fraction else Fraction(v)
@@ -156,16 +144,15 @@ class GaussianRational:
         return float(self.re) + 1j * float(self.im)
 
     def to_json(self) -> dict:
-        return {"re": rational_to_str(self.re), "im": rational_to_str(self.im)}
+        return {"re": str(self.re), "im": str(self.im)}  # "p/q", or "p" for an integer
 
     def __str__(self):
-        im = rational_to_str(self.im)
-        sign = "" if im.startswith("-") else "+"
-        return f"{rational_to_str(self.re)}{sign}{im}i"
+        im = str(self.im)
+        return f"{self.re}{'' if im.startswith('-') else '+'}{im}i"
 
     @staticmethod
     def from_json(obj) -> "GaussianRational":
-        return GaussianRational(rational_from_str(obj["re"]), rational_from_str(obj["im"]))
+        return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
 
     @staticmethod
     def parse(s: str) -> "GaussianRational":

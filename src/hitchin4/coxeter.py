@@ -274,6 +274,6 @@ def vertex_orbit(v) -> str:
     12/34, 13/24, 14/23, 0/1234, odd (a vertex and its complement share one)."""
     v = read_vector(v)
     if len(v) != 4 or any(a not in (0, Fraction(1, 2)) for a in v):
-        raise NotAVertex(f"{v} is not a vertex of [0,1/2]^4")
+        raise NotAVertex(f"({', '.join(map(str, v))}) is not a vertex of [0,1/2]^4")
     mask = sum(1 << i for i, a in enumerate(v) if a)  # min(mask, complement) keys the pair
     return {0: "0/1234", 3: "12/34", 5: "13/24", 6: "14/23"}.get(min(mask, mask ^ 0b1111), "odd")

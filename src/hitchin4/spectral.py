@@ -523,21 +523,27 @@ def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
     """Track the branch-point drift near each finite puncture (its nearest root,
     ties to the upper one) over large |beta| samples and fit the 1/beta
     coefficient of each shift: {"fitted": {key: coeff}, "predicted": {key:
-    coeff}} for keys "0", "1", "p0"; ``ValueError`` for fewer than two distinct samples."""
+    coeff}} for keys "0", "1", "p0"; ``ValueError`` for fewer than two distinct samples.
+    A companion eigenvalue is off by about eps |far root| while a shift d shrinks as
+    1/|beta|, so d takes three steps of F = 0 with c factored over the punctures."""
     betas = read_vector(beta_samples, read=complex)
     if len(set(betas)) < 2:
         raise ValueError("need at least two distinct beta samples")
     sep = min(abs(p - q) for _, p, *_ in base.punctures for _, q, *_ in base.punctures if p != q)
     shifts = {key: [] for key, *_ in base.punctures}
+    f = ComplexPoly(base.f_coeffs)
     for b in betas:
         roots = _fiber(base, b)[1]
         if not roots:
             raise ValueError("degree must be >= 1")
         for key, p, *_ in base.punctures:
-            near = min(roots, key=lambda r: (abs(r - p), -r.imag))
-            if abs(near - p) > 0.45 * sep:
+            d = min(roots, key=lambda r: (abs(r - p), -r.imag)) - p
+            if abs(d) > 0.45 * sep:
                 raise RootTrackingLost(f"no root near puncture {key} at beta={b}")
-            shifts[key].append(near - p)
+            q1, q2 = (q for _, q, *_ in base.punctures if q != p)
+            for _ in range(3):
+                d = -f(p + d) / (b * (p + d - q1) * (p + d - q2))
+            shifts[key].append(d)
     inv = np.array([1.0 / b for b in betas])
     design = np.column_stack([inv, inv ** 2])  # two-term fit removes 1/beta^2 bias
     return {"fitted": {k: complex(np.linalg.lstsq(design, np.array(s), rcond=None)[0][0])

@@ -365,7 +365,7 @@ def ref_wall_L(i, alpha) -> Fraction:
 
 def ref_check_cube(alpha):
     if any(not (0 < a < Fraction(1, 2)) for a in alpha):
-        raise OutOfCube(f"alpha {alpha} not in (0,1/2)^4")
+        raise OutOfCube(f"alpha ({', '.join(map(str, alpha))}) not in (0,1/2)^4")
 
 
 @lru_cache(maxsize=1)  # asked directly and by ref_torelli_chamber

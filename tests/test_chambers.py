@@ -30,7 +30,7 @@ from hitchin4.chambers import (
     wall_K,
     wall_L,
 )
-from hitchin4.core import GaussianRational, rational_to_str
+from hitchin4.core import GaussianRational
 from hitchin4.torelli import inverse_torelli, moment_value, torelli_parallel
 
 from lattice_oracle import ref_form_holds
@@ -104,6 +104,16 @@ def test_classify_examples():
             classify_chamber(a)
 
 
+def test_out_of_cube_writes_the_weights_as_rationals():
+    # each weight is written "p/q" or "p", not as a Fraction repr
+    with pytest.raises(OutOfCube) as exc:
+        classify_chamber((3, 1, 1, 1))
+    assert str(exc.value) == "alpha (3, 1, 1, 1) not in (0,1/2)^4"
+    with pytest.raises(OutOfCube) as exc:
+        classify_chamber(ALPHA_B1[:3])
+    assert str(exc.value) == "alpha (3/10, 1/5, 1/5) not in (0,1/2)^4"
+
+
 def test_chamber_census_and_centroid_roundtrip():
     labels = enumerate_chambers()
     assert len(labels) == 24
@@ -138,7 +148,7 @@ def test_chamber_sweep_rows():
     start, stop = (tuple(map(Fraction, argv[argv.index(k) + 1].split(",")))
                    for k in ("--start", "--stop"))
     rows = chamber_sweep(start, stop, int(argv[argv.index("--samples") + 1]))
-    assert [[rational_to_str(t), ";".join(map(rational_to_str, alpha)), _label_text(label)]
+    assert [[str(t), ";".join(map(str, alpha)), _label_text(label)]
             for t, alpha, label in rows] == golden
     # 5 samples hit the L wall at t = 3/4
     assert [_label_text(label) for *_, label in chamber_sweep(start, stop, 5)] == [

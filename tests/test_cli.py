@@ -70,6 +70,23 @@ def test_chamber_on_wall_exit_2(capsys):
     assert doc["error"] == "OnWall"
 
 
+def test_each_value_type_has_one_json_form():
+    from fractions import Fraction
+
+    from hitchin4.chambers import classify_chamber
+    from hitchin4.cli import _json_default
+    from hitchin4.core import GaussianRational
+
+    alpha = (Fraction(3, 10), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
+    assert _json_default(1.5 - 2j) == [1.5, -2.0]
+    assert _json_default(GaussianRational(Fraction(1, 3), -2)) == {"re": "1/3", "im": "-2"}
+    assert [_json_default(q) for q in (Fraction(-3, 10), Fraction(4))] == ["-3/10", "4"]
+    assert _json_default(classify_chamber(alpha)) == "B1_1[{},{1,2},{1,3},{1,4}]"
+    assert json.loads(json.dumps({"m": (GaussianRational(1, 1), 2j)},
+                                 default=_json_default)) == {"m": [{"re": "1", "im": "1"},
+                                                                   [0.0, 2.0]]}
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as e:
         main(["chamber"])  # missing --alpha

@@ -5,12 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hitchin4.core import (
-    GaussianRational,
-    NonConvergence,
-    rational_from_str,
-    rational_to_str,
-)
+from hitchin4.core import GaussianRational, NonConvergence
 from hitchin4.spectral import ComplexPoly, poly_roots
 
 from lattice_oracle import ExactMatrix, det, nullspace
@@ -30,12 +25,11 @@ def rand_gaussian():
 # rationals and Gaussian rationals
 # ---------------------------------------------------------------------------
 
-def test_rational_string_roundtrip():
-    for _ in range(200):
-        q = rand_fraction()
-        assert rational_from_str(rational_to_str(q)) == q
-    assert rational_to_str(Fraction(5)) == "5"
-    assert rational_to_str(Fraction(-3, 10)) == "-3/10"
+def test_gaussian_rational_json_form():
+    # each part is its str, "p/q" or "p" for an integer; str(g) is "a+bi"
+    g = GaussianRational(Fraction(-3, 10), 5)
+    assert g.to_json() == {"re": "-3/10", "im": "5"}
+    assert (str(g), str(g.conjugate())) == ("-3/10+5i", "-3/10-5i")
 
 
 def test_gaussian_rational_json_and_parse_roundtrip():

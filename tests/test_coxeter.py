@@ -242,6 +242,14 @@ def test_vertex_orbits():
             vertex_orbit(bad)
 
 
+def test_not_a_vertex_writes_the_coordinates_as_rationals():
+    # each coordinate is written "p/q" or "p", not as a Fraction repr
+    for v, text in (((1, 2, 0, 0), "(1, 2, 0, 0)"), ((Fraction(1, 3), 0, 0), "(1/3, 0, 0)")):
+        with pytest.raises(NotAVertex) as exc:
+            vertex_orbit(v)
+        assert str(exc.value) == f"{text} is not a vertex of [0,1/2]^4"
+
+
 def test_vertex_orbits_realized_by_group_elements():
     # spot-check: some generator word carries one vertex of a pair to the other
     half = Fraction(1, 2)

@@ -185,11 +185,32 @@ def test_base_and_polynomial_quantities_are_derived_where_they_are_built():
         assert not rescan.search(path.read_text()), path.name
 
 
+def test_cli_handlers_return_library_values():
+    # one rule, cli._json_default, writes each value type: no handler converts a
+    # rational, a Gaussian rational or a complex number itself, and core has no
+    # alias that only renames str or Fraction
+    import inspect
+    import re
+
+    from hitchin4 import cli
+
+    pair = re.compile(r"\[(\w+)\.real, \1\.imag\]")
+    for _, handlers, _ in cli._COMMANDS.values():
+        for fn in handlers.values() if isinstance(handlers, dict) else (handlers,):
+            source = inspect.getsource(fn)
+            for phrase in ("to_json(", "_rstr", "rational_to_str"):
+                assert phrase not in source, (fn.__name__, phrase)
+            assert not pair.search(source), fn.__name__
+    assert "default=_json_default" in inspect.getsource(cli.main)
+    for owner, name in ((core, "rational_to_str"), (core, "rational_from_str"), (cli, "_rstr")):
+        assert not hasattr(owner, name), name
+
+
 def test_the_package_stays_within_its_line_budget():
     # the ROADMAP budget for src/hitchin4: a change that grows the package
     # past it has to shrink something else or revisit the budget
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "hitchin4").glob("*.py"))
-    assert lines <= 2560, lines
+    assert lines <= 2556, lines
 
 
 def _subclasses(cls):

@@ -1238,3 +1238,35 @@ def test_root_shift_generic_one_percent():
     for key in ("0", "1", "p0"):
         pred = out["predicted"][key]
         assert abs(out["fitted"][key] - pred) < 0.01 * abs(pred)
+
+
+# real p0, then complex p0 and masses, then equal masses
+FAR_BASES = ((2, (1, 0.5, 0.25, 1)), (0.37 + 0.2j, (0.3 + 0.1j, 0.7, -0.4j, 0.9)),
+             (2 + 0.5j, (1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("p0, masses", FAR_BASES)
+def test_root_shift_fit_holds_at_large_beta(p0, masses):
+    # a companion eigenvalue near a puncture is off by about eps |far root|, which
+    # outgrows the 1/beta shift from |beta| ~ 1e10; with the factored steps the fit is
+    # within 1e-10 of -f(p)/c'(p) from 1e6, where its own 1/beta^3 term sets the
+    # limit, to 1e100
+    base = build_base(p0, masses)
+    for lo in (6, 12, 50, 98.5):
+        out = tau_asymptotics(base, list(np.logspace(lo, lo + 1.5, 7)))
+        for key, pred in out["predicted"].items():
+            assert abs(out["fitted"][key] - pred) < 1e-10 * abs(pred), (lo, key)
+
+
+@pytest.mark.parametrize("p0, masses", FAR_BASES)
+def test_root_shift_steps_keep_accurate_roots(p0, masses):
+    # at |beta| 1e1 to 1e2 the companion roots are accurate: the fit of the refined
+    # shifts is the fit of the nearest roots themselves within 1e-9
+    base = build_base(p0, masses)
+    betas = np.logspace(1, 2, 7)
+    design = np.column_stack([1 / betas, 1 / betas ** 2])
+    out = tau_asymptotics(base, list(betas))
+    for key, p, *_ in base.punctures:
+        near = [min(_fiber(base, b)[1], key=lambda r: (abs(r - p), -r.imag)) - p for b in betas]
+        raw = np.linalg.lstsq(design, np.array(near), rcond=None)[0][0]
+        assert abs(out["fitted"][key] - raw) < 1e-9 * abs(raw), key
