@@ -5,76 +5,35 @@ map and its inverse, period-domain membership, spectral-curve diagnostics,
 and SL(2,Z) monodromy normalization.
 
 Wall/chamber/period arithmetic is exact (``fractions.Fraction`` and Gaussian
-rationals) and loads no numpy; ``spectral`` and ``hkmodel`` (complex double
-precision with stated tolerances) load with numpy on first use of one of
-their names.  Every domain error derives from ``DomainError``.  Periods are
-stored unitless: x-periods in units of 4*pi^2, z-periods in units of 2*pi.
+rationals) and loads no numpy; ``spectral`` and ``hkmodel`` compute in complex
+double precision with stated tolerances and load numpy.  ``import hitchin4``
+runs no layer: each module, and each name exported here, loads on first use,
+so a caller (or a CLI command) loads only the layers it reaches.  Every domain
+error derives from ``DomainError``.  Periods are stored unitless: x-periods in
+units of 4*pi^2, z-periods in units of 2*pi.
 """
 
 from importlib import import_module
 
-from .core import (
-    DomainError,
-    GaussianRational,
-    NonConvergence,
-)
-from .chambers import (
-    ChamberLabel,
-    OnWall,
-    OutOfCube,
-    ParabolicData,
-    classify_chamber,
-    chamber_vertices,
-    adjacent,
-    enumerate_chambers,
-    fixed_point_data,
-    genericity_violations,
-    in_R_tilde,
-    is_generic,
-    wall_K,
-    wall_L,
-)
-from .homology import (
-    I0,
-    classes_of_square_minus2,
-    dehn_twist_matrix,
-    hat_reduction,
-    intersection,
-    word_to_auto,
-)
-from .coxeter import (
-    AffineIsometry,
-    alcove_walk,
-    apply_to_masses,
-    enumerate_W_fin,
-    generator,
-    target_generator,
-    vertex_orbit,
-)
-from .torelli import (
-    NonGeneric,
-    PeriodVector,
-    in_period_domain,
-    intersection_table,
-    inverse_torelli,
-    moment_value,
-    scale_masses,
-    torelli_chamber,
-    torelli_parallel,
-)
-from .monodromy import (
-    Factorization,
-    canonical_factorization,
-    hurwitz_move,
-    is_I1_twist,
-    normalize,
-    vanishing_cycle_match,
-)
-
 __version__ = "0.1.0"
 
-# name -> the numeric module that holds it (the two modules name themselves)
-_LAZY = {
+# name -> the module that holds it (each module names itself)
+_EXPORTS = {
+    **dict.fromkeys(("core", "DomainError", "GaussianRational", "NonConvergence"), "core"),
+    **dict.fromkeys(("chambers", "ChamberLabel", "OnWall", "OutOfCube", "ParabolicData",
+                     "classify_chamber", "chamber_vertices", "adjacent", "enumerate_chambers",
+                     "fixed_point_data", "genericity_violations", "in_R_tilde", "is_generic",
+                     "wall_K", "wall_L"), "chambers"),
+    **dict.fromkeys(("homology", "I0", "classes_of_square_minus2", "dehn_twist_matrix",
+                     "hat_reduction", "intersection", "word_to_auto"), "homology"),
+    **dict.fromkeys(("coxeter", "AffineIsometry", "alcove_walk", "apply_to_masses",
+                     "enumerate_W_fin", "generator", "target_generator", "vertex_orbit"),
+                    "coxeter"),
+    **dict.fromkeys(("torelli", "NonGeneric", "PeriodVector", "in_period_domain",
+                     "intersection_table", "inverse_torelli", "moment_value", "scale_masses",
+                     "torelli_chamber", "torelli_parallel"), "torelli"),
+    **dict.fromkeys(("monodromy", "Factorization", "canonical_factorization", "hurwitz_move",
+                     "is_I1_twist", "normalize", "vanishing_cycle_match"), "monodromy"),
     **dict.fromkeys(("spectral", "ComplexPoly", "HitchinBase", "SpectralFiberPoint",
                      "build_base", "elliptic_periods", "flags", "higgs_representative",
                      "in_B0", "poly_roots", "singular_fibers", "tau_asymptotics",
@@ -85,10 +44,15 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    """Import the numeric module named in ``_LAZY`` on first use of a name."""
-    if name not in _LAZY:
+    """Import the module named in ``_EXPORTS`` on first use of one of its names."""
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f"{__name__}.{_LAZY[name]}")
-    value = module if name == _LAZY[name] else getattr(module, name)
+    module = import_module(f"{__name__}.{_EXPORTS[name]}")
+    value = module if name == _EXPORTS[name] else getattr(module, name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    """The names bound here and every name in ``_EXPORTS``, loaded or not."""
+    return sorted({*globals(), *_EXPORTS})

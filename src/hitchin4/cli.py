@@ -4,7 +4,8 @@ Every invocation prints a JSON envelope (or CSV for sweeps) on stdout that
 echoes the parsed parameters, so identical inputs give byte-identical
 output.  Exit codes: 0 success, 2 domain error (any ``hitchin4.DomainError``),
 1 usage error, whose message names the option and the token of a malformed
-value.  Only the spectral and hk commands load numpy.
+value.  Each command loads only the layers it runs, so only the spectral and
+hk commands load numpy.
 
 Rationals are read as "p/q", complex values as "a+bi" with rational or
 decimal parts.  Output rationals are "p/q", Gaussian rationals {"re": "p/q",
@@ -27,7 +28,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from . import chambers, coxeter, homology, monodromy, torelli
+import hitchin4 as lib  # each layer loads on first use of lib.<module>
 from .core import DomainError, GaussianRational
 
 
@@ -93,7 +94,11 @@ _RATIONALS = _list(_rational, 4)
 _GAUSSIANS = _list(_gaussian, 4)
 _COMPLEXES = _list(_complex, 4)
 _LETTERS = _list(_integer)
-_GENERATORS = tuple(map(coxeter.generator, range(5)))
+
+
+def _coxeter_word(raw: str):
+    """The isometry of the word ``raw`` in the generators r_0..r_4."""
+    return lib.coxeter.compose_word(_LETTERS(raw), tuple(map(lib.coxeter.generator, range(5))))
 
 
 def _beta_range(raw: str):
@@ -143,99 +148,97 @@ def _json_default(value):
 
 
 def _chamber(v) -> dict:
-    label = chambers.classify_chamber(v.alpha)
+    label = lib.chambers.classify_chamber(v.alpha)
     out = {"kind": label.kind, "type": label.ctype, "distinguished": label.index,
-           "subsets": label.subsets, "vertices": chambers.chamber_vertices(label)}
+           "subsets": label.subsets, "vertices": lib.chambers.chamber_vertices(label)}
     return out if label.i0 is None else {**out, "i0": label.i0}
 
 
 def _generic(v) -> dict:
-    data = chambers.ParabolicData(v.alpha, v.m)
-    chambers.check_cube(*data.ints[:2])
-    violated = chambers.genericity_violations(data)
+    data = lib.chambers.ParabolicData(v.alpha, v.m)
+    lib.chambers.check_cube(*data.ints[:2])
+    violated = lib.chambers.genericity_violations(data)
     return {"generic": not violated, "violated": violated}
 
 
 def _periods(v) -> dict:
-    period_map = torelli.torelli_parallel if v.basis == "parallel" else torelli.torelli_chamber
-    pv = period_map(chambers.ParabolicData(v.alpha, v.m))
+    period_map = (lib.torelli.torelli_parallel if v.basis == "parallel"
+                  else lib.torelli.torelli_chamber)
+    pv = period_map(lib.chambers.ParabolicData(v.alpha, v.m))
     return {"x": pv.x, "z": pv.z, "x_unit": "4*pi^2", "z_unit": "2*pi", "basis": pv.basis}
 
 
-def _period_vector(v) -> torelli.PeriodVector:
-    read = torelli.PeriodVector if len(v.x) == 5 else torelli.PeriodVector.from_outer
-    return read(v.x, v.z, torelli.PARALLEL_BASIS)
+def _period_vector(v) -> lib.torelli.PeriodVector:
+    read = lib.torelli.PeriodVector if len(v.x) == 5 else lib.torelli.PeriodVector.from_outer
+    return read(v.x, v.z, lib.torelli.PARALLEL_BASIS)
 
 
 def _invert(v) -> dict:
-    data = torelli.inverse_torelli(_period_vector(v))
+    data = lib.torelli.inverse_torelli(_period_vector(v))
     return {"alpha": data.alpha, "m": data.masses}
 
 
 def _domain(v) -> dict:
-    ok, witness = torelli.in_period_domain(_period_vector(v))
+    ok, witness = lib.torelli.in_period_domain(_period_vector(v))
     return {"in_domain": ok, "witness": witness}
 
 
 def _walk(v) -> dict:
-    g, alpha0, on_wall = coxeter.alcove_walk(v.alpha)
+    g, alpha0, on_wall = lib.coxeter.alcove_walk(v.alpha)
     return {"word": g.word, "alpha0": alpha0, "on_wall": on_wall}
 
 
 def _apply(v) -> dict:
-    return {"alpha": v.word(v.alpha), "m": coxeter.apply_to_masses(v.word, v.m)}
+    return {"alpha": v.word(v.alpha), "m": lib.coxeter.apply_to_masses(v.word, v.m)}
 
 
 def _twist(v) -> dict:
-    hat = homology.hat_reduction(v.word)  # hatA[i][j] = L[j][i] / d, hatB = t / d
+    hat = lib.homology.hat_reduction(v.word)  # hatA[i][j] = L[j][i] / d, hatB = t / d
     return {"matrix": v.word, "hatA": [[Fraction(x, hat.d) for x in col] for col in zip(*hat.L)],
             "hatB": [Fraction(x, hat.d) for x in hat.t], "hatB_unit": "4*pi^2"}
 
 
 def _curve(v):
-    """The spectral module (numpy loads here) and the base of ``--p0`` and ``--m``."""
-    from . import spectral
-    return spectral, spectral.build_base(v.p0, v.m)
+    """The base of ``--p0`` and ``--m``."""
+    return lib.spectral.build_base(v.p0, v.m)
 
 
 def _fibers(v) -> dict:
-    spectral, base = _curve(v)
-    return {"f_coeffs": base.f_coeffs, "singular_beta": spectral.singular_fibers(base)}
+    base = _curve(v)
+    return {"f_coeffs": base.f_coeffs, "singular_beta": lib.spectral.singular_fibers(base)}
 
 
 def _residues(v) -> dict:
-    spectral, base = _curve(v)
-    return spectral.tautological_residues(base, v.beta)
+    return lib.spectral.tautological_residues(_curve(v), v.beta)
 
 
 def _tau(v):
-    spectral, base = _curve(v)
+    base = _curve(v)
     if v.sweep:
         return [("beta", "re_tau", "im_tau"), *(
             [f"{b:.12g}", "error", type(tau).__name__] if isinstance(tau, DomainError)
             else [f"{b:.12g}", f"{tau.real:.12g}", f"{tau.imag:.12g}"]
-            for b, tau in spectral.tau_sweep(base, *v.sweep))]
-    A, B, tau = spectral.elliptic_periods(base, v.beta)
+            for b, tau in lib.spectral.tau_sweep(base, *v.sweep))]
+    A, B, tau = lib.spectral.elliptic_periods(base, v.beta)
     return {"A": A, "B": B, "tau": tau}
 
 
 def _normalize(v) -> dict:
-    moves, normal = monodromy.normalize(v.factors)
+    moves, normal = lib.monodromy.normalize(v.factors)
     return {"moves": [{"i": i, "dir": d} for i, d in moves], "normal": normal.factors}
 
 
 def _hk(v) -> dict:
-    from . import hkmodel
-    p = hkmodel.HKParams(v.lambda1, v.lambda2, v.theta)
-    worst = hkmodel.identity_deviations(p, v.trials, v.seed)
-    return {"pass": hkmodel.identities_hold(worst), "max_deviation": worst}
+    p = lib.hkmodel.HKParams(v.lambda1, v.lambda2, v.theta)
+    worst = lib.hkmodel.identity_deviations(p, v.trials, v.seed)
+    return {"pass": lib.hkmodel.identities_hold(worst), "max_deviation": worst}
 
 
 def _sweep(v):
     return [("t", "alpha", "chamber"), *(
         [t, ";".join(map(str, alpha)),
          f"error:{type(label).__name__}" if isinstance(label, DomainError) else label.short()]
-        for t, alpha, label in chambers.chamber_sweep(v.start, v.stop, v.samples))]
+        for t, alpha, label in lib.chambers.chamber_sweep(v.start, v.stop, v.samples))]
 
 
 _ALPHA = _Opt("--alpha", _RATIONALS)
@@ -254,16 +257,18 @@ _COMMANDS = {
         _Opt("action", default="check", echo=False), *_PERIODS)),
     "coxeter": ("alcove walk / group action", {"walk": _walk, "apply": _apply}, (
         _Opt("action"), _ALPHA, _MASSES,
-        _Opt("--word", lambda raw: coxeter.compose_word(_LETTERS(raw), _GENERATORS), ""))),
+        _Opt("--word", _coxeter_word, ""))),
     "homology": ("Dehn-twist word to lattice matrix", {"twist": _twist}, (
-        _Opt("action"), _Opt("--word", lambda raw: homology.word_to_auto(_LETTERS(raw)), ""))),
+        _Opt("action"),
+        _Opt("--word", lambda raw: lib.homology.word_to_auto(_LETTERS(raw)), ""))),
     "spectral": ("spectral-curve diagnostics",
                  {"fibers": _fibers, "residues": _residues, "tau": _tau}, (
         _Opt("action"), *_CURVE, _Opt("--beta", _complex, "1"),
         _Opt("--sweep", _beta_range, "", echo=False, help="bmin,bmax,n for a CSV tau sweep"))),
     "monodromy": ("normalize a Hurwitz factorization", {"normalize": _normalize}, (
         _Opt("action"),
-        _Opt("--factors", monodromy.parse_factors, help="JSON list of six 2x2 matrices"))),
+        _Opt("--factors", lambda raw: lib.monodromy.parse_factors(raw),
+             help="JSON list of six 2x2 matrices"))),
     "hk": ("hyperkahler model identity checks", {"check": _hk}, (
         _Opt("action", echo=False), _Opt("--lambda1", _real, "1.0"),
         _Opt("--lambda2", _real, "1.0"), _Opt("--theta", _real, "0.0"),

@@ -156,16 +156,15 @@ class GaussianRational:
 
     @staticmethod
     def parse(s: str) -> "GaussianRational":
-        """Parse ``a``, ``bi``, or ``a+bi`` with rational parts (shell-safe)."""
+        """Parse ``a``, ``bi``, or ``a+bi``, each part a ``Fraction`` literal such as
+        ``3/2``, ``1.5`` or ``1e-3`` (shell-safe)."""
         s = s.strip().replace(" ", "")
         if not s.endswith("i"):
             return GaussianRational(Fraction(s))
-        m = re.fullmatch(
-            r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<im>[+-]?(?:\d+(?:/\d+)?)?)i", s)
-        if not m:
-            raise ValueError(f"cannot parse Gaussian rational {s!r}")
-        im = m.group("im")  # a bare sign stands for 1
-        return GaussianRational(Fraction(m.group("re") or 0),
+        # bi starts at the last sign that neither leads s nor follows an exponent's e
+        cut = max((m.start() for m in re.finditer(r"(?<=[^eE])[+-]", s)), default=0)
+        im = s[cut:-1]  # a bare sign stands for 1
+        return GaussianRational(Fraction(s[:cut] or 0),
                                 Fraction(im + "1" if im in ("", "+", "-") else im))
 
 

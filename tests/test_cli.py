@@ -44,6 +44,19 @@ def test_invert_roundtrip(capsys):
     assert doc2["result"]["m"][3] == {"re": "0", "im": "1"}
 
 
+def test_exact_complex_options_take_decimal_parts(capsys):
+    # --m and --z read each part of a+bi as a Fraction literal: 1.5i is 3/2i, and
+    # 1e-3+2i splits at the +, not at the exponent's sign
+    for argv in (["generic", "--alpha", "3/10,1/5,1/5,1/5"],
+                 ["periods", "--alpha", "3/10,1/5,1/5,1/5", "--basis", "parallel"]):
+        decimal = run_json(capsys, *argv, "--m", "1.5i,1e-3+2i,-0.25-0.5i,0")
+        rational = run_json(capsys, *argv, "--m", "3/2i,1/1000+2i,-1/4-1/2i,0")
+        assert decimal[0] == rational[0] == 0
+        assert decimal[1]["result"] == rational[1]["result"]
+    code, doc = run_json(capsys, "invert", "--x", "1/10,1/10,1/10,1/10", "--z", "1e-3+2i,0,0,0")
+    assert code == 0 and doc["result"]["m"][0] == {"re": "-1/4000", "im": "-1/2"}
+
+
 def test_invert_and_domain_take_all_five_periods(capsys):
     # every period of the parallel basis, the central one included, comes back to
     # alpha and m; a mix of four and five components is a usage error

@@ -43,6 +43,21 @@ def test_gaussian_rational_json_and_parse_roundtrip():
     assert GaussianRational.parse("-i") == GaussianRational(0, -1)
 
 
+def test_gaussian_rational_parts_are_any_fraction_literal():
+    # each part of a+bi reads as Fraction does, decimals and exponents too; the
+    # sign of an exponent does not start the imaginary part
+    parse = GaussianRational.parse
+    assert parse("1.5i") == parse("3/2i") == GaussianRational(0, Fraction(3, 2))
+    assert parse("1e-3+2i") == GaussianRational(Fraction(1, 1000), 2)
+    assert parse("-0.25-0.5i") == GaussianRational(Fraction(-1, 4), Fraction(-1, 2))
+    assert parse("2e+5i") == GaussianRational(0, 200000)
+    assert parse("1E5-2e-3i") == GaussianRational(100000, Fraction(-1, 500))
+    assert parse("1.5") == GaussianRational(Fraction(3, 2))
+    for bad in ("1+2+3i", "1.5/2i", "ei", "1-i-2i", "--1i"):
+        with pytest.raises(ValueError):
+            parse(bad)
+
+
 def test_gaussian_rational_field_axioms():
     for _ in range(100):
         a, b, c = rand_gaussian(), rand_gaussian(), rand_gaussian()
