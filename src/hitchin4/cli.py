@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import hitchin4 as lib  # each layer loads on first use of lib.<module>
-from .core import DomainError, GaussianRational
+from .core import DomainError, GaussianRational, as_fraction
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +54,7 @@ def _token(convert, what: str, ok=None):
     return read
 
 
-_rational = _token(Fraction, "a rational")
+_rational = _token(as_fraction, "a rational")
 _gaussian = _token(GaussianRational.parse, "a Gaussian rational")
 _integer = _token(int, "an integer")
 _count = _token(int, "an integer >= 0", lambda n: n >= 0)
@@ -156,9 +156,8 @@ def _chamber(v) -> dict:
 
 def _generic(v) -> dict:
     data = lib.chambers.ParabolicData(v.alpha, v.m)
-    lib.chambers.check_cube(*data.ints[:2])
-    violated = lib.chambers.genericity_violations(data)
-    return {"generic": not violated, "violated": violated}
+    generic = lib.chambers.is_generic(data)  # OutOfCube unless alpha is in the open cube
+    return {"generic": generic, "violated": lib.chambers.genericity_violations(data)}
 
 
 def _periods(v) -> dict:
@@ -280,8 +279,10 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="hitchin4", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="hitchin4", description="Exact and numeric computations on parabolic "
+                "SU(2) Hitchin moduli of the four-punctured sphere.  Each command prints a JSON "
+                "envelope (CSV for sweeps) on stdout; exit code 0 is success, 2 a domain error "
+                "and 1 a usage error.")
     sub = p.add_subparsers(dest="cmd", required=True)
     for name, (help_, handlers, options) in _COMMANDS.items():
         q = sub.add_parser(name, help=help_)

@@ -10,10 +10,13 @@ polynomial kernel lives in ``spectral``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+
+_EXPONENT = re.compile(r"([\d._]*)[eE]([+-]?[\d_]+)\s*$")  # a decimal's mantissa, exponent
 
 
 class DomainError(Exception):
@@ -32,8 +35,15 @@ class BrokenIdentity(AssertionError):
 
 
 def as_fraction(v) -> Fraction:
-    """``v`` itself if its type is exactly ``Fraction``, else ``Fraction(v)``."""
-    return v if type(v) is Fraction else Fraction(v)
+    """``v`` itself if its type is exactly ``Fraction``, else ``Fraction(v)``; ``ValueError``
+    for a literal whose mantissa digits plus |exponent| pass Python's int-string limit."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, str) and (m := _EXPONENT.search(v)):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        if 0 < limit < sum(map(str.isdigit, m[1])) + abs(int(m[2])):
+            raise ValueError(f"{v!r} has more than {limit} digits")
+    return Fraction(v)
 
 
 def read_vector(vs, n=None, read=as_fraction) -> tuple:
@@ -152,7 +162,7 @@ class GaussianRational:
 
     @staticmethod
     def from_json(obj) -> "GaussianRational":
-        return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
+        return GaussianRational(obj["re"], obj["im"])
 
     @staticmethod
     def parse(s: str) -> "GaussianRational":
@@ -160,12 +170,11 @@ class GaussianRational:
         ``3/2``, ``1.5`` or ``1e-3`` (shell-safe)."""
         s = s.strip().replace(" ", "")
         if not s.endswith("i"):
-            return GaussianRational(Fraction(s))
+            return GaussianRational(s)
         # bi starts at the last sign that neither leads s nor follows an exponent's e
         cut = max((m.start() for m in re.finditer(r"(?<=[^eE])[+-]", s)), default=0)
         im = s[cut:-1]  # a bare sign stands for 1
-        return GaussianRational(Fraction(s[:cut] or 0),
-                                Fraction(im + "1" if im in ("", "+", "-") else im))
+        return GaussianRational(s[:cut] or 0, im + "1" if im in ("", "+", "-") else im)
 
 
 def as_gaussian(v) -> GaussianRational:

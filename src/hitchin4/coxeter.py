@@ -87,32 +87,15 @@ def _reduced(L, t, d):
 
 
 # The composition kernel holds a group element as (k, t2): linear part _LINEAR[k]
-# (integer rows over 2), translation t2 / 2.  Each generator form (L, t, d) is
-# registered once as (L, 2t, d), r_0..r_4 first: walk letter i is index i.
+# (integer rows over 2), translation t2 / 2.
 _LINEAR = [tuple(tuple(2 * (r == k) for k in range(4)) for r in range(4))]
 _LINEAR_INDEX = {_LINEAR[0]: 0}
-_GENERATORS, _GENERATOR_INDEX = [], {}
-
-
-def _register(i: int, g: AffineIsometry) -> int:
-    """Index of g's form in ``_GENERATORS``, registered on first use;
-    ``ValueError`` naming letter i if g is outside ``compose_word``'s domain."""
-    j = _GENERATOR_INDEX.get((g.L, g.t, g.d))
-    if j is None:
-        square = tuple(tuple(g.d ** 2 * (r == c) for c in range(4)) for r in range(4))
-        if g.d not in (1, 2) or int_matmul(g.L, tuple(zip(*g.L))) != square \
-                or len(g.t) != 4 or len({e % g.d for e in g.t}) != 1:
-            raise ValueError(f"letter {i} is outside the domain: L L^T = d^2 I, "
-                             "d in {1, 2}, t/d in Z^4 or Z^4 + 1/2")
-        _GENERATORS.append(form := (g.L, tuple(2 * e for e in g.t), g.d))
-        j = _GENERATOR_INDEX.setdefault((g.L, g.t, g.d), _GENERATORS.index(form))
-    return j
 
 
 @lru_cache(maxsize=None)
 def _linear_step(k: int, j: int) -> int:
-    """Index in ``_LINEAR`` of generator j's linear part after _LINEAR[k]; exact and
-    finite, as the domain's L/d are the 1152 orthogonal matrices over (1/2)Z."""
+    """Index in ``_LINEAR`` of generator j's linear part after _LINEAR[k]; the nine
+    generators' linear parts close on the 192 of ``enumerate_W_fin``."""
     L, _, d = _GENERATORS[j]
     M = tuple(tuple(e // d for e in row) for row in int_matmul(L, _LINEAR[k]))
     if M not in _LINEAR_INDEX:  # append, then index: a racing duplicate reads the first
@@ -125,14 +108,15 @@ def compose_word(word, gens) -> AffineIsometry:
     """Isometry of a word, leftmost letter applied first, with the letters'
     ``gens[i].word`` concatenated: per letter one ``_linear_step`` read and one
     matvec t2 <- (L t2 + 2t) / d checked exact (``BrokenIdentity``), then one
-    gcd.  Domain: each generator has L L^T = d^2 I, d in {1, 2} (L/d orthogonal
-    over (1/2)Z) and t/d in Z^4 or Z^4 + (1/2,1/2,1/2,1/2), as r_i and R_i do;
-    ``ValueError`` for another generator or a letter outside 0..len(gens)-1."""
+    gcd.  Domain: each of ``gens`` is r_0..r_4 or R_0..R_4 as a map (its word may
+    differ); ``ValueError`` for another generator or a letter outside 0..len(gens)-1."""
     word = tuple(word)
     for i in word:
         if not 0 <= i < len(gens):
             raise ValueError(f"letter {i} outside 0..{len(gens) - 1}")
-    js = [_register(i, g) for i, g in enumerate(gens)]
+    js = [_GENERATOR_INDEX.get((g.L, g.t, g.d)) for g in gens]
+    if None in js:
+        raise ValueError(f"letter {js.index(None)} is outside the domain: r_0..r_4, R_0..R_4")
     k, t = 0, (0, 0, 0, 0)
     for i in word:
         k = _linear_step(k, js[i])
@@ -184,8 +168,12 @@ def target_generator(i: int) -> AffineIsometry:
     return AffineIsometry(L, (0, 0, 0, 0), 1, (i,))
 
 
-for _i, _g in enumerate([*map(generator, range(5)), *map(target_generator, range(5))]):
-    _register(_i % 5, _g)
+# The nine generator forms (L, t, d) of r_0..r_4 and R_0..R_4 (R_0 is r_1 as a map),
+# r_0..r_4 first so that walk letter i is index i, held as (L, 2t, d); no other joins.
+_GENERATOR_INDEX = {}
+for _g in [*map(generator, range(5)), *map(target_generator, range(5))]:
+    _GENERATOR_INDEX.setdefault((_g.L, _g.t, _g.d), len(_GENERATOR_INDEX))
+_GENERATORS = [(L, tuple(2 * e for e in t), d) for L, t, d in _GENERATOR_INDEX]
 
 
 def apply_to_masses(g: AffineIsometry, masses) -> tuple[GaussianRational, ...]:

@@ -19,6 +19,7 @@ from hitchin4.chambers import (
     classify_chamber,
     enumerate_chambers,
     exterior_label,
+    interior_label,
     fixed_point_data,
     genericity_violations,
     in_R_tilde,
@@ -426,3 +427,27 @@ def test_the_integer_form_is_not_an_argument_nor_in_equality_hash_or_repr():
     data = ParabolicData(ALPHA_B1, (0,) * 4)
     assert "ints" not in repr(data)
     assert data.ints == (10, (3, 2, 2, 2), 1, (0,) * 4, (0,) * 4)
+
+
+def test_label_and_wall_arguments_are_checked():
+    for i in (0, 5):
+        with pytest.raises(ValueError, match="index must be in 1..4"):
+            wall_L(i, ALPHA_B1)
+    with pytest.raises(ValueError, match="need four even subsets"):
+        interior_label((0b0000, 0b0011, 0b0101, 0b1001, 0b0001))
+    with pytest.raises(ValueError, match="one of each complementary pair"):
+        interior_label((0b0000, 0b1111, 0b0011, 0b1100))
+    with pytest.raises(ValueError, match="exterior label needs an odd subset"):
+        exterior_label(0b0011)
+
+
+def test_exact_literals_past_the_digit_limit_are_refused():
+    # a literal whose mantissa digits plus |exponent| pass Python's int-string
+    # limit is a ValueError before any power of ten is built, in the weights and
+    # in the masses alike; 1e-4290 is within it
+    for alpha, masses in ((("1e-5000000", "1/5", "1/5", "1/5"), (0,) * 4),
+                          (ALPHA_B1, ("1e4305", 0, 0, 0))):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            ParabolicData(alpha, masses)
+    data = ParabolicData(("1e-4290", "1/5", "1/5", "1/5"), (0,) * 4)
+    assert data.alpha[0] == Fraction(1, 10 ** 4290)

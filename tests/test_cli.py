@@ -510,3 +510,53 @@ def test_help_lists_every_option_the_readme_shows(capsys, command):
     assert e.value.code == 0
     out = capsys.readouterr().out
     assert all(re.search(rf"(?<![\w-]){re.escape(w)}\b", out) for w in shown), (shown, out)
+
+
+def test_exact_literals_past_the_digit_limit_are_usage_errors(capsys):
+    # a short literal with a huge exponent is refused by the one rational reader
+    # at once, naming the option and the token; the complex reader falls back to
+    # its float reading, and 1e-4290 is still a rational
+    import time
+
+    for argv, flag, tok in ((["chamber", "--alpha", "1e-5000000,1/5,1/5,1/5"], "--alpha",
+                             "1e-5000000"),
+                            (["invert", "--x", "1e4305,1/10,1/10,1/10", "--z", "0,0,0,0"], "--x",
+                             "1e4305"),
+                            (["generic", "--alpha", "3/10,1/5,1/5,1/5", "--m", "1e-5000000i,0,0,0"],
+                             "--m", "1e-5000000i")):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        kind = "a rational" if flag != "--m" else "a Gaussian rational"
+        assert code == 1 and out == "" and err == f"usage error: {flag} is not {kind}: {tok!r}\n"
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "spectral", "fibers", "--p0", "1e-3000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and doc["error"] == "DegenerateP0"
+    code, doc = run_json(capsys, "chamber", "--alpha", "1e-4290,1/5,1/5,1/5")
+    assert code == 0 and doc["result"]["type"] == "A1"
+
+
+def test_spectral_tau_on_a_fiber_below_genus_one(capsys):
+    code, doc = run_json(capsys, "spectral", "tau", "--p0", "2", "--m", "1,0,0,0", "--beta", "1")
+    assert code == 2
+    assert doc == {"error": "SingularFiber", "message": "curve degenerates below genus one"}
+
+
+def test_top_level_help_is_a_fixed_description(capsys, monkeypatch):
+    # the help text is its own paragraph: it names no module-internal name, and an
+    # edit of the cli module docstring leaves it as it is
+    from hitchin4 import cli
+
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert e.value.code == 0 and "JSON envelope" in out
+    assert not re.search(r"\b_[A-Za-z]", out), out
+    for name in ("_COMMANDS", "_json_default", "_Values"):
+        assert name not in out, name
+    monkeypatch.setattr(cli, "__doc__", "an edited module docstring")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == out

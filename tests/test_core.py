@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hitchin4.core import GaussianRational, NonConvergence
+from hitchin4.core import GaussianRational, NonConvergence, as_fraction
 from hitchin4.spectral import ComplexPoly, poly_roots
 
 from lattice_oracle import ExactMatrix, det, nullspace
@@ -56,6 +56,36 @@ def test_gaussian_rational_parts_are_any_fraction_literal():
     for bad in ("1+2+3i", "1.5/2i", "ei", "1-i-2i", "--1i"):
         with pytest.raises(ValueError):
             parse(bad)
+
+
+def test_rational_literals_are_bounded_by_the_int_string_limit(monkeypatch):
+    # core.as_fraction, the one reader of rational literals, refuses a literal whose
+    # mantissa digits plus |exponent| pass sys.get_int_max_str_digits() (4300 by
+    # default) before building its power of ten; Gaussian parts go through it too
+    import sys
+    import time
+
+    start = time.perf_counter()
+    for bad in ("1e-5000000", "1e4305", "1e-4300", "0.1e-4299", "-1.5E+4300", "1e4_305"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            as_fraction(bad)
+    for bad in ("1e-5000000i", "1e4305+2i", "2-1e-9999i"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            GaussianRational.parse(bad)
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        GaussianRational.from_json({"re": "0", "im": "1e-5000000"})
+    assert time.perf_counter() - start < 0.5
+    assert as_fraction("1e-4290") == Fraction(1, 10 ** 4290)
+    assert as_fraction("1e-4299") == Fraction(1, 10 ** 4299)
+    assert as_fraction(" 1.5e3 ") == 1500 and as_fraction("3/2") == Fraction(3, 2)
+    assert as_fraction(7) == 7 and type(as_fraction(7)) is Fraction
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half
+    if hasattr(sys, "set_int_max_str_digits"):  # Python's own limit sets the bound
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5000)
+        assert as_fraction("1e-4305") == Fraction(1, 10 ** 4305)
+        with pytest.raises(ValueError, match="more than 5000 digits"):
+            as_fraction("1e-5000")
 
 
 def test_gaussian_rational_field_axioms():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -674,3 +675,28 @@ def test_face_table_matches_the_vertex_derivation():
         assert linear(generator(i)) == want.linear
         assert translation(generator(i)) == want.translation
         assert generator(i).word == want.word == (i,)
+
+
+def test_generator_indices_are_checked():
+    for make in (generator, target_generator):
+        for i in (5, -1):
+            with pytest.raises(ValueError, match="index must be in 0..4"):
+                make(i)
+
+
+def test_compose_word_is_closed_over_the_nine_generators():
+    # the registry holds r_0..r_4 and R_0..R_4 from import on and never grows: a
+    # generator of any other form, even an orthogonal one over (1/2)Z such as r_1
+    # then r_0, is refused by its letter, and a registered form under another word is
+    # accepted with that word
+    before = (len(coxeter._LINEAR), len(coxeter._GENERATORS))
+    assert before[1] == 9
+    foreign = generator(0).after(generator(1))
+    with pytest.raises(ValueError, match="letter 0 is outside the domain"):
+        compose_word([0], [foreign])
+    with pytest.raises(ValueError, match="letter 1 is outside the domain"):
+        compose_word([], [generator(2), foreign])
+    assert (len(coxeter._LINEAR), len(coxeter._GENERATORS)) == before
+    renamed = replace(generator(3), word=(7,))
+    g = compose_word([0, 0, 0], [renamed])
+    assert g.word == (7, 7, 7) and g.same_map(generator(3))

@@ -300,3 +300,11 @@ def test_structures_keep_every_accepted_tangent():
             size = max(np.abs(t.a).max(), np.abs(t.phi).max())
             assert max(np.abs(s2.a + t.a).max(), np.abs(s2.phi + t.phi).max()) <= 1e-15 * size
     assert len(tangents) > 100
+
+
+def test_point_tangent_shape_and_structure_name_are_checked():
+    with pytest.raises(ValueError, match="components must be 2x2"):
+        PointTangent(np.zeros((3, 3)), np.zeros((2, 2)))
+    v = PointTangent(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="structure must be 'I', 'J' or 'K'"):
+        apply_structure("X", v, HKParams(1.0, 1.0, 0.0))

@@ -179,3 +179,11 @@ def test_word_to_auto_rejects_letters_outside_0_4():
     for bad in (5, -1):
         with pytest.raises(ValueError, match=f"letter {bad} outside 0..4"):
             word_to_auto([0, bad])
+
+
+def test_twist_index_and_class_bound_are_checked():
+    for i in (5, -1):
+        with pytest.raises(ValueError, match="index must be in 0..4"):
+            dehn_twist_matrix(i)
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        classes_of_square_minus2(-1)

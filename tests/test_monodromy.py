@@ -368,3 +368,14 @@ def test_normalize_outside_the_table_is_exhausted(monkeypatch):
     message = "not Hurwitz-equivalent to a conjugate of (B, A, B, A, B, A)"
     with pytest.raises(Exhausted, match=f"^{re.escape(message)}$"):
         normalize(seeded_scramble(3, 4))
+
+
+def test_matrix_and_slot_arguments_are_checked():
+    with pytest.raises(ValueError, match="determinant must be 1"):
+        mat_inv(((2, 0), (0, 1)))
+    f = canonical_factorization()
+    with pytest.raises(ValueError, match="direction must be 1 or 2"):
+        hurwitz_move(f, 1, 3)
+    for i, j in ((0, 1), (1, 7)):
+        with pytest.raises(IndexError, match="slot out of range"):
+            vanishing_cycle_match(f, i, j)

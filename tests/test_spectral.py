@@ -28,11 +28,13 @@ from hitchin4.spectral import (
     poly_roots,
     predicted_root_shift,
     ROOT_TOL,
+    RootTrackingLost,
     SingularFiber,
     singular_fibers,
     tau_asymptotics,
     tau_sweep,
     tautological_residues,
+    UndefinedFlag,
 )
 
 rng = np.random.default_rng(20260810)
@@ -1270,3 +1272,22 @@ def test_root_shift_steps_keep_accurate_roots(p0, masses):
         near = [min(_fiber(base, b)[1], key=lambda r: (abs(r - p), -r.imag)) - p for b in betas]
         raw = np.linalg.lstsq(design, np.array(near), rcond=None)[0][0]
         assert abs(out["fitted"][key] - raw) < 1e-9 * abs(raw), key
+
+
+def test_fiber_points_flags_and_root_tracking_raise_their_errors():
+    # each reachable raise of SpectralFiberPoint, flags and tau_asymptotics, at an
+    # input checked by hand
+    with pytest.raises(UndefinedFlag, match="residue matrix vanishes at z = 0.0"):
+        flags(SpectralFiberPoint(build_base(2, (0, 1, 1, 1)), 0.5, 0.0, 0.0))
+    base = build_base(2, (1, 1, 1, 1))
+    with pytest.raises(OffCurve, match="cubic residual"):
+        SpectralFiberPoint(base, 1.0, 0.3, 5.0)
+    with pytest.raises(OffCurve, match="big stratum needs"):
+        SpectralFiberPoint(base, 1.0)
+    with pytest.raises(OffCurve, match="only when m_inf != 0"):
+        SpectralFiberPoint(build_base(2, (1, 1, 1, 0)), 1.0, stratum="extra")
+    with pytest.raises(ValueError, match="unknown stratum 'odd'") as exc:
+        SpectralFiberPoint(base, 1.0, stratum="odd")
+    assert not isinstance(exc.value, DomainError)  # a bad argument, not a point off the curve
+    with pytest.raises(RootTrackingLost, match="no root near puncture 0"):
+        tau_asymptotics(base, [0.1, 0.2])

@@ -543,3 +543,11 @@ def test_period_vectors_carry_their_integer_form():
             assert built.ints[0] == lcm(*(x.denominator for x in pv.x))
             scaled += pv.ints[0] != built.ints[0]
     assert scaled > 400
+
+
+def test_scale_masses_needs_a_nonzero_factor():
+    data = ParabolicData((Fraction(3, 10), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5)),
+                         (1, 0, 0, 0))
+    for t in (0, GaussianRational(0)):
+        with pytest.raises(ValueError, match="t must be nonzero"):
+            scale_masses(data, t)
