@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -38,6 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Readers: a ValueError says what is wrong with a token; ``_Values`` adds the option.
+
+class _BadToken(ValueError):
+    """A reader refused the token of the option its message names."""
+
 
 def _token(convert, what: str, ok=None):
     """Reader of one token by ``convert``, whose value must pass ``ok`` if given."""
@@ -116,11 +119,12 @@ _Opt = namedtuple("_Opt", "flag read default choices echo help",
 
 class _Values:
     """The options of one invocation, each read on first use.  A reader's
-    ``ValueError`` is raised again naming the option, and each echoed option
-    read joins ``echo``: its string, or its value if that is a number."""
+    ``ValueError`` is raised again as ``_BadToken`` naming the option; each flag
+    read joins ``flags``, and each echoed option read joins ``echo``: its
+    string, or its value if that is a number."""
 
     def __init__(self, args, options):
-        self._args, self.echo = args, {}
+        self._args, self.echo, self.flags = args, {}, []
         self._options = {o.flag.lstrip("-").replace("-", "_"): o for o in options}
 
     def __getattr__(self, name: str):
@@ -129,7 +133,9 @@ class _Values:
         try:
             value = o.read(raw) if o.read else raw
         except ValueError as exc:
-            raise ValueError(f"{o.flag} {exc}") from None
+            raise _BadToken(f"{o.flag} {exc}") from None
+        if o.flag.startswith("--"):
+            self.flags.append(o.flag)
         if o.echo:
             self.echo[name] = value if isinstance(value, (int, float)) else raw
         setattr(self, name, value)
@@ -197,22 +203,17 @@ def _twist(v) -> dict:
             "hatB": [Fraction(x, hat.d) for x in hat.t], "hatB_unit": "4*pi^2"}
 
 
-def _curve(v):
-    """The base of ``--p0`` and ``--m``."""
-    return lib.spectral.build_base(v.p0, v.m)
-
-
 def _fibers(v) -> dict:
-    base = _curve(v)
+    base = lib.spectral.build_base(v.p0, v.m)
     return {"f_coeffs": base.f_coeffs, "singular_beta": lib.spectral.singular_fibers(base)}
 
 
 def _residues(v) -> dict:
-    return lib.spectral.tautological_residues(_curve(v), v.beta)
+    return lib.spectral.tautological_residues(lib.spectral.build_base(v.p0, v.m), v.beta)
 
 
 def _tau(v):
-    base = _curve(v)
+    base = lib.spectral.build_base(v.p0, v.m)
     if v.sweep:
         return [("beta", "re_tau", "im_tau"), *(
             [f"{b:.12g}", "error", type(tau).__name__] if isinstance(tau, DomainError)
@@ -235,7 +236,7 @@ def _hk(v) -> dict:
 
 def _sweep(v):
     return [("t", "alpha", "chamber"), *(
-        [t, ";".join(map(str, alpha)),
+        [t, alpha,
          f"error:{type(label).__name__}" if isinstance(label, DomainError) else label.short()]
         for t, alpha, label in lib.chambers.chamber_sweep(v.start, v.stop, v.samples))]
 
@@ -302,20 +303,28 @@ def main(argv=None) -> int:
     values = _Values(args, options)
     try:
         result = (handlers[values.action] if isinstance(handlers, dict) else handlers)(values)
-        if isinstance(result, dict):
-            out = json.dumps({"subcommand": args.cmd, "parameters": values.echo,
-                              "result": result}, sort_keys=True, default=_json_default) + "\n"
-        else:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(result)
-            out = buf.getvalue()
     except DomainError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
         return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a library refusal names the options the handler read
+        where = "" if isinstance(exc, _BadToken) else f"{', '.join(values.flags)}: "
+        print(f"usage error: {where}{exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(out)
+    # Every option is read, so the int-string limit is lifted only to print a long
+    # result rational in full; core.as_fraction still bounds every literal read.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)
+    try:
+        if isinstance(result, dict):
+            print(json.dumps({"subcommand": args.cmd, "parameters": values.echo,
+                              "result": result}, sort_keys=True, default=_json_default))
+        else:  # a tuple cell (a weight vector) is written as its entries joined by ";"
+            csv.writer(sys.stdout, lineterminator="\n").writerows(
+                [";".join(map(str, c)) if isinstance(c, tuple) else c for c in row]
+                for row in result)
+    finally:
+        set_limit(limit)
     return 0
 
 

@@ -43,13 +43,19 @@ class WalkLimitExceeded(DomainError, RuntimeError):
 class AffineIsometry:
     """Exact affine map x -> (L x + t) / d with a generator word, held only as
     its integer form: L a 4x4 integer matrix (rows), t an integer 4-vector and
-    d > 0 with gcd(d, entries of L and t) == 1, so equal maps have equal
-    fields; d is 1 or 2 on every word that ``compose_word`` accepts."""
+    d > 0, divided on construction by gcd(d, entries of L and t), so equal maps
+    have equal fields; d is 1 or 2 on every word that ``compose_word`` accepts."""
 
     L: tuple[tuple[int, ...], ...]
     t: tuple[int, ...]
     d: int
     word: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        k = gcd(self.d, *self.t, *chain.from_iterable(self.L))
+        if k > 1:
+            vars(self).update(L=tuple(tuple(e // k for e in row) for row in self.L),
+                              t=tuple(e // k for e in self.t), d=self.d // k)
 
     def __call__(self, x) -> tuple[Fraction, ...]:
         """(L x + t) / d on exact numbers x, computed on integer numerators
@@ -61,14 +67,14 @@ class AffineIsometry:
     def after(self, other: "AffineIsometry") -> "AffineIsometry":
         """Composite applying ``other`` first: self o other, one integer product."""
         t = tuple(a + other.d * s for a, s in zip(int_matvec(self.L, other.t), self.t))
-        return AffineIsometry(*_reduced(int_matmul(self.L, other.L), t, self.d * other.d),
+        return AffineIsometry(int_matmul(self.L, other.L), t, self.d * other.d,
                               other.word + self.word)
 
     def inverse(self) -> "AffineIsometry":
         Lt = tuple(zip(*self.L))  # orthogonal linear part: (L/d)^-1 = L^T/d, over d^2
-        form = _reduced(tuple(tuple(self.d * e for e in row) for row in Lt),
-                        tuple(-v for v in int_matvec(Lt, self.t)), self.d ** 2)
-        return AffineIsometry(*form, tuple(reversed(self.word)))
+        return AffineIsometry(tuple(tuple(self.d * e for e in row) for row in Lt),
+                              tuple(-v for v in int_matvec(Lt, self.t)), self.d ** 2,
+                              tuple(reversed(self.word)))
 
     def same_map(self, other: "AffineIsometry") -> bool:
         return (self.L, self.t, self.d) == (other.L, other.t, other.d)
@@ -76,14 +82,6 @@ class AffineIsometry:
     @staticmethod
     def identity() -> "AffineIsometry":
         return compose_word((), ())
-
-
-def _reduced(L, t, d):
-    """Integer form (L, t, d), tuples of ints, divided by gcd(d, entries of L and t)."""
-    k = gcd(d, *t, *chain.from_iterable(L))
-    if k == 1:
-        return L, t, d
-    return tuple(tuple(e // k for e in row) for row in L), tuple(e // k for e in t), d // k
 
 
 # The composition kernel holds a group element as (k, t2): linear part _LINEAR[k]
@@ -124,8 +122,7 @@ def compose_word(word, gens) -> AffineIsometry:
         t, r = zip(*[divmod(sum(map(mul, row, t)) + e, d) for row, e in zip(L, s)])
         if any(r):
             raise BrokenIdentity("word translation is not integral")
-    return AffineIsometry(*_reduced(_LINEAR[k], t, 2),
-                          tuple(chain.from_iterable(gens[i].word for i in word)))
+    return AffineIsometry(_LINEAR[k], t, 2, tuple(chain.from_iterable(gens[i].word for i in word)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +231,7 @@ def alcove_walk(alpha):
     t = [divmod(2 * v - sum(map(mul, row, b0)), N) for row, v in zip(_LINEAR[k], b)]
     if any(r for _, r in t):
         raise BrokenIdentity("alcove walk translation is not integral")
-    g = AffineIsometry(*_reduced(_LINEAR[k], tuple(e for e, _ in t), 2), word)
+    g = AffineIsometry(_LINEAR[k], tuple(e for e, _ in t), 2, word)
     return g, tuple(Fraction(v, N) for v in b0), 0 in vals
 
 
@@ -253,8 +250,7 @@ def enumerate_W_fin() -> tuple[AffineIsometry, ...]:
             if c not in words:
                 words[c] = words[k] + (i,)
                 queue.append(c)
-    return tuple(AffineIsometry(*_reduced(_LINEAR[k], (0, 0, 0, 0), 2), w)
-                 for k, w in words.items())
+    return tuple(AffineIsometry(_LINEAR[k], (0, 0, 0, 0), 2, w) for k, w in words.items())
 
 
 def vertex_orbit(v) -> str:

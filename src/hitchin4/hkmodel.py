@@ -71,17 +71,13 @@ def apply_structure(S: str, v: PointTangent, p: HKParams) -> PointTangent:
     return from_fields(PointTangent, a=ph / s * v.phi.conj().T, phi=-ph * s * v.a.conj().T)
 
 
-def hermitian_pairing(v: PointTangent, w: PointTangent, p: HKParams) -> complex:
-    """h(v, w) = 2 l1 Tr(l2 a_v a_w^* + phi_v phi_w^*), Tr(A B^*) = vdot(B, A);
-    ``ValueError`` if it overflows the float range (past about 1e154 per entry)."""
+def metric(v: PointTangent, w: PointTangent, p: HKParams) -> float:
+    """Re h(v, w), h = 2 l1 Tr(l2 a_v a_w^* + phi_v phi_w^*), Tr(A B^*) = vdot(B, A);
+    ``ValueError`` if h overflows the float range (past about 1e154 per entry)."""
     h = 2 * p.lambda1 * (p.lambda2 * complex(np.vdot(w.a, v.a)) + complex(np.vdot(w.phi, v.phi)))
     if not cmath.isfinite(h):
         raise ValueError(f"hermitian pairing overflows the float range: {h}")
-    return h
-
-
-def metric(v: PointTangent, w: PointTangent, p: HKParams) -> float:
-    return hermitian_pairing(v, w, p).real
+    return h.real
 
 
 def omega(S: str, v: PointTangent, w: PointTangent, p: HKParams) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import index, mul
 
 from .core import BrokenIdentity, int_matvec, read_vector
-from .coxeter import AffineIsometry, _reduced
+from .coxeter import AffineIsometry
 
 I0 = ((-2, 1, 1, 1, 1),
       (1, -2, 0, 0, 0),
@@ -101,13 +101,13 @@ def hat_reduction(A) -> AffineIsometry:
     period vectors: x -> hatA^T x + hatB with hatA_ij = a_ij - a_0j / 2
     (i,j = 1..4) and hatB_j = a_0j / 2 in units of 4*pi^2.
 
-    The map is returned as the integer form (L, t, 2), reduced, with
-    L_ji = 2 a_ij - a_0j and t_j = a_0j, and the empty word; for a product
-    A B the induced maps compose as (map of B) after (map of A).
+    The map is returned as the integer form (L, t, 2), with L_ji = 2 a_ij -
+    a_0j and t_j = a_0j, and the empty word, which ``AffineIsometry`` reduces;
+    for a product A B the induced maps compose as (map of B) after (map of A).
     """
     top = tuple(A[0][1:])
     L = tuple(tuple(2 * A[i][j] - top[j - 1] for i in range(1, 5)) for j in range(1, 5))
-    return AffineIsometry(*_reduced(L, top, 2))
+    return AffineIsometry(L, top, 2)
 
 
 def hat_affine_apply(A, x) -> tuple:

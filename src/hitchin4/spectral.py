@@ -513,17 +513,12 @@ def tau_sweep(base: HitchinBase, bmin: float, bmax: float, samples: int):
 # large-beta asymptotics
 # ---------------------------------------------------------------------------
 
-def predicted_root_shift(base: HitchinBase, p: complex) -> complex:
-    """Closed-form coefficient of 1/beta in the branch-point shift near a
-    finite puncture: -f(p) / c'(p) with c = z(z-1)(z-p0)."""
-    return -ComplexPoly(base.f_coeffs)(p) / ComplexPoly(base.c_coeffs).derivative()(p)
-
-
 def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
     """Track the branch-point drift near each finite puncture (its nearest root,
     ties to the upper one) over large |beta| samples and fit the 1/beta
     coefficient of each shift: {"fitted": {key: coeff}, "predicted": {key:
-    coeff}} for keys "0", "1", "p0"; ``ValueError`` for fewer than two distinct samples.
+    -f(p)/c'(p) = -m_p^2 c'(p)}} for keys "0", "1", "p0"; ``ValueError`` for
+    fewer than two distinct samples.
     A companion eigenvalue is off by about eps |far root| while a shift d shrinks as
     1/|beta|, so d takes three steps of F = 0 with c factored over the punctures."""
     betas = read_vector(beta_samples, read=complex)
@@ -548,4 +543,4 @@ def tau_asymptotics(base: HitchinBase, beta_samples) -> dict:
     design = np.column_stack([inv, inv ** 2])  # two-term fit removes 1/beta^2 bias
     return {"fitted": {k: complex(np.linalg.lstsq(design, np.array(s), rcond=None)[0][0])
                        for k, s in shifts.items()},
-            "predicted": {key: predicted_root_shift(base, p) for key, p, *_ in base.punctures}}
+            "predicted": {key: -m * m * dc for key, _, dc, m in base.punctures}}

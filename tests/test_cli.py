@@ -376,6 +376,61 @@ def test_degenerate_counts_are_usage_errors(capsys):
                                          "--stop", "2/5,1/10,1/10,1/10", "--samples", "-3"])
 
 
+TWIST = [[1, 1], [0, 1]]
+LIBRARY_REFUSALS = {
+    "invert 3+3": ["invert", "--x", "1/10,1/10,1/10", "--z", "0,0,0"],
+    "domain 5+4": ["domain", "--x", "0,1/7,2/7,3/7,1/7", "--z", "0,1,1,1"],
+    "hk no trials": ["hk", "check", "--trials", "0"],
+    "hk lambda1 < 0": ["hk", "check", "--lambda1", "-1"],
+    "two factors": ["monodromy", "normalize", "--factors", json.dumps([TWIST] * 2)],
+    "determinant 2": ["monodromy", "normalize", "--factors",
+                      json.dumps([[[2, 0], [0, 1]]] + [TWIST] * 5)],
+    "composite not -Id": ["monodromy", "normalize", "--factors", json.dumps([TWIST] * 6)],
+}
+
+
+@pytest.mark.parametrize("argv", LIBRARY_REFUSALS.values(), ids=LIBRARY_REFUSALS)
+def test_a_library_refusal_names_the_options_read(capsys, argv):
+    # a ValueError of the handler's library call names the flags the handler
+    # read, as a reader's error names its own option
+    err = _usage_error(capsys, argv)
+    assert err.count("\n") == 1
+    assert any(flag in err for flag in argv if flag.startswith("--")), err
+
+
+def test_a_result_past_the_int_string_limit_prints_in_full(capsys):
+    # each weight is a literal within the int-string limit, but the common
+    # denominator of the results has about 6,000 digits: the periods and the
+    # sweep print the exact values, and reading is bounded again afterwards
+    from fractions import Fraction
+
+    from hitchin4.chambers import ParabolicData, chamber_sweep
+    from hitchin4.torelli import torelli_chamber
+
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** 2999
+    start = (Fraction(1, big + 1), Fraction(1, big + 3), Fraction(1, 5), Fraction(1, 5))
+    stop = (Fraction(1, big + 7), Fraction(1, big + 9), Fraction(1, 5), Fraction(1, 5))
+    pv = torelli_chamber(ParabolicData(start, (0, 0, 0, 0)))
+    rows = list(chamber_sweep(start, stop, 3))
+    sys.set_int_max_str_digits(0)
+    try:
+        want_x = [str(x) for x in pv.x]
+        want_rows = [f"{t},{';'.join(map(str, alpha))},{label.short()}" for t, alpha, label in rows]
+        start_arg, stop_arg = (",".join(map(str, v)) for v in (start, stop))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(len(x) for x in want_x) > 2 * limit
+    code, doc = run_json(capsys, "periods", "--alpha", start_arg, "--m", "0,0,0,0")
+    assert code == 0 and doc["result"]["x"] == want_x
+    code, out = run_cli(capsys, "sweep", "--kind", "alpha", "--start", start_arg,
+                        "--stop", stop_arg, "--samples", "3")
+    assert code == 0 and out.splitlines() == ["t,alpha,chamber", *want_rows]
+    assert sys.get_int_max_str_digits() == limit
+    err = _usage_error(capsys, ["chamber", "--alpha", "1e-5000000,1/5,1/5,1/5"])
+    assert err == "usage error: --alpha is not a rational: '1e-5000000'\n"
+
+
 def test_beta_sweep_bounds_are_usage_errors(capsys):
     curve = ["--p0", "0.37", "--m", "0.5,0.25,0.125,1"]
     for lo, hi in (("0", "10"), ("10", "-1"), ("nan", "10"), ("1", "inf")):

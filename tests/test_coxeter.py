@@ -577,13 +577,29 @@ def _sample_elements():
 
 
 def test_integer_form_is_reduced_with_denominator_one_or_two():
-    for g in _sample_elements():
+    # the constructor reduces: a direct construction over k*d and a replace of the
+    # fields by their k-fold give g's own form
+    for n, g in enumerate(_sample_elements()):
         entries = (*chain.from_iterable(g.L), *g.t)
         assert all(type(e) is int for e in entries) and type(g.d) is int
         assert g.d in (1, 2)
         assert gcd(g.d, *entries) == 1
         assert g.inverse().after(g).same_map(AffineIsometry.identity())
         assert g.after(g.inverse()).same_map(AffineIsometry.identity())
+        k = 2 + n % 5
+        kL, kt = tuple(tuple(k * e for e in row) for row in g.L), tuple(k * e for e in g.t)
+        assert AffineIsometry(kL, kt, k * g.d, g.word) == g
+        assert replace(g, L=kL, t=kt, d=k * g.d) == g
+
+
+def test_a_scaled_integer_form_is_the_identity():
+    # (2 I, 0, 2) is the identity map, so it has the identity's fields
+    identity = AffineIsometry.identity()
+    g = AffineIsometry(tuple(tuple(2 * (r == c) for c in range(4)) for r in range(4)),
+                       (0, 0, 0, 0), 2)
+    assert (g.L, g.t, g.d) == (identity.L, identity.t, identity.d) == (
+        tuple(tuple(int(r == c) for c in range(4)) for r in range(4)), (0, 0, 0, 0), 1)
+    assert g.same_map(identity) and g == identity
 
 
 def test_equality_is_same_map_and_same_word():

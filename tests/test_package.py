@@ -144,6 +144,23 @@ def test_aliases_and_fraction_conversions_stay_out_of_the_package():
     assert isinstance(homology.hat_reduction(homology.word_to_auto([0])), coxeter.AffineIsometry)
 
 
+def test_helpers_that_restate_their_owner_stay_out_of_the_package():
+    # AffineIsometry reduces its own integer form, a HitchinBase's puncture rows
+    # give the predicted root shift, metric is the one hermitian form and the CLI
+    # builds a base with build_base itself; homology imports coxeter's public names
+    import ast
+
+    from hitchin4 import cli
+
+    for owner, name in ((coxeter, "_reduced"), (spectral, "predicted_root_shift"),
+                        (hkmodel, "hermitian_pairing"), (cli, "_curve")):
+        assert not hasattr(owner, name), name
+    tree = ast.parse((SRC / "hitchin4" / "homology.py").read_text())
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "coxeter" for a in node.names]
+    assert imported and not any(name.startswith("_") for name in imported), imported
+
+
 def test_fraction_bodies_of_the_integer_kernel_stay_out_of_the_package():
     # chambers and torelli compute on integer numerators; the Fraction bodies
     # are the test reference in lattice_oracle
@@ -302,7 +319,7 @@ def test_the_package_stays_within_its_line_budget():
     # the ROADMAP budget for src/hitchin4: a change that grows the package
     # past it has to shrink something else or revisit the budget
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "hitchin4").glob("*.py"))
-    assert lines <= 2522, lines
+    assert lines <= 2518, lines
 
 
 def _subclasses(cls):

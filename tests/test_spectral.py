@@ -26,7 +26,6 @@ from hitchin4.spectral import (
     higgs_representative,
     in_B0,
     poly_roots,
-    predicted_root_shift,
     ROOT_TOL,
     RootTrackingLost,
     SingularFiber,
@@ -1218,11 +1217,31 @@ def test_root_shifts_zero_masses():
 def test_root_shift_single_mass():
     p0 = 2.0
     base = build_base(p0, (1.0, 0, 0, 0))
-    assert abs(predicted_root_shift(base, 0.0) + p0) < 1e-12  # -p0 / beta
     out = tau_asymptotics(base, list(np.logspace(2.3, 4, 7)))
+    assert abs(out["predicted"]["0"] + p0) < 1e-12  # -p0 / beta
     assert abs(out["fitted"]["0"] - out["predicted"]["0"]) < 0.01 * abs(out["predicted"]["0"])
     for key in ("1", "p0"):
         assert abs(out["fitted"][key]) < 1e-8
+
+
+def test_predicted_root_shift_is_read_from_the_puncture_rows():
+    # the 1/beta coefficient -f(p)/c'(p) is -m_p^2 c'(p) of each puncture row, bit
+    # for bit; evaluating f and c' at p agrees to rounding, relative to max |f_k|
+    r = random.Random(37)
+
+    def draw():
+        return complex(r.uniform(-2, 2), r.uniform(-2, 2))
+
+    for n in range(5000):
+        base = build_base(draw(), [draw() for _ in range(4)])
+        rows = {key: -m * m * dc for key, _, dc, m in base.punctures}
+        if n < 20:
+            out = tau_asymptotics(base, [1e4, 2e4, 4e4])
+            assert all(out["predicted"][key] == want for key, want in rows.items())
+        f, dc = ComplexPoly(base.f_coeffs), ComplexPoly(base.c_coeffs).derivative()
+        scale = max(1.0, *map(abs, base.f_coeffs))
+        for key, p, *_ in base.punctures:
+            assert abs(rows[key] + f(p) / dc(p)) <= 4e-15 * scale, (n, key)
 
 
 def test_root_shift_needs_two_distinct_samples():
